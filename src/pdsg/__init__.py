@@ -10,6 +10,7 @@ from .baselines import (
     zmax_from_reference,
 )
 from .errors import (
+    AccountingError,
     BoundInfeasibleError,
     CapacityError,
     ConfigError,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import metrics
 from .errors import DivergenceError
-from .solver import SolverState, init_state, project_box
+from .solver import SolverState, _iterate, init_state, project_box
 
 _Z_BLOWUP = 1e12
 
@@ -74,7 +74,8 @@ def mirror_prox_step(state: SolverState, inst, alpha_k, rho_k, beta, z_max) -> S
     m = inst.m
 
     i_k = int(rng.integers(m))
-    g0 = inst.stoch_objective_grad(state.x, rng)
+    xi_k = int(rng.integers(inst.N))
+    g0 = inst.stoch_objective_grad(xi_k, state.x)
     state.n_obj_queries += 1
     fval, grad = inst.constraint(i_k, state.x)
     state.n_constr_grad_queries += 1
@@ -106,17 +107,14 @@ def mirror_prox_step(state: SolverState, inst, alpha_k, rho_k, beta, z_max) -> S
 
 
 def mirror_prox_run(inst, cfg: MirrorProxConfig, K, seed, recorder=None, cadence=None):
-    """Run K mirror-prox iterations; same calling convention as solver.run."""
-    alpha_k, rho_k, beta = cfg.steps(K)
+    """Run K mirror-prox iterations; same calling convention as solver.run.
+
+    Equal bit for bit to K calls of ``mirror_prox_step`` with ``cfg.steps(K)``.
+    """
+    steps = cfg.steps(max(K, 1))
     state = init_state(inst, seed)
-    last_recorded = None
-    for _ in range(K):
-        mirror_prox_step(state, inst, alpha_k, rho_k, beta, cfg.z_max)
-        done = state.k - 1
-        if (cadence and done % cadence == 0) or done == K:
-            if recorder is not None and last_recorded != done:
-                recorder(state)
-                last_recorded = done
+    alphas, rhos, betas = (np.full(K, step) for step in steps)
+    _iterate(state, inst, alphas, rhos, betas, K, recorder, cadence, z_max=cfg.z_max)
     record = recorder.record if recorder is not None else metrics.RunRecord(meta={"seed": seed})
     return state, record
 

@@ -89,8 +89,8 @@ def reference_for(inst, tol=1e-9, cache_path=None) -> baselines.ReferenceSolutio
     """Reference solution for the instance, memoized by content hash.
 
     With ``cache_path`` the solution is also persisted as JSON next to the
-    instance file and reused by later invocations when the hash and tolerance
-    match.
+    instance file, written atomically, and reused by later invocations when
+    the hash and tolerance match.
     """
     digest = problems.instance_digest(inst)
     key = (digest, float(tol))
@@ -130,8 +130,15 @@ def reference_for(inst, tol=1e-9, cache_path=None) -> baselines.ReferenceSolutio
             "infeas": ref.infeas,
             "step_norm": ref.step_norm,
         }
-        with open(cache_path, "w") as fh:
-            json.dump(payload, fh)
+        # write beside the target and rename, so readers never see a partial file
+        tmp = f"{cache_path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(payload, fh)
+            os.replace(tmp, cache_path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     return ref
 
 

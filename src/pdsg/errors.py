@@ -17,6 +17,10 @@ class BoundInfeasibleError(ValueError):
     """A theoretical bound was requested outside its validity region."""
 
 
+class AccountingError(RuntimeError):
+    """A run's oracle counters are out of step with its iteration count."""
+
+
 class DivergenceError(RuntimeError):
     """An iterate became non-finite or the dual norm blew up.
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import AccountingError
+
 POINT_TAGS = ("last", "ergodic_plain", "ergodic_weighted")
 DIVERGED_TAG = "DIVERGED"
 
@@ -101,7 +103,7 @@ class Recorder:
     Returns the ergodic-plain ``obj_err + infeas`` as the early-stop signal.
     The epoch is cross-checked against the run's oracle counters: each
     iteration costs two constraint-function queries, so the counter-based
-    epoch must equal k/m exactly.
+    epoch must equal k/m exactly; ``AccountingError`` is raised otherwise.
     """
 
     def __init__(self, inst, f0_ref, meta=None):
@@ -115,7 +117,10 @@ class Recorder:
         k = state.k - 1
         epoch = k / inst.m
         queries = state.n_constr_grad_queries + state.n_constr_val_queries
-        assert queries == 2 * k, "oracle accounting out of step with iteration count"
+        if queries != 2 * k:
+            raise AccountingError(
+                f"{queries} constraint queries after {k} iterations; expected {2 * k}"
+            )
         z_norm = float(np.linalg.norm(state.z))
 
         signal = None

@@ -31,16 +31,20 @@ _VERSION = 1
 class ProblemInstance:
     """Oracle interface: stochastic objective plus m constraint oracles on a box.
 
-    Subclasses must provide the objective and constraint oracles; the base
-    class supplies the box bookkeeping, the default start point, and slow
-    generic full passes over the constraints.
+    The objective is an average over ``N`` samples (``N = 1`` for a
+    deterministic objective).  The solvers draw a sample index uniformly from
+    ``range(N)`` and pass it to ``stoch_objective_grad``.  Subclasses must
+    provide the objective and constraint oracles; the base class supplies the
+    box bookkeeping, the default start point, and slow generic full passes
+    over the constraints.
     """
 
-    def __init__(self, n, m, box_lo, box_hi, origin_feasible=False):
+    def __init__(self, n, m, box_lo, box_hi, origin_feasible=False, N=1):
         self.n = int(n)
         self.m = int(m)
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"dimensions must be >= 1, got n={n}, m={m}")
+        self.N = int(N)
+        if self.n < 1 or self.m < 1 or self.N < 1:
+            raise ValueError(f"dimensions must be >= 1, got n={n}, m={m}, N={N}")
         self.box_lo = np.asarray(box_lo, dtype=float)
         self.box_hi = np.asarray(box_hi, dtype=float)
         if self.box_lo.shape != (self.n,) or self.box_hi.shape != (self.n,):
@@ -59,8 +63,8 @@ class ProblemInstance:
         """Exact full-batch objective subgradient at x."""
         raise NotImplementedError
 
-    def stoch_objective_grad(self, x, rng):
-        """Unbiased stochastic objective subgradient at x, drawn from rng."""
+    def stoch_objective_grad(self, i, x):
+        """Objective subgradient of sample i at x; unbiased for i uniform on range(N)."""
         raise NotImplementedError
 
     def objective_curvature(self) -> float:
@@ -145,10 +149,9 @@ class QuadraticInstance(ProblemInstance):
             raise DimensionError("constraint arrays have inconsistent shapes")
         super().__init__(
             n, m, data.box_lo, data.box_hi,
-            origin_feasible=bool(np.all(data.b > 0.0)),
+            origin_feasible=bool(np.all(data.b > 0.0)), N=N,
         )
         self.data = data
-        self.N = N
         self.p = p
         self._hessian = None
         self._curvature = None
@@ -164,8 +167,7 @@ class QuadraticInstance(ProblemInstance):
         r = self.data.H @ x - self.data.c
         return np.einsum("ipn,ip->n", self.data.H, r) / self.N
 
-    def stoch_objective_grad(self, x, rng):
-        i = int(rng.integers(self.N))
+    def stoch_objective_grad(self, i, x):
         Hi = self.data.H[i]
         return Hi.T @ (Hi @ x - self.data.c[i])
 

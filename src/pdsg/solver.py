@@ -7,6 +7,10 @@ from the new iterate's constraint value.  Three step-size schedules are
 built in; each couples the penalty to the dual step (``beta_k = rho_k``),
 which keeps the dual iterate nonnegative.
 
+``pdsg_step`` is the one-step reference form.  ``run`` goes through
+``_iterate``, a fused loop shared with the mirror-prox baseline that draws
+the sample indices in blocks and is bit-for-bit equal to repeated steps.
+
 A run is single-threaded and deterministic given its seed.  Runs over the
 same instance may execute concurrently; nothing here mutates the instance.
 """
@@ -84,6 +88,17 @@ class ParamSchedule:
         """(alpha_k, rho_k, beta_k) as floats for one iteration."""
         return float(self.alpha_at(k)), float(self.rho_at(k)), float(self.beta_at(k))
 
+    def sequences(self, K):
+        """(alpha_k, rho_k, beta_k) for k = 1..K as three float arrays.
+
+        Element k-1 of each array equals the matching entry of ``steps(k)``.
+        """
+        ks = np.arange(1, K + 1, dtype=float)
+        return tuple(
+            np.broadcast_to(np.asarray(at(ks), dtype=float), ks.shape)
+            for at in (self.alpha_at, self.rho_at, self.beta_at)
+        )
+
 
 def fixed_horizon(alpha, rho, K) -> ParamSchedule:
     return ParamSchedule("fixed_horizon", alpha, rho, K=K)
@@ -148,10 +163,7 @@ def validate_schedule(sched: ParamSchedule, m, G, K, mu=None) -> ScheduleReport:
         mu = sched.mu
     checks = []
 
-    ks = np.arange(1, K + 1, dtype=float)
-    beta = np.asarray(sched.beta_at(ks), dtype=float)
-    rho = np.asarray(sched.rho_at(ks), dtype=float)
-    alpha = np.asarray(sched.alpha_at(ks), dtype=float)
+    alpha, rho, beta = sched.sequences(K)
 
     bad = np.nonzero(beta < rho - 1e-15 * np.abs(rho))[0]
     checks.append(
@@ -259,15 +271,16 @@ def project_box(x, lo, hi):
 def pdsg_step(state: SolverState, inst, alpha_k, rho_k, beta_k) -> SolverState:
     """One primal-dual iteration; mutates and returns ``state``.
 
-    Draw order is fixed: constraint index i_k, then the stochastic objective
-    oracle, then the dual index j_k.  Exactly one stochastic-objective query,
+    Draw order is fixed: constraint index i_k, then the objective sample
+    xi_k, then the dual index j_k.  Exactly one stochastic-objective query,
     one constraint value+subgradient query and one constraint value query.
     """
     rng = state.rng
     m = inst.m
 
     i_k = int(rng.integers(m))
-    g0 = inst.stoch_objective_grad(state.x, rng)
+    xi_k = int(rng.integers(inst.N))
+    g0 = inst.stoch_objective_grad(xi_k, state.x)
     state.n_obj_queries += 1
     fval, grad = inst.constraint(i_k, state.x)
     state.n_constr_grad_queries += 1
@@ -300,18 +313,115 @@ def pdsg_step(state: SolverState, inst, alpha_k, rho_k, beta_k) -> SolverState:
     return state
 
 
+# index triples drawn per rng call; a block also ends at every recording tick
+_DRAW_BLOCK = 4096
+
+
+def _advance(state, x, weight_sum, steps, queries):
+    """Write back the loop's iterate, weight sum and counters into ``state``."""
+    state.x = x
+    state.weight_sum = weight_sum
+    state.n_plain += steps
+    state.k += steps
+    state.n_obj_queries += queries
+    state.n_constr_grad_queries += queries
+    state.n_constr_val_queries += queries
+
+
+def _iterate(state, inst, alphas, rhos, betas, K, recorder=None, cadence=None,
+             stop_below=None, z_max=None):
+    """Advance ``state`` by K iterations with step sizes ``alphas[k-1]`` etc.
+
+    With ``z_max`` None this equals K calls of ``pdsg_step``; with a dual box
+    level it equals K calls of ``baselines.mirror_prox_step`` (dual update at
+    the old iterate, clipped to [0, z_max], own divergence test).  Equal bit
+    for bit in every field of the state, the generator included: the index
+    triples (i_k, xi_k, j_k) come from one ``rng.integers`` call per block
+    over the tiled bounds, which draws the same numbers as the scalar calls.
+    Blocks end at every recording tick, where the state is written back
+    before the recorder sees it.  ``recorder`` and ``stop_below`` act as in
+    ``run``.
+    """
+    x, z, rng = state.x, state.z, state.rng
+    lo, hi = inst.box_lo, inst.box_hi
+    if x.shape != lo.shape or x.shape != hi.shape:
+        raise DimensionError(
+            f"point and bounds differ in shape: {x.shape}, {lo.shape}, {hi.shape}"
+        )
+    stoch_grad, constraint, constraint_value = (
+        inst.stoch_objective_grad, inst.constraint, inst.constraint_value
+    )
+    sum_plain, sum_weighted, weight_sum = state.sum_plain, state.sum_weighted, state.weight_sum
+    mirror = z_max is not None
+    bounds = np.tile([inst.m, inst.N, inst.m], min(K, _DRAW_BLOCK))
+    every = cadence if cadence and recorder is not None else K
+
+    done = 0
+    while done < K:
+        tick = min((done // every + 1) * every, K)
+        end = min(tick, done + _DRAW_BLOCK)
+        rng_before = rng.bit_generator.state
+        draws = iter(rng.integers(bounds[: 3 * (end - done)]).tolist())
+        sizes = (seq[done:end].tolist() for seq in (alphas, rhos, betas))
+        block = zip(draws, draws, draws, *sizes)
+        for t, (i, xi, j, a_k, r_k, b_k) in enumerate(block):
+            g0 = stoch_grad(xi, x)
+            fval, grad = constraint(i, x)
+            mult = b_k * fval + z.item(i)
+            if mirror:
+                d = g0 + mult * grad if mult > 0.0 else g0
+            else:
+                d = g0 if mult <= 0.0 else g0 + mult * grad
+            x_new = np.minimum(np.maximum(x - a_k * d, lo), hi)
+            # a finite sum of squares means every entry is finite; an overflow
+            # falls through to the entrywise test
+            diverged = not math.isfinite(x_new @ x_new) and not np.isfinite(x_new).all()
+
+            zj = z.item(j)
+            if mirror:
+                fj = constraint_value(j, x)
+                zj_new = min(max(zj + r_k * max(-zj / b_k, fj), 0.0), z_max)
+            else:
+                fj = constraint_value(j, x_new)
+                zj_new = zj + r_k * max(-zj / b_k, fj)
+                if r_k <= b_k and zj_new < 0.0:
+                    zj_new = 0.0  # last-ulp repair, as in pdsg_step
+                diverged = diverged or not math.isfinite(zj_new) or abs(zj_new) > _Z_BLOWUP
+            if diverged:
+                # leave the generator where the scalar draws would have
+                rng.bit_generator.state = rng_before
+                rng.integers(bounds[: 3 * (t + 1)])
+                _advance(state, x, weight_sum, t, t + 1)
+                raise DivergenceError(
+                    f"divergence at iteration {state.k}", iteration=state.k, state=state
+                )
+
+            z[j] = zj_new
+            x = x_new
+            sum_plain += x_new
+            sum_weighted += a_k * x_new
+            weight_sum += a_k
+        _advance(state, x, weight_sum, end - done, end - done)
+        done = end
+        if done == tick and recorder is not None:
+            signal = recorder(state)
+            if stop_below is not None and signal is not None and signal <= stop_below:
+                break
+    return state
+
+
 def run(inst, sched: ParamSchedule, K, seed, recorder=None, cadence=None, stop_below=None):
     """Run K iterations from the default start; returns (state, record).
 
     ``recorder`` is called with the state every ``cadence`` completed
     iterations (and at the end); if it returns a scalar at or below
     ``stop_below`` the run stops early.  With no recorder the returned
-    record is empty.  Deterministic given (inst, sched, K, seed).
+    record is empty.  Deterministic given (inst, sched, K, seed), and equal
+    bit for bit to K calls of ``pdsg_step`` with ``sched.steps(k)``.
     """
     if sched.K is not None and sched.K != K:
         raise ConfigError(f"schedule horizon K={sched.K} does not match run K={K}")
-    rhos = np.asarray(sched.rho_at(np.arange(1, max(K, 1) + 1)))
-    betas = np.asarray(sched.beta_at(np.arange(1, max(K, 1) + 1)))
+    alphas, rhos, betas = sched.sequences(max(K, 1))
     if np.any(rhos > betas):
         warnings.warn(
             "rho_k > beta_k: dual nonnegativity is no longer guaranteed",
@@ -319,17 +429,7 @@ def run(inst, sched: ParamSchedule, K, seed, recorder=None, cadence=None, stop_b
         )
 
     state = init_state(inst, seed)
-    last_recorded = None
-    for _ in range(K):
-        a_k, r_k, b_k = sched.steps(state.k)
-        pdsg_step(state, inst, a_k, r_k, b_k)
-        done = state.k - 1
-        if (cadence and done % cadence == 0) or done == K:
-            if recorder is not None and last_recorded != done:
-                signal = recorder(state)
-                last_recorded = done
-                if stop_below is not None and signal is not None and signal <= stop_below:
-                    break
+    _iterate(state, inst, alphas, rhos, betas, K, recorder, cadence, stop_below)
 
     if recorder is not None:
         record = recorder.record

@@ -10,7 +10,8 @@ class LinearOneDim(ProblemInstance):
     """min x on [-10, 10] s.t. -x - 1 <= 0; solution x* = -1, f0* = -1.
 
     The objective subgradient is the deterministic constant 1, so the
-    stochastic oracle has zero variance and hand simulation is exact.
+    stochastic oracle (one sample, N = 1) has zero variance and hand
+    simulation is exact.
     """
 
     def __init__(self):
@@ -22,8 +23,7 @@ class LinearOneDim(ProblemInstance):
     def objective_grad(self, x):
         return np.ones(1)
 
-    def stoch_objective_grad(self, x, rng):
-        rng.integers(1)  # keep the draw pattern of sampled oracles
+    def stoch_objective_grad(self, i, x):
         return np.ones(1)
 
     def constraint(self, j, x):

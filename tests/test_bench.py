@@ -110,6 +110,29 @@ def test_reference_file_cache(tmp_path):
     assert records
 
 
+def test_reference_cache_write_failure_leaves_no_partial_file(tmp_path, monkeypatch):
+    inst = random_qcqp(3, 2, 4, 4, seed=1)
+    cache = tmp_path / "inst.bin.ref.json"
+
+    def failing_dump(payload, fh):
+        fh.write('{"digest": "')  # half a payload, then the write fails
+        raise OSError("disk full")
+
+    monkeypatch.setattr(bench.json, "dump", failing_dump)
+    bench._REF_CACHE.clear()
+    with pytest.raises(OSError, match="disk full"):
+        bench.reference_for(inst, cache_path=str(cache))
+    assert os.listdir(tmp_path) == []
+
+    monkeypatch.undo()
+    bench._REF_CACHE.clear()
+    ref = bench.reference_for(inst, cache_path=str(cache))
+    assert os.listdir(tmp_path) == [cache.name]
+    bench._REF_CACHE.clear()
+    again = bench.reference_for(inst, cache_path=str(cache))
+    assert np.array_equal(again.x, ref.x) and again.f0 == ref.f0
+
+
 def test_divergence_produces_partial_record():
     cfg = _tiny_cfg(alpha=1e12, rho=1e12, force=True)
     records, _, _ = bench.run_experiment(cfg)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pdsg import metrics
+from pdsg.errors import AccountingError
 from pdsg.problems import ProblemInstance, random_qcqp, random_scenario_lp
 from pdsg.solver import fixed_horizon, init_state, run
 
@@ -24,7 +25,7 @@ class _FixedValues(ProblemInstance):
     def objective_grad(self, x):
         return np.zeros(2)
 
-    def stoch_objective_grad(self, x, rng):
+    def stoch_objective_grad(self, i, x):
         return np.zeros(2)
 
     def constraint(self, j, x):
@@ -113,6 +114,21 @@ def test_recorder_is_pure_measurement():
     assert state.rng.bit_generator.state == rng_state_before
     assert np.array_equal(state.x, x_before)
     assert np.array_equal(state.z, z_before)
+
+
+def test_recorder_rejects_out_of_step_counters():
+    inst = random_qcqp(4, 3, 5, 6, seed=4)
+    state, _ = run(inst, fixed_horizon(0.02, 0.02, 9), 9, seed=1)
+    rec = metrics.Recorder(inst, f0_ref=1.0)
+    rec(state)
+    state.n_constr_val_queries -= 1
+    with pytest.raises(AccountingError):
+        rec(state)
+    state.n_constr_val_queries += 1
+    state.k += 1
+    with pytest.raises(AccountingError):
+        rec(state)
+    assert len(rec.record.rows) == 3  # only the consistent tick was logged
 
 
 def test_record_final_lookup():

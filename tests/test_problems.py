@@ -117,8 +117,8 @@ def test_single_piece_objective_has_zero_variance():
     inst = random_qcqp(3, 2, 1, 2, seed=5)
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, 3)
-    g1 = inst.stoch_objective_grad(x, np.random.default_rng(1))
-    g2 = inst.stoch_objective_grad(x, np.random.default_rng(2))
+    g1 = inst.stoch_objective_grad(int(np.random.default_rng(1).integers(inst.N)), x)
+    g2 = inst.stoch_objective_grad(int(np.random.default_rng(2).integers(inst.N)), x)
     assert np.allclose(g1, inst.objective_grad(x))
     assert np.allclose(g1, g2)
     consts = certify_constants(inst, samples=8, rng_seed=0)

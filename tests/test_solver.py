@@ -137,8 +137,7 @@ class _StationaryInstance(ProblemInstance):
     def objective_grad(self, x):
         return np.zeros(2)
 
-    def stoch_objective_grad(self, x, rng):
-        rng.integers(1)
+    def stoch_objective_grad(self, i, x):
         return np.zeros(2)
 
     def constraint(self, j, x):
@@ -262,8 +261,7 @@ class _ExplodingConstraint(ProblemInstance):
     def objective_grad(self, x):
         return np.zeros(1)
 
-    def stoch_objective_grad(self, x, rng):
-        rng.integers(1)
+    def stoch_objective_grad(self, i, x):
         return np.zeros(1)
 
     def constraint(self, j, x):
