@@ -10,13 +10,15 @@ quadratic one,
 
 which covers both the random QCQP benchmark (dense PSD ``Q_j``) and the
 scenario-LP family (``Q_j = 0``, unit-Hessian objective).  Instances are
-immutable after construction and safe to share across concurrent runs.
+immutable after construction (a quadratic instance marks its arrays
+read-only) and safe to share across concurrent runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -26,6 +28,8 @@ from .errors import CapacityError, DimensionError
 
 _MAGIC = b"QCPDINST"
 _VERSION = 1
+# magic, version byte, u64 dims (n, p, N, m); the float64 arrays follow
+_HEADER = struct.Struct("<8sB4Q")
 
 
 class ProblemInstance:
@@ -153,9 +157,13 @@ class QuadraticInstance(ProblemInstance):
         )
         self.data = data
         self.p = p
+        # read-only, so the cached digest and the lazy caches cannot go stale
+        for arr in (*_arrays(data), self.box_lo, self.box_hi):
+            arr.flags.writeable = False
         self._hessian = None
         self._curvature = None
         self._qnorms = None
+        self._digest = None
 
     # -- objective ----------------------------------------------------------
 
@@ -379,58 +387,85 @@ def scenario_count_robust(n, tau, eps) -> int:
 # -- serialization -----------------------------------------------------------
 
 
+def _arrays(data: QcqpData):
+    """The seven arrays in file order."""
+    return (data.H, data.c, data.Q, data.a, data.b, data.box_lo, data.box_hi)
+
+
+def _array_shapes(n, p, N, m):
+    return ((N, p, n), (N, p), (m, n, n), (m, n), (m,), (n,), (n,))
+
+
+def _instance_parts(inst: QuadraticInstance):
+    """The file format, part by part: the header bytes, then each array as
+    contiguous little-endian float64 (no copy when it already is)."""
+    yield _HEADER.pack(_MAGIC, _VERSION, inst.n, inst.p, inst.N, inst.m)
+    for arr in _arrays(inst.data):
+        yield np.ascontiguousarray(arr, dtype="<f8")
+
+
 def save_instance(inst: QuadraticInstance, path) -> None:
     """Write the single-file container; round-trips bit-exactly via load_instance."""
     with open(path, "wb") as fh:
-        fh.write(instance_bytes(inst))
+        for part in _instance_parts(inst):
+            fh.write(part)
 
 
 def instance_bytes(inst: QuadraticInstance) -> bytes:
     """Serialized form: magic, version byte, u64 dims (n, p, N, m), f64 arrays."""
-    d = inst.data
-    parts = [
-        _MAGIC,
-        struct.pack("<B", _VERSION),
-        struct.pack("<4Q", inst.n, inst.p, inst.N, inst.m),
-    ]
-    for arr in (d.H, d.c, d.Q, d.a, d.b, d.box_lo, d.box_hi):
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(parts)
+    return b"".join(_instance_parts(inst))
 
 
 def load_instance(path) -> QuadraticInstance:
-    """Read an instance container written by save_instance."""
+    """Read an instance container written by save_instance.
+
+    The float payload is read once into one aligned array; the instance's
+    arrays are read-only views of it.  A header that disagrees with the file
+    size, and NaN or infinite data, raise ValueError.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(_MAGIC)] != _MAGIC:
-        raise ValueError(f"{path}: not an instance file (bad magic)")
-    off = len(_MAGIC)
-    (version,) = struct.unpack_from("<B", blob, off)
-    off += 1
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported container version {version}")
-    n, p, N, m = struct.unpack_from("<4Q", blob, off)
-    off += 32
-
-    def take(shape):
-        nonlocal off
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-        off += count * 8
-        return arr.reshape(shape).copy()
-
-    H = take((N, p, n))
-    c = take((N, p))
-    Q = take((m, n, n))
-    a = take((m, n))
-    b = take((m,))
-    box_lo = take((n,))
-    box_hi = take((n,))
-    if off != len(blob):
-        raise ValueError(f"{path}: trailing bytes in instance file")
-    return QuadraticInstance(QcqpData(H, c, Q, a, b, box_lo, box_hi))
+        head = fh.read(_HEADER.size)
+        if head[: len(_MAGIC)] != _MAGIC:
+            raise ValueError(f"{path}: not an instance file (bad magic)")
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: truncated header ({len(head)} of {_HEADER.size} bytes)")
+        _, version, n, p, N, m = _HEADER.unpack(head)
+        if version != _VERSION:
+            raise ValueError(f"{path}: unsupported container version {version}")
+        if min(n, p, N, m) < 1:
+            raise ValueError(f"{path}: dimensions must be >= 1, got n={n} p={p} N={N} m={m}")
+        shapes = _array_shapes(n, p, N, m)
+        # Python integers: huge header dimensions cannot overflow here
+        sizes = [math.prod(shape) for shape in shapes]
+        expected = _HEADER.size + 8 * sum(sizes)
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != expected:
+            raise ValueError(
+                f"{path}: header n={n} p={p} N={N} m={m} needs {expected} bytes, "
+                f"file has {actual}"
+            )
+        payload = np.empty(sum(sizes), dtype="<f8")
+        got = fh.readinto(payload)
+        if got != payload.nbytes:
+            raise ValueError(f"{path}: read {got} of {payload.nbytes} payload bytes")
+    if not np.isfinite(payload).all():
+        raise ValueError(f"{path}: instance data holds NaN or infinite values")
+    arrays, off = [], 0
+    for shape, size in zip(shapes, sizes):
+        arrays.append(payload[off : off + size].reshape(shape))
+        off += size
+    return QuadraticInstance(QcqpData(*arrays))
 
 
 def instance_digest(inst: QuadraticInstance) -> str:
-    """Content hash of the serialized instance (reference-cache key)."""
-    return hashlib.sha256(instance_bytes(inst)).hexdigest()
+    """Content hash of the serialized instance (reference-cache key).
+
+    Streamed part by part and computed once per instance, on first use; the
+    instance's arrays are read-only, so the cached value cannot go stale.
+    """
+    if inst._digest is None:
+        h = hashlib.sha256()
+        for part in _instance_parts(inst):
+            h.update(part)
+        inst._digest = h.hexdigest()
+    return inst._digest

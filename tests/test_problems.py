@@ -1,10 +1,15 @@
 """Instance generators, certification, sizing, and serialization tests."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdsg import bench, cli, problems
 from pdsg.errors import CapacityError
 from pdsg.problems import (
     QcqpData,
@@ -317,3 +322,199 @@ def test_instance_file_rejects_truncation(tmp_path):
     path.write_bytes(blob + b"\x00")
     with pytest.raises(ValueError):
         load_instance(path)
+
+
+# -- digest and loader ----------------------------------------------------------
+
+ARRAY_NAMES = ("H", "c", "Q", "a", "b", "box_lo", "box_hi")
+
+
+class _CountingHashlib:
+    """Stand-in for the ``hashlib`` module that counts the bytes it hashes."""
+
+    def __init__(self):
+        self.bytes_hashed = 0
+
+    def sha256(self, data=b""):
+        outer, inner = self, hashlib.sha256(data)
+        self.bytes_hashed += memoryview(data).nbytes
+
+        class _Hash:
+            def update(self, chunk):
+                outer.bytes_hashed += memoryview(chunk).nbytes
+                inner.update(chunk)
+
+            def hexdigest(self):
+                return inner.hexdigest()
+
+        return _Hash()
+
+
+@pytest.fixture
+def counting_hashlib(monkeypatch):
+    proxy = _CountingHashlib()
+    monkeypatch.setattr(problems, "hashlib", proxy)
+    return proxy
+
+
+def _saved(tmp_path, inst, name="inst.bin"):
+    path = tmp_path / name
+    save_instance(inst, path)
+    return path
+
+
+def test_digest_is_sha256_of_instance_bytes(tmp_path):
+    generated = random_qcqp(5, 3, 4, 6, seed=9)
+    scenario = random_scenario_lp(4, 6, 3, seed=0)
+    loaded = load_instance(_saved(tmp_path, generated))
+    for inst in (generated, scenario, loaded):
+        assert instance_digest(inst) == hashlib.sha256(instance_bytes(inst)).hexdigest()
+
+
+def test_save_writes_exactly_instance_bytes(tmp_path):
+    for inst in (random_qcqp(5, 3, 4, 6, seed=9), random_scenario_lp(4, 6, 3, seed=0)):
+        assert _saved(tmp_path, inst).read_bytes() == instance_bytes(inst)
+
+
+def test_digest_computed_once_and_lazily(tmp_path, counting_hashlib):
+    inst = random_qcqp(5, 3, 4, 6, seed=9)
+    path = _saved(tmp_path, inst)
+    loaded = load_instance(path)
+    assert counting_hashlib.bytes_hashed == 0  # neither building nor loading hashes
+    first = instance_digest(loaded)
+    assert counting_hashlib.bytes_hashed == path.stat().st_size
+    assert instance_digest(loaded) == first
+    assert counting_hashlib.bytes_hashed == path.stat().st_size
+
+
+def test_run_experiment_hashes_each_instance_once(counting_hashlib):
+    cfg = bench.ExperimentConfig(
+        family="qcqp", n=3, p=2, N=4, m=4, instance_seed=11,
+        methods=("pdsg", "mirror_prox"), alpha=0.003, rho=0.003,
+        epochs=1, seeds=(0, 1, 2),
+    )
+    inst = bench.build_instance(cfg)
+    size = len(instance_bytes(inst))
+    bench.run_experiment(cfg, inst=inst)
+    bench.run_experiment(cfg, inst=inst)
+    assert counting_hashlib.bytes_hashed == size
+
+
+def test_instance_arrays_are_read_only():
+    inst = random_qcqp(3, 2, 2, 4, seed=1)
+    for name in ARRAY_NAMES:
+        with pytest.raises(ValueError):
+            getattr(inst.data, name)[0] = 1.0
+    with pytest.raises(ValueError):
+        inst.box_lo[0] = 0.0
+
+
+def test_loaded_arrays_aligned_read_only_and_bit_equal(tmp_path):
+    inst = random_qcqp(5, 3, 4, 6, seed=9)
+    loaded = load_instance(_saved(tmp_path, inst))
+    for name in ARRAY_NAMES:
+        arr, ref = getattr(loaded.data, name), getattr(inst.data, name)
+        assert arr.flags.aligned and arr.flags.c_contiguous and not arr.flags.writeable
+        assert arr.dtype == np.float64 and arr.shape == ref.shape
+        assert arr.tobytes() == ref.tobytes()
+    assert loaded.origin_feasible == inst.origin_feasible
+
+
+def test_loaded_oracles_bit_equal_to_generated(tmp_path):
+    inst = random_qcqp(7, 5, 9, 8, seed=3)
+    loaded = load_instance(_saved(tmp_path, inst))
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        x = rng.uniform(-10, 10, inst.n)
+        i, j = int(rng.integers(inst.N)), int(rng.integers(inst.m))
+        assert loaded.stoch_objective_grad(i, x).tobytes() == inst.stoch_objective_grad(i, x).tobytes()
+        (v1, g1), (v2, g2) = loaded.constraint(j, x), inst.constraint(j, x)
+        assert v1 == v2 and g1.tobytes() == g2.tobytes()
+        assert loaded.constraint_value(j, x) == inst.constraint_value(j, x)
+
+
+def test_instance_file_rejects_huge_header_dimensions(tmp_path):
+    blob = bytearray(instance_bytes(random_qcqp(3, 2, 2, 2, seed=0)))
+    struct.pack_into("<4Q", blob, 9, *[2**40] * 4)
+    path = tmp_path / "huge.bin"
+    path.write_bytes(bytes(blob))
+    expected = 41 + 8 * (2**120 + 2**80 + 2**120 + 2**80 + 3 * 2**40)
+    with pytest.raises(ValueError, match=f"needs {expected} bytes, file has {len(blob)}"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("keep", [0, 5, 9, 20, 41, 42, -8, -1])
+def test_instance_file_rejects_short_files(tmp_path, keep):
+    blob = instance_bytes(random_qcqp(3, 2, 2, 2, seed=0))
+    path = tmp_path / "short.bin"
+    path.write_bytes(blob[:keep])
+    with pytest.raises(ValueError):
+        load_instance(path)
+
+
+def test_instance_file_rejects_zero_dimension(tmp_path):
+    blob = bytearray(instance_bytes(random_qcqp(3, 2, 2, 2, seed=0)))
+    struct.pack_into("<Q", blob, 9, 0)
+    path = tmp_path / "zero.bin"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="dimensions"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("name,value", [("b", math.nan), ("H", math.inf), ("box_lo", -math.inf)])
+def test_instance_file_rejects_non_finite_data(tmp_path, name, value):
+    inst = random_qcqp(3, 2, 2, 2, seed=0)
+    assert inst.origin_feasible
+    blob = bytearray(instance_bytes(inst))
+    before = ARRAY_NAMES[: ARRAY_NAMES.index(name)]
+    off = 41 + 8 * sum(getattr(inst.data, k).size for k in before)
+    struct.pack_into("<d", blob, off, value)
+    path = tmp_path / "nonfinite.bin"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        load_instance(path)
+
+
+def test_cli_corrupt_instance_exits_2(tmp_path, capsys):
+    blob = bytearray(instance_bytes(random_qcqp(3, 2, 2, 4, seed=0)))
+    struct.pack_into("<4Q", blob, 9, *[2**40] * 4)
+    path = tmp_path / "corrupt.bin"
+    path.write_bytes(bytes(blob))
+    rc = cli.main(
+        ["solve", "--instance", str(path), "--method", "pdsg", "--alpha", "0.003",
+         "--rho", "0.003", "--epochs", "1", "--seeds", "0", "--out", str(tmp_path)]
+    )
+    assert rc == 2
+    assert "needs" in capsys.readouterr().err
+
+
+_FUZZ_BLOB = instance_bytes(random_qcqp(2, 1, 2, 2, seed=0))
+
+
+@st.composite
+def _corrupted_blobs(draw):
+    blob = bytearray(_FUZZ_BLOB)
+    kind = draw(st.sampled_from(["flip", "truncate", "header", "append"]))
+    if kind == "flip":
+        for pos in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4)):
+            blob[pos] ^= draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del blob[draw(st.integers(0, len(blob) - 1)):]
+    elif kind == "header":
+        dims = draw(st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 4), min_size=4, max_size=4))
+        struct.pack_into("<4Q", blob, 9, *dims)
+    else:
+        blob += draw(st.binary(min_size=1, max_size=64))
+    return bytes(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=_corrupted_blobs())
+def test_loader_fuzz_loads_bit_exactly_or_raises_value_error(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("fuzz") / "inst.bin"
+    path.write_bytes(blob)
+    try:
+        loaded = load_instance(path)
+    except ValueError:
+        return
+    assert instance_bytes(loaded) == blob
