@@ -180,9 +180,15 @@ class QuadraticInstance(ProblemInstance):
         return Hi.T @ (Hi @ x - self.data.c[i])
 
     def hessian(self):
-        """Exact objective Hessian (1/N) sum_i H_i'H_i."""
+        """Exact objective Hessian (1/N) sum_i H_i'H_i (read-only, cached).
+
+        One Gram product of the stacked rows of H (a single BLAS syrk call),
+        so the result is exactly symmetric.
+        """
         if self._hessian is None:
-            self._hessian = np.einsum("ipn,ipq->nq", self.data.H, self.data.H) / self.N
+            A = self.data.H.reshape(self.N * self.p, self.n)
+            self._hessian = (A.T @ A) / self.N
+            self._hessian.flags.writeable = False
         return self._hessian
 
     def objective_curvature(self) -> float:
@@ -212,8 +218,10 @@ class QuadraticInstance(ProblemInstance):
         return self.data.Q @ x + self.data.a
 
     def constraint_curvatures(self):
+        """Frobenius norms of the Q_j (read-only, cached)."""
         if self._qnorms is None:
             self._qnorms = np.linalg.norm(self.data.Q, axis=(1, 2))
+            self._qnorms.flags.writeable = False
         return self._qnorms
 
 
@@ -279,29 +287,43 @@ def certify_constants(
     and ``G_j = ||Q_j|| R + ||a_j||`` with R the box radius; ``||Q_j||`` is
     upper-bounded by the Frobenius norm unless ``spectral="exact"``.  sigma is
     the largest sample standard deviation of the stochastic gradient over
-    ``samples`` uniform points of the box (an estimate, not a certificate).
-    mu is the exact smallest Hessian eigenvalue on instances small enough to
-    factor, else 0 with ``mu_exact=False``.
+    ``samples`` uniform points of the box (an estimate, not a certificate;
+    0 when ``samples`` is 0).  mu is the exact smallest Hessian eigenvalue on
+    instances small enough to factor, else 0 with ``mu_exact=False``.
+
+    The sample points are handled together: H is read twice for sigma
+    (residuals, then per-sample gradients) and once for the Hessian.
     """
     if not isinstance(inst, QuadraticInstance):
         raise TypeError("certification requires a QuadraticInstance")
+    samples = int(samples)
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     data = inst.data
     R = box_radius(inst.box_lo, inst.box_hi)
     if spectral == "exact":
         qnorm = np.array([np.linalg.norm(Qj, 2) for Qj in data.Q])
     else:
-        qnorm = np.linalg.norm(data.Q, axis=(1, 2))
+        qnorm = inst.constraint_curvatures()
     anorm = np.linalg.norm(data.a, axis=1)
     G = float(np.max(qnorm * R + anorm))
     F = float(np.max(0.5 * qnorm * R * R + anorm * R + np.abs(data.b)))
 
-    rng = np.random.default_rng(rng_seed)
-    sigma = 0.0
-    for _ in range(int(samples)):
-        x = rng.uniform(inst.box_lo, inst.box_hi)
-        grads = np.einsum("ipn,ip->in", data.H, data.H @ x - data.c)
-        dev = grads - grads.mean(axis=0)
-        sigma = max(sigma, math.sqrt(float(np.mean(np.sum(dev * dev, axis=1)))))
+    # one draw gives the same points as `samples` successive draws
+    X = np.random.default_rng(rng_seed).uniform(
+        inst.box_lo, inst.box_hi, size=(samples, inst.n)
+    )
+    # residuals H_i x - c_i for every sample point: (N, p, S).  One small GEMM
+    # per H_i, not one over the stacked rows: a GEMM that large wakes the
+    # BLAS worker threads, which then spin beside the single-threaded run loop.
+    resid = data.H @ X.T
+    resid -= data.c[:, :, None]
+    # per-sample gradients H_i'(H_i x - c_i): (N, n, S); deviation taken in place
+    grads = data.H.transpose(0, 2, 1) @ resid
+    grads -= grads.mean(axis=0)
+    np.square(grads, out=grads)
+    msd = grads.sum(axis=(0, 1)) / inst.N
+    sigma = math.sqrt(float(msd.max(initial=0.0)))
 
     if inst.n <= 512:
         mu = max(float(np.linalg.eigvalsh(inst.hessian())[0]), 0.0)

@@ -25,6 +25,7 @@ from pdsg.problems import (
     scenario_count_discarding,
     scenario_count_robust,
 )
+from test_loop_equivalence import qcqps
 
 
 def _fd_grad(f, x, h=1e-6):
@@ -195,6 +196,109 @@ def test_start_point_box_center_when_origin_infeasible():
     inst = QuadraticInstance(QcqpData(H, c, Q, a, b, np.array([0.0, 0.0]), np.array([4.0, 2.0])))
     assert not inst.origin_feasible
     assert np.allclose(inst.start_point(), [2.0, 1.0])
+
+
+# -- certification against the per-sample forms ------------------------------------
+
+
+def _sigma_per_sample(inst, samples, rng_seed):
+    """sigma as one full pass over the N samples per drawn point."""
+    rng = np.random.default_rng(rng_seed)
+    sigma = 0.0
+    for _ in range(samples):
+        x = rng.uniform(inst.box_lo, inst.box_hi)
+        grads = np.einsum("ipn,ip->in", inst.data.H, inst.data.H @ x - inst.data.c)
+        dev = grads - grads.mean(axis=0)
+        sigma = max(sigma, math.sqrt(float(np.mean(np.sum(dev * dev, axis=1)))))
+    return sigma
+
+
+def _hessian_einsum(inst):
+    return np.einsum("ipn,ipq->nq", inst.data.H, inst.data.H) / inst.N
+
+
+def _bounds_per_norm(inst):
+    """F and G with the Frobenius norms of Q taken inline."""
+    d = inst.data
+    R = box_radius(inst.box_lo, inst.box_hi)
+    qnorm = np.linalg.norm(d.Q, axis=(1, 2))
+    anorm = np.linalg.norm(d.a, axis=1)
+    G = float(np.max(qnorm * R + anorm))
+    F = float(np.max(0.5 * qnorm * R * R + anorm * R + np.abs(d.b)))
+    return F, G
+
+
+def _assert_certified_like_per_sample_forms(inst, samples, rng_seed):
+    consts = certify_constants(inst, samples=samples, rng_seed=rng_seed)
+    assert (consts.F, consts.G) == _bounds_per_norm(inst)
+    want = _sigma_per_sample(inst, samples, rng_seed)
+    assert consts.sigma == pytest.approx(want, rel=1e-12, abs=0.0)
+    if inst.N == 1 or samples == 0:
+        assert consts.sigma == 0.0
+    hess, ref = inst.hessian(), _hessian_einsum(inst)
+    scale = float(np.max(np.abs(ref)))
+    np.testing.assert_allclose(hess, ref, rtol=1e-12, atol=1e-12 * scale)
+    assert np.array_equal(hess, hess.T)
+    # eigenvalues move by at most the perturbation's norm: rtol 1e-12, with an
+    # absolute floor at the spectral scale for singular Hessians (mu near 0)
+    eigs = np.linalg.eigvalsh(ref)
+    assert consts.mu_exact
+    assert consts.mu == pytest.approx(max(eigs[0], 0.0), rel=1e-12, abs=1e-12 * eigs[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(qcqps(), st.integers(0, 6), st.integers(0, 2**32))
+def test_certify_matches_per_sample_forms_on_generated(inst, samples, rng_seed):
+    _assert_certified_like_per_sample_forms(inst, samples, rng_seed)
+
+
+@pytest.mark.parametrize("N", [1, 2, 7])
+def test_certify_matches_per_sample_forms_on_scenario_lp(N):
+    _assert_certified_like_per_sample_forms(random_scenario_lp(5, 8, N, seed=N), 16, 3)
+
+
+def test_certify_matches_per_sample_forms_on_loaded(tmp_path):
+    inst = random_qcqp(9, 6, 40, 12, seed=4)
+    path = tmp_path / "inst.bin"
+    save_instance(inst, path)
+    loaded = load_instance(path)
+    _assert_certified_like_per_sample_forms(loaded, 16, 0)
+    assert certify_constants(loaded) == certify_constants(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 20), st.integers(0, 2**32))
+def test_one_uniform_call_draws_the_successive_points(n, samples, seed):
+    lo = np.linspace(-10.0, 0.5, n)
+    hi = lo + np.linspace(0.25, 20.0, n)
+    one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = one.uniform(lo, hi, size=(samples, n))
+    rows = [each.uniform(lo, hi) for _ in range(samples)]
+    assert block.tobytes() == b"".join(row.tobytes() for row in rows)
+    assert one.bit_generator.state == each.bit_generator.state
+
+
+def test_certify_samples_zero_and_negative():
+    inst = random_qcqp(5, 3, 6, 4, seed=2)
+    none, some = certify_constants(inst, samples=0), certify_constants(inst, samples=4)
+    assert none.sigma == 0.0 and some.sigma > 0.0
+    assert (none.F, none.G, none.mu) == (some.F, some.G, some.mu)
+    with pytest.raises(ValueError, match="samples"):
+        certify_constants(inst, samples=-1)
+
+
+def test_cached_curvature_arrays_are_read_only():
+    inst = random_qcqp(4, 3, 5, 6, seed=1)
+    hess = inst.hessian()
+    qnorms = inst.constraint_curvatures()
+    before = (hess.copy(), qnorms.copy(), inst.objective_curvature())
+    with pytest.raises(ValueError):
+        hess[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        qnorms[0] = 0.0
+    assert inst.hessian() is hess and inst.constraint_curvatures() is qnorms
+    assert np.array_equal(hess, before[0]) and np.array_equal(qnorms, before[1])
+    assert inst.objective_curvature() == before[2]
 
 
 # -- scenario sizing ----------------------------------------------------------

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pdsg import metrics
+from pdsg import bench, metrics
+from pdsg.baselines import MirrorProxConfig, mirror_prox_run
 from pdsg.errors import ConfigError, DimensionError, DivergenceError
-from pdsg.problems import ProblemInstance, random_qcqp
+from pdsg.problems import ProblemInstance, QuadraticInstance, random_qcqp
 from pdsg.solver import (
     ParamSchedule,
     anytime,
@@ -18,6 +21,7 @@ from pdsg.solver import (
     strongly_convex,
     validate_schedule,
 )
+from test_loop_equivalence import PROPERTY, kinds, make_schedule, qcqps, steps
 
 PDSG_TRACE_X = [0.0, -1.0, -2.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0]
 PDSG_TRACE_Z = [0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
@@ -304,3 +308,100 @@ def test_rho_above_beta_warns():
     sched = LooseSchedule("fixed_horizon", 0.01, 0.01, K=10)
     with pytest.warns(UserWarning):
         run(inst, sched, 10, seed=0)
+
+
+# -- properties of the solver's invariants --------------------------------------
+
+coords = st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(coords, st.floats(0.0, 1e3), coords, st.floats(0.0, 1.0)),
+                min_size=1, max_size=6))
+def test_project_box_is_nearest_point_property(cols):
+    lo, width, x, frac = (np.array(col) for col in zip(*cols))
+    hi = lo + width
+    p = project_box(x, lo, hi)
+    assert np.all(lo <= p) and np.all(p <= hi)
+    # any box point, corners and faces included, is at least as far from x,
+    # coordinate by coordinate (the clamp is exact, so no tolerance)
+    for y in (np.minimum(lo + frac * width, hi), lo, hi, np.where(frac < 0.5, lo, hi)):
+        assert np.all(np.abs(p - x) <= np.abs(y - x))
+        assert np.linalg.norm(p - x) <= np.linalg.norm(y - x)
+
+
+def _recorded_run(inst, sched, K, seed, cadence):
+    """x, z and the CSV bytes of one recorded run, or of its divergence."""
+    recorder = metrics.Recorder(inst, 0.0, meta={"method": "pdsg", "seed": seed})
+    try:
+        state, record = run(inst, sched, K, seed, recorder, cadence)
+    except DivergenceError as exc:
+        state, record = exc.state, recorder.record
+    return state.x.tobytes(), state.z.tobytes(), bench.csv_text([record])
+
+
+@PROPERTY
+@given(qcqps(), kinds, steps, steps, st.integers(0, 80), st.integers(1, 30), st.integers(0, 2**32))
+def test_run_deterministic_given_seed_property(inst, kind, alpha, rho, K, cadence, seed):
+    if kind != "anytime":
+        K = max(K, 1)
+    sched = make_schedule(kind, alpha, rho, K)
+    first = _recorded_run(inst, sched, K, seed, cadence)
+    assert _recorded_run(inst, sched, K, seed, cadence) == first
+
+
+class _CountingOracles(QuadraticInstance):
+    """A quadratic instance that counts its per-iteration oracle calls."""
+
+    def __init__(self, inst):
+        super().__init__(inst.data)
+        self.calls = {"objective": 0, "constraint": 0, "constraint_value": 0}
+
+    def stoch_objective_grad(self, i, x):
+        self.calls["objective"] += 1
+        return super().stoch_objective_grad(i, x)
+
+    def constraint(self, j, x):
+        self.calls["constraint"] += 1
+        return super().constraint(j, x)
+
+    def constraint_value(self, j, x):
+        self.calls["constraint_value"] += 1
+        return super().constraint_value(j, x)
+
+
+@PROPERTY
+@given(
+    qcqps(), st.sampled_from(["pdsg", "mirror_prox"]), kinds, steps, steps,
+    st.integers(1, 80), st.integers(0, 2**32),
+)
+def test_two_constraint_queries_per_iteration(inst, method, kind, alpha, rho, K, seed):
+    inst = _CountingOracles(inst)
+    ticks = []
+
+    class Tick:
+        record = metrics.RunRecord()
+
+        def __call__(self, state):
+            done = state.k - 1
+            # one value-and-subgradient query for the primal step, one value
+            # query for the dual coordinate, one objective sample
+            assert inst.calls == {"objective": done, "constraint": done, "constraint_value": done}
+            assert state.n_constr_grad_queries + state.n_constr_val_queries == 2 * done
+            ticks.append(done)
+
+    tick = Tick()
+    try:
+        if method == "pdsg":
+            run(inst, make_schedule(kind, alpha, rho, K), K, seed, tick, cadence=1)
+        else:
+            mirror_prox_run(inst, MirrorProxConfig(z_max=5.0, alpha=alpha, rho=rho), K, seed,
+                            tick, cadence=1)
+    except DivergenceError as exc:
+        assert inst.calls == {
+            "objective": exc.state.n_obj_queries,
+            "constraint": exc.state.n_constr_grad_queries,
+            "constraint_value": exc.state.n_constr_val_queries,
+        }
+        return
+    assert ticks == list(range(1, K + 1))
