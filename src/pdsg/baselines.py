@@ -26,6 +26,8 @@ from .errors import DivergenceError
 from .solver import SolverState, _iterate, init_state, project_box
 
 _Z_BLOWUP = 1e12
+# iterations between best-iterate checks in the reference solve
+_CHECK_EVERY = 20
 
 
 @dataclass(frozen=True)
@@ -135,34 +137,17 @@ class ReferenceSolution:
     step_norm: float
 
 
-def _per_iter(value, k):
-    if value is None:
-        return None
-    if callable(value):
-        return float(value(k))
-    return float(value)
-
-
-def full_batch_reference(
-    inst,
-    alpha_seq=None,
-    rho_seq=None,
-    beta_seq=None,
-    K=200_000,
-    tol=1e-9,
-    check_every=20,
-) -> ReferenceSolution:
+def full_batch_reference(inst, K=200_000, tol=1e-9) -> ReferenceSolution:
     """Deterministic primal-dual solve with exact gradients and dense duals.
 
     Per iteration: a projected gradient step on the augmented Lagrangian
     using the full averaged penalty subgradient, then the dense dual update
-    ``z_j <- z_j + rho * max(-z_j/beta, f_j(x_new))`` for every coordinate.
-    ``alpha_seq``/``rho_seq``/``beta_seq`` may be scalars or callables of the
-    1-based iteration; by default beta = rho = 1 and alpha adapts to a local
-    curvature bound of the augmented Lagrangian.  Stops once both the
-    infeasibility and the primal step norm drop below ``tol``; returns the
-    best iterate seen (scored by max of those two) flagged non-converged if
-    the tolerance was never reached.
+    ``z_j <- z_j + rho * max(-z_j/beta, f_j(x_new))`` for every coordinate,
+    with beta = rho = 1; the primal step adapts to a local curvature bound
+    of the augmented Lagrangian.  Stops once both the infeasibility and the
+    primal step norm drop below ``tol``; returns the best iterate seen
+    (scored by max of those two, every ``_CHECK_EVERY`` iterations) flagged
+    non-converged if the tolerance was never reached.
     """
     x = inst.start_point()
     z = np.zeros(inst.m)
@@ -182,29 +167,18 @@ def full_batch_reference(
     infeas = float(np.maximum(fvals, 0.0).mean())
 
     for k in range(1, K + 1):
-        beta_k = _per_iter(beta_seq, k)
-        if beta_k is None:
-            beta_k = 1.0
-        rho_k = _per_iter(rho_seq, k)
-        if rho_k is None:
-            rho_k = beta_k
-
-        mult = np.maximum(beta_k * fvals + z, 0.0)
+        mult = np.maximum(fvals + z, 0.0)
         d = inst.objective_grad(x) + grads.T @ (mult / m)
 
-        alpha_k = _per_iter(alpha_seq, k)
-        if alpha_k is None:
-            # curvature bound over all constraints, not just active ones, so the
-            # step stays sane when the iterate sits inside the feasible region
-            pen_curv = (
-                beta_k * float(np.sum(grads * grads)) / m + float(mult @ qcurv) / m
-            )
-            alpha_k = 1.0 / (L0 + pen_curv + 1e-2)
+        # curvature bound over all constraints, not just active ones, so the
+        # step stays sane when the iterate sits inside the feasible region
+        pen_curv = float(np.sum(grads * grads)) / m + float(mult @ qcurv) / m
+        alpha_k = 1.0 / (L0 + pen_curv + 1e-2)
 
         x_new = project_box(x - alpha_k * d, inst.box_lo, inst.box_hi)
         fvals_new = inst.constraint_values(x_new)
         grads_new = inst.constraint_grads(x_new)
-        z = np.maximum(z + rho_k * np.maximum(-z / beta_k, fvals_new), 0.0)
+        z = np.maximum(z + np.maximum(-z, fvals_new), 0.0)
         if not np.isfinite(x_new).all() or float(np.max(np.abs(z))) > _Z_BLOWUP:
             raise DivergenceError(f"reference diverged at iteration {k}", iteration=k)
 
@@ -215,7 +189,7 @@ def full_batch_reference(
         # step/alpha approximates the projected gradient, so converged output
         # meets the KKT contract and not just a small-step test
         hit_tol = infeas <= tol and step_norm <= tol * min(1.0, alpha_k)
-        if hit_tol or k % check_every == 0:
+        if hit_tol or k % _CHECK_EVERY == 0:
             score = max(infeas, step_norm)
             if score < best_score:
                 best_score = score

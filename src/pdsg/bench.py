@@ -2,8 +2,8 @@
 
 A run grid is (method x seed) over one immutable instance; the objective
 error column is measured against the deterministic reference solution, which
-is solved once per instance and cached (in memory, and beside the instance
-file when there is one).  CSV output is byte-deterministic: fixed header,
+is solved once per experiment and, when the instance comes from a file,
+cached beside that file.  CSV output is byte-deterministic: fixed header,
 fixed row order (method, seed, k, point), floats at 17 significant digits.
 """
 
@@ -13,7 +13,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +42,6 @@ class ExperimentConfig:
     alpha: float = 1.0
     rho: float = 1.0
     mu: float | None = None
-    # mirror-prox has its own step theory; its constants default to 1
-    mp_alpha: float = 1.0
-    mp_rho: float = 1.0
-    mp_beta: float | None = None
     mp_zmax: float | None = None
 
     epochs: int = 50
@@ -56,7 +51,6 @@ class ExperimentConfig:
     out_dir: str = "."
     csv_name: str = "runs.csv"
     force: bool = False
-    workers: int = 1
     ref_tol: float = 1e-9
 
     def __post_init__(self):
@@ -82,27 +76,20 @@ def build_instance(cfg: ExperimentConfig) -> problems.QuadraticInstance:
     raise ConfigError(f"unknown problem family {cfg.family!r}")
 
 
-_REF_CACHE: dict = {}
-
-
 def reference_for(inst, tol=1e-9, cache_path=None) -> baselines.ReferenceSolution:
-    """Reference solution for the instance, memoized by content hash.
+    """Reference solution for the instance.
 
     With ``cache_path`` the solution is also persisted as JSON next to the
     instance file, written atomically, and reused by later invocations when
-    the hash and tolerance match.
+    the content hash and tolerance match.
     """
     digest = problems.instance_digest(inst)
-    key = (digest, float(tol))
-    if key in _REF_CACHE:
-        return _REF_CACHE[key]
-
     if cache_path and os.path.exists(cache_path):
         try:
             with open(cache_path) as fh:
                 payload = json.load(fh)
             if payload.get("digest") == digest and payload.get("tol") == tol:
-                ref = baselines.ReferenceSolution(
+                return baselines.ReferenceSolution(
                     x=np.asarray(payload["x"]),
                     z=np.asarray(payload["z"]),
                     f0=payload["f0"],
@@ -111,13 +98,10 @@ def reference_for(inst, tol=1e-9, cache_path=None) -> baselines.ReferenceSolutio
                     infeas=payload["infeas"],
                     step_norm=payload["step_norm"],
                 )
-                _REF_CACHE[key] = ref
-                return ref
         except (ValueError, KeyError, OSError):
             pass  # stale or unreadable cache; recompute
 
     ref = baselines.full_batch_reference(inst, tol=tol)
-    _REF_CACHE[key] = ref
     if cache_path:
         payload = {
             "digest": digest,
@@ -144,21 +128,35 @@ def reference_for(inst, tol=1e-9, cache_path=None) -> baselines.ReferenceSolutio
 
 def build_schedule(cfg: ExperimentConfig, K, constants) -> solver.ParamSchedule:
     mu = cfg.mu if cfg.mu is not None else constants.mu
-    if cfg.schedule == "fixed_horizon":
-        return solver.fixed_horizon(cfg.alpha, cfg.rho, K)
-    if cfg.schedule == "anytime":
-        return solver.anytime(cfg.alpha, cfg.rho)
-    if cfg.schedule == "strongly_convex":
-        return solver.strongly_convex(cfg.alpha, cfg.rho, K, mu)
-    raise ConfigError(f"unknown schedule kind {cfg.schedule!r}")
+    return solver.ParamSchedule(cfg.schedule, cfg.alpha, cfg.rho, K=K, mu=mu)
 
 
-def run_one(method, inst, cfg: ExperimentConfig, K, seed, ref, cadence_steps):
-    """One (method, seed) run; divergence yields a partial record, not a raise."""
+def _solve_reference_method(inst, K, tol):
+    """The ``reference`` method's own solve, capped at the run budget K.
+
+    It does not depend on the run seed.  A divergence is returned, not
+    raised, so that every seed can record it.
+    """
+    try:
+        return baselines.full_batch_reference(inst, K=K, tol=tol)
+    except DivergenceError as exc:
+        return exc
+
+
+def run_one(method, inst, cfg: ExperimentConfig, K, seed, ref, cadence_steps,
+            sched=None, reference_solve=None):
+    """One (method, seed) run; divergence yields a partial record, not a raise.
+
+    ``sched`` (for pdsg) and ``reference_solve`` (for the reference method,
+    the output of ``_solve_reference_method``) are shared by all seeds of an
+    experiment; when not given they are computed for this run.
+    """
     if method == "pdsg":
         descriptor = f"{cfg.schedule}(alpha={cfg.alpha:g}, rho={cfg.rho:g})"
     elif method == "mirror_prox":
-        descriptor = f"mirror_prox(alpha={cfg.mp_alpha:g}, rho={cfg.mp_rho:g})"
+        zmax = cfg.mp_zmax if cfg.mp_zmax is not None else baselines.zmax_from_reference(ref.z)
+        mp = baselines.MirrorProxConfig(z_max=zmax)
+        descriptor = f"mirror_prox(alpha={mp.alpha:g}, rho={mp.rho:g})"
     else:
         descriptor = "reference"
     meta = {
@@ -170,21 +168,19 @@ def run_one(method, inst, cfg: ExperimentConfig, K, seed, ref, cadence_steps):
     recorder = metrics.Recorder(inst, ref.f0, meta=meta)
     try:
         if method == "pdsg":
-            constants = certified_constants(inst)
-            sched = build_schedule(cfg, K, constants)
+            if sched is None:
+                sched = build_schedule(cfg, K, problems.certify_constants(inst))
             solver.run(inst, sched, K, seed, recorder=recorder, cadence=cadence_steps)
         elif method == "mirror_prox":
-            zmax = cfg.mp_zmax
-            if zmax is None:
-                zmax = baselines.zmax_from_reference(ref.z)
-            mp = baselines.MirrorProxConfig(
-                z_max=zmax, alpha=cfg.mp_alpha, rho=cfg.mp_rho, beta=cfg.mp_beta
-            )
             baselines.mirror_prox_run(
                 inst, mp, K, seed, recorder=recorder, cadence=cadence_steps
             )
         elif method == "reference":
-            out = baselines.full_batch_reference(inst, K=K, tol=cfg.ref_tol)
+            out = reference_solve
+            if out is None:
+                out = _solve_reference_method(inst, K, cfg.ref_tol)
+            if isinstance(out, DivergenceError):
+                raise out
             recorder.record.rows.append(
                 metrics.RunRow(
                     k=out.iterations,
@@ -213,33 +209,23 @@ def run_one(method, inst, cfg: ExperimentConfig, K, seed, ref, cadence_steps):
     return recorder.record
 
 
-_CONSTANTS_CACHE: dict = {}
-
-
-def certified_constants(inst) -> problems.TheoryConstants:
-    digest = problems.instance_digest(inst)
-    if digest not in _CONSTANTS_CACHE:
-        _CONSTANTS_CACHE[digest] = problems.certify_constants(inst)
-    return _CONSTANTS_CACHE[digest]
-
-
 def run_experiment(cfg: ExperimentConfig, inst=None):
     """Run the full (method x seed) grid; returns (records, reference, report).
 
-    The schedule is validated against the instance's certified constants
-    before anything runs; an invalid schedule raises ConfigError unless
-    ``cfg.force`` is set.
+    What the runs share is computed here once: the pdsg schedule, validated
+    against the instance's certified constants before anything runs (an
+    invalid schedule raises ConfigError unless ``cfg.force`` is set), the
+    reference solution, and the reference method's solve.
     """
     if inst is None:
         inst = build_instance(cfg)
     K = cfg.epochs * inst.m
-    constants = certified_constants(inst)
 
-    report = None
+    sched = report = None
     if "pdsg" in cfg.methods:
+        constants = problems.certify_constants(inst)
         sched = build_schedule(cfg, K, constants)
-        mu = cfg.mu if cfg.mu is not None else constants.mu
-        report = solver.validate_schedule(sched, inst.m, constants.G, K, mu=mu)
+        report = solver.validate_schedule(sched, inst.m, constants.G, K)
         if not report.ok and not cfg.force:
             raise ConfigError(
                 "schedule fails validation (pass force=True to run anyway):\n" + str(report)
@@ -247,20 +233,17 @@ def run_experiment(cfg: ExperimentConfig, inst=None):
 
     cache_path = cfg.instance_file + ".ref.json" if cfg.instance_file else None
     ref = reference_for(inst, tol=cfg.ref_tol, cache_path=cache_path)
+    reference_solve = None
+    if "reference" in cfg.methods:
+        reference_solve = _solve_reference_method(inst, K, cfg.ref_tol)
 
     cadence_steps = max(1, int(round(cfg.cadence * inst.m)))
-    grid = [(method, seed) for method in cfg.methods for seed in cfg.seeds]
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(
-                pool.map(
-                    lambda ms: run_one(ms[0], inst, cfg, K, ms[1], ref, cadence_steps),
-                    grid,
-                )
-            )
-    else:
-        records = [run_one(method, inst, cfg, K, seed, ref, cadence_steps) for method, seed in grid]
+    records = [
+        run_one(method, inst, cfg, K, seed, ref, cadence_steps,
+                sched=sched, reference_solve=reference_solve)
+        for method in cfg.methods
+        for seed in cfg.seeds
+    ]
     return records, ref, report
 
 

@@ -1,8 +1,9 @@
 """Command-line interface: generate, solve, compare, validate-schedule, scenario-size.
 
-Configuration can come from a plain ``key = value`` text file (``--config``)
-with command-line flags taking precedence.  Exit codes: 0 success, 2 usage or
-configuration error, 3 divergence, 4 I/O failure.
+Configuration can come from a plain ``key = value`` text file
+(``--config FILE`` or ``--config=FILE``) holding options of the chosen
+subcommand, with command-line flags taking precedence.  Exit codes:
+0 success, 2 usage or configuration error, 3 divergence, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ def _add_run_args(p):
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--csv", default="runs.csv", help="CSV file name")
     p.add_argument("--force", action="store_true", help="run despite schedule validation failure")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--ref-tol", type=float, default=1e-9)
     p.add_argument("--zmax", type=float, default=None, help="mirror-prox dual box level")
 
@@ -74,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pdsg",
         description="Constrained stochastic optimization benchmark harness.",
     )
+    # main takes --config out of argv before parsing; it is listed for --help
     parser.add_argument("--config", default=None, help="key = value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -131,7 +132,6 @@ def _experiment_config(args, methods) -> bench.ExperimentConfig:
         out_dir=args.out,
         csv_name=args.csv,
         force=args.force,
-        workers=args.workers,
         ref_tol=args.ref_tol,
     )
 
@@ -190,15 +190,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate_schedule(args) -> int:
-    if args.schedule == "fixed_horizon":
-        sched = solver.fixed_horizon(args.alpha, args.rho, args.K)
-    elif args.schedule == "anytime":
-        sched = solver.anytime(args.alpha, args.rho)
-    else:
-        if args.mu <= 0:
-            raise ConfigError("strongly_convex validation requires --mu > 0")
-        sched = solver.strongly_convex(args.alpha, args.rho, args.K, args.mu)
-    report = solver.validate_schedule(sched, args.m, args.G, args.K, mu=args.mu)
+    sched = solver.ParamSchedule(args.schedule, args.alpha, args.rho, K=args.K, mu=args.mu)
+    report = solver.validate_schedule(sched, args.m, args.G, args.K)
     print(f"schedule {args.schedule}: {'VALID' if report.ok else 'INVALID'}")
     print(report)
     return EXIT_OK
@@ -221,43 +214,41 @@ _COMMANDS = {
 }
 
 
+def _splice_config(argv):
+    """Take ``--config FILE`` out of argv and put the file's values in as flags.
+
+    Each ``key = value`` line becomes ``--key=value`` right after the
+    subcommand, so flags given on the command line, which come later, win.
+    ``true`` gives a bare ``--key`` and ``false`` gives nothing.  Returns the
+    new argv and the file's values.
+    """
+    pre = argparse.ArgumentParser(prog="pdsg", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    if known.config is None:
+        return rest, {}
+    values = read_config_file(known.config)
+    flags = []
+    for key, val in values.items():
+        flag = "--" + key.replace("_", "-")
+        if val.lower() == "true":
+            flags.append(flag)
+        elif val.lower() != "false":
+            flags.append(f"{flag}={val}")
+    return rest[:1] + flags + rest[1:], values
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-
-    # config-file values become subparser defaults; explicit flags still win
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            print("error: --config needs a file argument", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            values = read_config_file(argv[idx + 1])
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        for sub_action in parser._subparsers._group_actions:
-            for sub_parser in sub_action.choices.values():
-                typed = {}
-                for action in sub_parser._actions:
-                    if action.dest in values:
-                        raw = values[action.dest]
-                        typed[action.dest] = action.type(raw) if action.type else raw
-                sub_parser.set_defaults(**typed)
-
     try:
-        args = parser.parse_args(argv)
+        argv, from_file = _splice_config(list(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(argv)
+        parsed = vars(args)
+        for key, val in from_file.items():
+            # argparse also takes an abbreviated flag, and false adds no flag at all
+            if key not in parsed or (val.lower() == "false" and not isinstance(parsed[key], bool)):
+                raise ConfigError(f"config key {key!r} is not a {args.command} option")
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapacityError as exc:
+    except (ValueError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as exc:

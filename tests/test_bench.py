@@ -5,9 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from pdsg import bench, cli
-from pdsg.errors import ConfigError
-from pdsg.problems import load_instance, random_qcqp
+from pdsg import baselines, bench, cli
+from pdsg.errors import ConfigError, DivergenceError
+from pdsg.problems import certify_constants, load_instance, random_qcqp
 
 TINY = dict(family="qcqp", n=3, p=2, N=4, m=4, instance_seed=0)
 
@@ -59,16 +59,6 @@ def test_identical_invocations_identical_bytes():
     assert bench.csv_text(a) == bench.csv_text(b)
 
 
-def test_workers_do_not_change_results():
-    cfg_seq = _tiny_cfg(epochs=2, seeds=(0, 1, 2), methods=("pdsg", "mirror_prox"))
-    cfg_par = _tiny_cfg(
-        epochs=2, seeds=(0, 1, 2), methods=("pdsg", "mirror_prox"), workers=4
-    )
-    a, _, _ = bench.run_experiment(cfg_seq)
-    b, _, _ = bench.run_experiment(cfg_par)
-    assert bench.csv_text(a) == bench.csv_text(b)
-
-
 def test_summary_matches_csv_means():
     cfg = _tiny_cfg(epochs=2, seeds=(0, 1, 2), methods=("pdsg", "mirror_prox"))
     records, _, _ = bench.run_experiment(cfg)
@@ -100,11 +90,9 @@ def test_reference_file_cache(tmp_path):
     save_instance(inst, path)
     cache = str(path) + ".ref.json"
     cfg = _tiny_cfg(instance_file=str(path))
-    bench._REF_CACHE.clear()
     bench.run_experiment(cfg)
     assert os.path.exists(cache)
     stamp = os.path.getmtime(cache)
-    bench._REF_CACHE.clear()
     records, ref, _ = bench.run_experiment(cfg)  # second run must reuse the file
     assert os.path.getmtime(cache) == stamp
     assert records
@@ -119,16 +107,13 @@ def test_reference_cache_write_failure_leaves_no_partial_file(tmp_path, monkeypa
         raise OSError("disk full")
 
     monkeypatch.setattr(bench.json, "dump", failing_dump)
-    bench._REF_CACHE.clear()
     with pytest.raises(OSError, match="disk full"):
         bench.reference_for(inst, cache_path=str(cache))
     assert os.listdir(tmp_path) == []
 
     monkeypatch.undo()
-    bench._REF_CACHE.clear()
     ref = bench.reference_for(inst, cache_path=str(cache))
     assert os.listdir(tmp_path) == [cache.name]
-    bench._REF_CACHE.clear()
     again = bench.reference_for(inst, cache_path=str(cache))
     assert np.array_equal(again.x, ref.x) and again.f0 == ref.f0
 
@@ -138,6 +123,61 @@ def test_divergence_produces_partial_record():
     records, _, _ = bench.run_experiment(cfg)
     assert records[0].meta.get("diverged")
     assert records[0].rows[-1].point == "DIVERGED"
+
+
+def _counting_reference(monkeypatch, diverge=False):
+    """Wrap ``baselines.full_batch_reference``; returns the K of every call."""
+    calls = []
+    solve = baselines.full_batch_reference
+
+    def counted(inst, **kw):
+        calls.append(kw.get("K"))
+        if diverge and "K" in kw:
+            raise DivergenceError("reference diverged at iteration 3", iteration=3)
+        return solve(inst, **kw)
+
+    monkeypatch.setattr(baselines, "full_batch_reference", counted)
+    return calls
+
+
+_COMPARE_REFERENCE = ["compare", "--methods", "pdsg,reference",
+                      "--n", "3", "--p", "2", "--N", "4", "--m", "4",
+                      "--alpha", "0.003", "--rho", "0.003", "--seeds", "0,1"]
+
+
+@pytest.mark.parametrize("epochs", [1, 60])  # K = 4 stops early; K = 240 converges
+def test_reference_method_solved_once_per_experiment(tmp_path, monkeypatch, epochs):
+    calls = _counting_reference(monkeypatch)
+    rc = cli.main(_COMPARE_REFERENCE + ["--epochs", str(epochs), "--out", str(tmp_path)])
+    assert rc == 0
+    K = epochs * 4
+    # one solve for the objective-error reference, one for the method
+    assert calls == [None, K]
+    monkeypatch.undo()
+
+    # each seed's rows equal a solve made for that seed alone
+    cfg = _tiny_cfg(methods=("pdsg", "reference"), epochs=epochs, seeds=(0, 1))
+    inst = bench.build_instance(cfg)
+    ref = bench.reference_for(inst, tol=cfg.ref_tol)
+    rows = [
+        bench.run_one("reference", inst, cfg, K, seed, ref, cadence_steps=inst.m)
+        for seed in cfg.seeds
+    ]
+    text = (tmp_path / "runs.csv").read_text()
+    expected = bench.csv_text(rows).split("\n", 1)[1]
+    assert text.endswith(expected) and expected.count("reference,") == 2
+    ks = {line.split(",")[2] for line in expected.strip().split("\n")}
+    assert ks == {str(K if epochs == 1 else ref.iterations)}
+
+
+def test_reference_method_divergence_reaches_every_seed(tmp_path, monkeypatch):
+    calls = _counting_reference(monkeypatch, diverge=True)
+    rc = cli.main(_COMPARE_REFERENCE + ["--epochs", "1", "--out", str(tmp_path)])
+    assert rc == 3
+    assert calls == [None, 4]
+    lines = (tmp_path / "runs.csv").read_text().strip().split("\n")
+    diverged = [line.split(",")[:5] for line in lines if line.startswith("reference,")]
+    assert diverged == [["reference", str(seed), "3", "0.75", "DIVERGED"] for seed in (0, 1)]
 
 
 # -- command line ---------------------------------------------------------------
@@ -255,6 +295,12 @@ def test_cli_validate_schedule(capsys):
     assert rc == 0
     assert "VALID" in capsys.readouterr().out
 
+    rc = cli.main(
+        ["validate-schedule", "--schedule", "strongly_convex",
+         "--alpha", "1.0", "--rho", "1.0", "--m", "200", "--G", "1.0", "--mu", "0"]
+    )
+    assert rc == 2
+
 
 def test_cli_scenario_size(capsys):
     rc = cli.main(["scenario-size", "--n", "100", "--tau", "0.01", "--eps", "0.01"])
@@ -306,7 +352,7 @@ def test_mid_scale_generation_and_certification():
     # larger-dimension smoke: generation, certification, and a short solve all
     # stay well-behaved as the arrays grow
     inst = random_qcqp(50, 45, 400, 400, seed=0)
-    consts = bench.certified_constants(inst)
+    consts = certify_constants(inst)
     assert consts.G > 0 and consts.F > consts.G
     from pdsg.solver import fixed_horizon, max_equal_steps, run
 
@@ -324,3 +370,51 @@ def test_cli_config_file_errors(tmp_path):
     bad.write_text("this line has no equals\n")
     assert cli.main(["--config", str(bad), "scenario-size",
                      "--n", "1", "--tau", "0.5", "--eps", "0.5"]) == 2
+
+
+_TINY_FILE = "n = 3\np = 2\nN = 4\nm = 4\nalpha = 0.003\nrho = 0.003\nepochs = 1\n"
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse refuses a flag it cannot parse
+        return exc.code
+
+
+def test_cli_config_file_booleans(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    solve = ["--config", str(cfg), "solve", "--alpha", "10", "--rho", "10",
+             "--out", str(tmp_path)]
+    cfg.write_text(_TINY_FILE + "force = false\n")
+    assert cli.main(solve) == 2  # the invalid schedule is refused
+    assert cli.main(solve + ["--force"]) == 0
+    cfg.write_text(_TINY_FILE + "force = true\n")
+    assert cli.main(solve) == 0
+
+
+def test_cli_config_file_equals_form(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(_TINY_FILE.replace("epochs = 1", "epochs = 2"))
+    rc = cli.main([f"--config={cfg}", "solve", "--out", str(tmp_path), "--csv", "c.csv"])
+    assert rc == 0
+    lines = (tmp_path / "c.csv").read_text().strip().split("\n")
+    assert len(lines) == 1 + 2 * 3
+
+
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        ("seed = x", "seed"),  # not an integer
+        ("epochs = false", "epochs"),  # not a boolean flag
+        ("epohcs = 2", "epohcs"),  # misspelled
+        ("epoch = 2", "epoch"),  # an abbreviation argparse alone would take
+        ("tau = 0.5", "tau"),  # an option of another subcommand
+    ],
+)
+def test_cli_config_file_rejects_bad_lines(tmp_path, capsys, line, named):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(_TINY_FILE + line + "\n")
+    assert _exit_code(["--config", str(cfg), "solve", "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "runs.csv").exists()
