@@ -57,12 +57,10 @@ from .solver import (
 from .theory import (
     BoundInputs,
     RateEnvelope,
-    TheoryBounds,
     dual_bound,
     dual_constant,
     rate_constant,
     rate_envelope,
-    theory_bounds,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,9 +1,10 @@
 """Comparison methods: stochastic mirror-prox variant and full-batch reference.
 
 The mirror-prox variant keeps the sampled primal update but differs from the
-main solver in three ways: the penalty parameter is a fixed ``beta``, the
-dual coordinate update evaluates the constraint at the *old* primal iterate,
-and the dual lives in the box [0, z_max]^m.  This is the single-step form of
+main solver in three ways: the penalty parameter is fixed for the run (the
+dual step ``rho/sqrt(K)``), the dual coordinate update evaluates the
+constraint at the *old* primal iterate, and the dual lives in the box
+[0, z_max]^m.  This is the single-step form of
 the method (the classical one takes two gradient steps per iteration and
 averages); it keeps the same three-oracle-call budget per iteration as the
 main solver.
@@ -23,9 +24,8 @@ import numpy as np
 
 from . import metrics
 from .errors import DivergenceError
-from .solver import SolverState, _iterate, init_state, project_box
+from .solver import _Z_BLOWUP, SolverState, _iterate, init_state, project_box
 
-_Z_BLOWUP = 1e12
 # iterations between best-iterate checks in the reference solve
 _CHECK_EVERY = 20
 
@@ -35,28 +35,23 @@ class MirrorProxConfig:
     """Step sizes and dual box for the mirror-prox baseline.
 
     ``alpha`` and ``rho`` scale constant sequences ``alpha/sqrt(K)`` and
-    ``rho/sqrt(K)``.  ``beta`` is the fixed penalty; by default it is coupled
-    to the dual step (``rho/sqrt(K)``), mirroring the main solver's
-    ``beta_k = rho_k``.  The dual iterate is projected into [0, z_max]^m.
+    ``rho/sqrt(K)``.  The fixed penalty is the dual step ``rho/sqrt(K)``, as
+    in the main solver's ``beta_k = rho_k``.  The dual iterate is projected
+    into [0, z_max]^m.
     """
 
     z_max: float = 10.0
     alpha: float = 1.0
     rho: float = 1.0
-    beta: float | None = None
 
     def __post_init__(self):
         if self.z_max <= 0 or self.alpha <= 0 or self.rho <= 0:
             raise ValueError("z_max, alpha and rho must be positive")
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError("beta must be positive when given")
 
     def steps(self, K):
-        """(alpha_k, rho_k, beta) actually used for a K-iteration run."""
-        a = self.alpha / math.sqrt(K)
+        """(alpha_k, rho_k, beta = rho_k) actually used for a K-iteration run."""
         r = self.rho / math.sqrt(K)
-        b = self.beta if self.beta is not None else r
-        return a, r, b
+        return self.alpha / math.sqrt(K), r, r
 
 
 def zmax_from_reference(z_ref) -> float:
@@ -101,7 +96,6 @@ def mirror_prox_step(state: SolverState, inst, alpha_k, rho_k, beta, z_max) -> S
     state.z[j_k] = zj_new
     state.x = x_new
     state.sum_plain += x_new
-    state.n_plain += 1
     state.sum_weighted += alpha_k * x_new
     state.weight_sum += alpha_k
     state.k += 1
@@ -113,10 +107,11 @@ def mirror_prox_run(inst, cfg: MirrorProxConfig, K, seed, recorder=None, cadence
 
     Equal bit for bit to K calls of ``mirror_prox_step`` with ``cfg.steps(K)``.
     """
-    steps = cfg.steps(max(K, 1))
+    a_k, r_k, _ = cfg.steps(max(K, 1))
     state = init_state(inst, seed)
-    alphas, rhos, betas = (np.full(K, step) for step in steps)
-    _iterate(state, inst, alphas, rhos, betas, K, recorder, cadence, z_max=cfg.z_max)
+    _iterate(
+        state, inst, np.full(K, a_k), np.full(K, r_k), K, recorder, cadence, z_max=cfg.z_max
+    )
     record = recorder.record if recorder is not None else metrics.RunRecord(meta={"seed": seed})
     return state, record
 

@@ -26,7 +26,7 @@ METHODS = ("pdsg", "mirror_prox", "reference")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs: problem, solver, measurement, output."""
+    """Everything one experiment needs: problem, solver, measurement."""
 
     family: str = "qcqp"
     n: int = 20
@@ -48,8 +48,6 @@ class ExperimentConfig:
     cadence: float = 1.0
     seeds: tuple = (0,)
 
-    out_dir: str = "."
-    csv_name: str = "runs.csv"
     force: bool = False
     ref_tol: float = 1e-9
 
@@ -83,7 +81,8 @@ def reference_for(inst, tol=1e-9, cache_path=None) -> baselines.ReferenceSolutio
     instance file, written atomically, and reused by later invocations when
     the content hash and tolerance match.
     """
-    digest = problems.instance_digest(inst)
+    # the digest is the cache key; without a cache file nothing reads it
+    digest = problems.instance_digest(inst) if cache_path else None
     if cache_path and os.path.exists(cache_path):
         try:
             with open(cache_path) as fh:

@@ -110,8 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_config(args, methods) -> bench.ExperimentConfig:
-    return bench.ExperimentConfig(
+def _instance_fields(args) -> dict:
+    """The ``ExperimentConfig`` fields set by ``_add_instance_args``."""
+    return dict(
         family=args.family,
         n=args.n,
         p=args.p,
@@ -120,6 +121,12 @@ def _experiment_config(args, methods) -> bench.ExperimentConfig:
         second_stage_dim=args.second_stage_dim,
         instance_seed=args.seed,
         instance_file=args.instance,
+    )
+
+
+def _experiment_config(args, methods) -> bench.ExperimentConfig:
+    return bench.ExperimentConfig(
+        **_instance_fields(args),
         methods=methods,
         schedule=args.schedule,
         alpha=args.alpha,
@@ -129,26 +136,13 @@ def _experiment_config(args, methods) -> bench.ExperimentConfig:
         epochs=args.epochs,
         cadence=args.cadence,
         seeds=_parse_seeds(args.seeds),
-        out_dir=args.out,
-        csv_name=args.csv,
         force=args.force,
         ref_tol=args.ref_tol,
     )
 
 
 def cmd_generate(args) -> int:
-    inst = bench.build_instance(
-        bench.ExperimentConfig(
-            family=args.family,
-            n=args.n,
-            p=args.p,
-            N=args.N,
-            m=args.m,
-            second_stage_dim=args.second_stage_dim,
-            instance_seed=args.seed,
-            instance_file=args.instance,
-        )
-    )
+    inst = bench.build_instance(bench.ExperimentConfig(**_instance_fields(args)))
     problems.save_instance(inst, args.out)
     consts = problems.certify_constants(inst)
     print(f"wrote {args.out}")
@@ -163,9 +157,9 @@ def cmd_generate(args) -> int:
 
 def _run_and_write(args, methods) -> int:
     cfg = _experiment_config(args, methods)
-    records, ref, report = bench.run_experiment(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, cfg.csv_name)
+    records, ref, _ = bench.run_experiment(cfg)
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, args.csv)
     bench.write_csv(records, path)
     print(f"wrote {path}")
     if not ref.converged:

@@ -100,7 +100,6 @@ def kkt_residual(inst, x, z) -> KktResidual:
 class Recorder:
     """Measurement hook: logs (last, ergodic_plain, ergodic_weighted) rows.
 
-    Returns the ergodic-plain ``obj_err + infeas`` as the early-stop signal.
     The epoch is cross-checked against the run's oracle counters: each
     iteration costs two constraint-function queries, so the counter-based
     epoch must equal k/m exactly; ``AccountingError`` is raised otherwise.
@@ -123,7 +122,6 @@ class Recorder:
             )
         z_norm = float(np.linalg.norm(state.z))
 
-        signal = None
         points = (
             ("last", state.x),
             ("ergodic_plain", state.ergodic_plain()),
@@ -135,7 +133,4 @@ class Recorder:
             self.record.rows.append(
                 RunRow(k=k, epoch=epoch, point=tag, obj_err=err, infeas=inf, z_norm=z_norm)
             )
-            if tag == "ergodic_plain":
-                signal = err + inf
         self.record.meta["wall_clock"] = time.perf_counter() - self._t0
-        return signal

@@ -72,7 +72,7 @@ class ProblemInstance:
         raise NotImplementedError
 
     def objective_curvature(self) -> float:
-        """Upper bound on the objective Hessian spectral norm (0 if none known)."""
+        """Upper bound on the objective Hessian 2-norm (0 if none known)."""
         return 0.0
 
     # -- constraint oracle --------------------------------------------------
@@ -110,8 +110,7 @@ class QcqpData:
     """Raw arrays of a quadratic instance.
 
     ``H`` is (N, p, n), ``c`` is (N, p), ``Q`` is (m, n, n) symmetric PSD,
-    ``a`` is (m, n), ``b`` is (m,).  ``seed`` records the generator seed
-    (-1 for hand-built data).
+    ``a`` is (m, n), ``b`` is (m,).
     """
 
     H: np.ndarray
@@ -121,7 +120,6 @@ class QcqpData:
     b: np.ndarray
     box_lo: np.ndarray
     box_hi: np.ndarray
-    seed: int = -1
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,7 @@ def random_qcqp(n, p, N, m, seed) -> QuadraticInstance:
 
     ``H_i``, ``c_i`` and ``a_j`` have i.i.d. standard normal entries;
     ``Q_j = M_j M_j'/n`` with ``M_j`` standard normal, PSD by construction
-    and with O(1) spectral norm; ``b_j`` is uniform on [0.1, 1.1], which
+    and with O(1) 2-norm; ``b_j`` is uniform on [0.1, 1.1], which
     makes the origin strictly feasible.  Deterministic given the seed.
     """
     n, p, N, m = int(n), int(p), int(N), int(m)
@@ -244,7 +242,7 @@ def random_qcqp(n, p, N, m, seed) -> QuadraticInstance:
     a = rng.standard_normal((m, n))
     b = rng.uniform(0.1, 1.1, m)
     box = 10.0 * np.ones(n)
-    return QuadraticInstance(QcqpData(H, c, Q, a, b, -box, box, seed=int(seed)))
+    return QuadraticInstance(QcqpData(H, c, Q, a, b, -box, box))
 
 
 def random_scenario_lp(n, m, second_stage_dim, seed) -> QuadraticInstance:
@@ -269,7 +267,7 @@ def random_scenario_lp(n, m, second_stage_dim, seed) -> QuadraticInstance:
     a = rng.standard_normal((m, n)) / math.sqrt(n)
     b = rng.uniform(0.1, 1.1, m)
     box = 10.0 * np.ones(n)
-    return QuadraticInstance(QcqpData(H, c, Q, a, b, -box, box, seed=int(seed)))
+    return QuadraticInstance(QcqpData(H, c, Q, a, b, -box, box))
 
 
 def box_radius(box_lo, box_hi) -> float:
@@ -278,17 +276,15 @@ def box_radius(box_lo, box_hi) -> float:
     return float(np.linalg.norm(corner))
 
 
-def certify_constants(
-    inst: QuadraticInstance, samples=16, rng_seed=0, spectral="frobenius"
-) -> TheoryConstants:
+def certify_constants(inst: QuadraticInstance, samples=16, rng_seed=0) -> TheoryConstants:
     """Certified F, G bounds plus empirical sigma and the modulus mu.
 
     F and G come from the closed forms ``F_j = 0.5||Q_j|| R^2 + ||a_j|| R + |b_j|``
     and ``G_j = ||Q_j|| R + ||a_j||`` with R the box radius; ``||Q_j||`` is
-    upper-bounded by the Frobenius norm unless ``spectral="exact"``.  sigma is
-    the largest sample standard deviation of the stochastic gradient over
-    ``samples`` uniform points of the box (an estimate, not a certificate;
-    0 when ``samples`` is 0).  mu is the exact smallest Hessian eigenvalue on
+    upper-bounded by the Frobenius norm.  sigma is the largest sample
+    standard deviation of the stochastic gradient over ``samples`` uniform
+    points of the box (an estimate, not a certificate; 0 when ``samples`` is
+    0).  mu is the exact smallest Hessian eigenvalue on
     instances small enough to factor, else 0 with ``mu_exact=False``.
 
     The sample points are handled together: H is read twice for sigma
@@ -301,10 +297,7 @@ def certify_constants(
         raise ValueError(f"samples must be >= 0, got {samples}")
     data = inst.data
     R = box_radius(inst.box_lo, inst.box_hi)
-    if spectral == "exact":
-        qnorm = np.array([np.linalg.norm(Qj, 2) for Qj in data.Q])
-    else:
-        qnorm = inst.constraint_curvatures()
+    qnorm = inst.constraint_curvatures()
     anorm = np.linalg.norm(data.a, axis=1)
     G = float(np.max(qnorm * R + anorm))
     F = float(np.max(0.5 * qnorm * R * R + anorm * R + np.abs(data.b)))

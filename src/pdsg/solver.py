@@ -4,8 +4,8 @@ One iteration samples a constraint index for the primal update, takes a
 projected stochastic subgradient step on the augmented Lagrangian, then
 samples an independent second index and updates that single dual coordinate
 from the new iterate's constraint value.  Three step-size schedules are
-built in; each couples the penalty to the dual step (``beta_k = rho_k``),
-which keeps the dual iterate nonnegative.
+built in; each uses the dual step as the penalty (``beta_k = rho_k``), which
+keeps the dual iterate nonnegative.
 
 ``pdsg_step`` is the one-step reference form.  ``run`` goes through
 ``_iterate``, a fused loop shared with the mirror-prox baseline that draws
@@ -18,7 +18,6 @@ same instance may execute concurrently; nothing here mutates the instance.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,20 +28,27 @@ from .errors import ConfigError, DimensionError, DivergenceError
 
 SCHEDULE_KINDS = ("fixed_horizon", "anytime", "strongly_convex")
 
+# a dual coordinate above this magnitude counts as divergence
 _Z_BLOWUP = 1e12
+
+
+def product_coef(kind) -> float:
+    """c in the kind's product condition alpha*rho < m/(c G^2): 68 for anytime, else 32."""
+    return 68.0 if kind == "anytime" else 32.0
 
 
 @dataclass(frozen=True)
 class ParamSchedule:
-    """Step-size sequences (alpha_k, rho_k, beta_k) for one of the three kinds.
+    """Step-size sequences (alpha_k, rho_k) for one of the three kinds.
 
     fixed_horizon    alpha_k = alpha/sqrt(K),           rho_k = rho/sqrt(K)
     anytime          alpha_k = alpha/(sqrt(k+1)log(k+1)), rho_k likewise
     strongly_convex  alpha_k = alpha/(k+1),             rho_k = rho/log(K+1)
 
-    beta_k = rho_k in all three.  Logs are natural.  ``K`` is required for
-    the kinds whose sequences depend on the horizon; ``mu`` is the strong
-    convexity modulus and is only used by ``strongly_convex``.
+    The penalty is the dual step, beta_k = rho_k, in all three; ``steps`` and
+    ``sequences`` return it as their third value.  Logs are natural.  ``K``
+    is required for the kinds whose sequences depend on the horizon; ``mu`` is
+    the strong convexity modulus and is only used by ``strongly_convex``.
     """
 
     kind: str
@@ -81,23 +87,22 @@ class ParamSchedule:
             return self.rho / (np.sqrt(kk + 1.0) * np.log(kk + 1.0))
         return self.rho / math.log(self.K + 1.0) * np.ones_like(kk)
 
-    def beta_at(self, k):
-        return self.rho_at(k)
-
     def steps(self, k):
-        """(alpha_k, rho_k, beta_k) as floats for one iteration."""
-        return float(self.alpha_at(k)), float(self.rho_at(k)), float(self.beta_at(k))
+        """(alpha_k, rho_k, beta_k = rho_k) as floats for one iteration."""
+        rho_k = float(self.rho_at(k))
+        return float(self.alpha_at(k)), rho_k, rho_k
 
     def sequences(self, K):
-        """(alpha_k, rho_k, beta_k) for k = 1..K as three float arrays.
+        """(alpha_k, rho_k, beta_k = rho_k) for k = 1..K as float arrays.
 
         Element k-1 of each array equals the matching entry of ``steps(k)``.
         """
         ks = np.arange(1, K + 1, dtype=float)
-        return tuple(
+        alphas, rhos = (
             np.broadcast_to(np.asarray(at(ks), dtype=float), ks.shape)
-            for at in (self.alpha_at, self.rho_at, self.beta_at)
+            for at in (self.alpha_at, self.rho_at)
         )
+        return alphas, rhos, rhos
 
 
 def fixed_horizon(alpha, rho, K) -> ParamSchedule:
@@ -114,8 +119,7 @@ def strongly_convex(alpha, rho, K, mu) -> ParamSchedule:
 
 def max_equal_steps(m, G, kind="fixed_horizon", safety=0.999) -> float:
     """Largest alpha = rho passing the kind's product condition, times safety."""
-    denom = 68.0 if kind == "anytime" else 32.0
-    return safety * math.sqrt(m / (denom * G * G))
+    return safety * math.sqrt(m / (product_coef(kind) * G * G))
 
 
 # -- schedule validation -------------------------------------------------------
@@ -183,7 +187,7 @@ def validate_schedule(sched: ParamSchedule, m, G, K, mu=None) -> ScheduleReport:
     else:
         checks.append(ScheduleCheck("step_ratio_monotone", True))
 
-    denom = 68.0 if sched.kind == "anytime" else 32.0
+    denom = product_coef(sched.kind)
     limit = m / (denom * G * G)
     prod_ok = sched.alpha * sched.rho < limit
     checks.append(
@@ -221,7 +225,6 @@ class SolverState:
     rng: np.random.Generator
     k: int = 1
     sum_plain: np.ndarray = None
-    n_plain: int = 0
     sum_weighted: np.ndarray = None
     weight_sum: float = 0.0
     n_obj_queries: int = 0
@@ -235,10 +238,10 @@ class SolverState:
             self.sum_weighted = np.zeros_like(self.x)
 
     def ergodic_plain(self):
-        """Running mean of the post-update iterates x^{k+1}."""
-        if self.n_plain == 0:
+        """Running mean of the k - 1 post-update iterates so far."""
+        if self.k == 1:
             return self.x.copy()
-        return self.sum_plain / self.n_plain
+        return self.sum_plain / (self.k - 1)
 
     def ergodic_weighted(self):
         """Running alpha_k-weighted mean of the post-update iterates."""
@@ -306,7 +309,6 @@ def pdsg_step(state: SolverState, inst, alpha_k, rho_k, beta_k) -> SolverState:
     state.z[j_k] = zj_new
     state.x = x_new
     state.sum_plain += x_new
-    state.n_plain += 1
     state.sum_weighted += alpha_k * x_new
     state.weight_sum += alpha_k
     state.k += 1
@@ -321,16 +323,16 @@ def _advance(state, x, weight_sum, steps, queries):
     """Write back the loop's iterate, weight sum and counters into ``state``."""
     state.x = x
     state.weight_sum = weight_sum
-    state.n_plain += steps
     state.k += steps
     state.n_obj_queries += queries
     state.n_constr_grad_queries += queries
     state.n_constr_val_queries += queries
 
 
-def _iterate(state, inst, alphas, rhos, betas, K, recorder=None, cadence=None,
-             stop_below=None, z_max=None):
-    """Advance ``state`` by K iterations with step sizes ``alphas[k-1]`` etc.
+def _iterate(state, inst, alphas, rhos, K, recorder=None, cadence=None, z_max=None):
+    """Advance ``state`` by K iterations with steps ``alphas[k-1]``, ``rhos[k-1]``.
+
+    ``rhos[k-1]`` is both the dual step and the penalty of iteration k.
 
     With ``z_max`` None this equals K calls of ``pdsg_step``; with a dual box
     level it equals K calls of ``baselines.mirror_prox_step`` (dual update at
@@ -339,7 +341,7 @@ def _iterate(state, inst, alphas, rhos, betas, K, recorder=None, cadence=None,
     triples (i_k, xi_k, j_k) come from one ``rng.integers`` call per block
     over the tiled bounds, which draws the same numbers as the scalar calls.
     Blocks end at every recording tick, where the state is written back
-    before the recorder sees it.  ``recorder`` and ``stop_below`` act as in
+    before the recorder sees it.  ``recorder`` and ``cadence`` act as in
     ``run``.
     """
     x, z, rng = state.x, state.z, state.rng
@@ -362,12 +364,11 @@ def _iterate(state, inst, alphas, rhos, betas, K, recorder=None, cadence=None,
         end = min(tick, done + _DRAW_BLOCK)
         rng_before = rng.bit_generator.state
         draws = iter(rng.integers(bounds[: 3 * (end - done)]).tolist())
-        sizes = (seq[done:end].tolist() for seq in (alphas, rhos, betas))
-        block = zip(draws, draws, draws, *sizes)
-        for t, (i, xi, j, a_k, r_k, b_k) in enumerate(block):
+        block = zip(draws, draws, draws, alphas[done:end].tolist(), rhos[done:end].tolist())
+        for t, (i, xi, j, a_k, r_k) in enumerate(block):
             g0 = stoch_grad(xi, x)
             fval, grad = constraint(i, x)
-            mult = b_k * fval + z.item(i)
+            mult = r_k * fval + z.item(i)
             if mirror:
                 d = g0 + mult * grad if mult > 0.0 else g0
             else:
@@ -380,11 +381,11 @@ def _iterate(state, inst, alphas, rhos, betas, K, recorder=None, cadence=None,
             zj = z.item(j)
             if mirror:
                 fj = constraint_value(j, x)
-                zj_new = min(max(zj + r_k * max(-zj / b_k, fj), 0.0), z_max)
+                zj_new = min(max(zj + r_k * max(-zj / r_k, fj), 0.0), z_max)
             else:
                 fj = constraint_value(j, x_new)
-                zj_new = zj + r_k * max(-zj / b_k, fj)
-                if r_k <= b_k and zj_new < 0.0:
+                zj_new = zj + r_k * max(-zj / r_k, fj)
+                if zj_new < 0.0:
                     zj_new = 0.0  # last-ulp repair, as in pdsg_step
                 diverged = diverged or not math.isfinite(zj_new) or abs(zj_new) > _Z_BLOWUP
             if diverged:
@@ -404,32 +405,23 @@ def _iterate(state, inst, alphas, rhos, betas, K, recorder=None, cadence=None,
         _advance(state, x, weight_sum, end - done, end - done)
         done = end
         if done == tick and recorder is not None:
-            signal = recorder(state)
-            if stop_below is not None and signal is not None and signal <= stop_below:
-                break
+            recorder(state)
     return state
 
 
-def run(inst, sched: ParamSchedule, K, seed, recorder=None, cadence=None, stop_below=None):
+def run(inst, sched: ParamSchedule, K, seed, recorder=None, cadence=None):
     """Run K iterations from the default start; returns (state, record).
 
     ``recorder`` is called with the state every ``cadence`` completed
-    iterations (and at the end); if it returns a scalar at or below
-    ``stop_below`` the run stops early.  With no recorder the returned
-    record is empty.  Deterministic given (inst, sched, K, seed), and equal
-    bit for bit to K calls of ``pdsg_step`` with ``sched.steps(k)``.
+    iterations (and at the end).  With no recorder the returned record is
+    empty.  Deterministic given (inst, sched, K, seed), and equal bit for
+    bit to K calls of ``pdsg_step`` with ``sched.steps(k)``.
     """
     if sched.K is not None and sched.K != K:
         raise ConfigError(f"schedule horizon K={sched.K} does not match run K={K}")
-    alphas, rhos, betas = sched.sequences(max(K, 1))
-    if np.any(rhos > betas):
-        warnings.warn(
-            "rho_k > beta_k: dual nonnegativity is no longer guaranteed",
-            stacklevel=2,
-        )
-
+    alphas, rhos, _ = sched.sequences(max(K, 1))
     state = init_state(inst, seed)
-    _iterate(state, inst, alphas, rhos, betas, K, recorder, cadence, stop_below)
+    _iterate(state, inst, alphas, rhos, K, recorder, cadence)
 
     if recorder is not None:
         record = recorder.record

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BoundInfeasibleError
-
-KINDS = ("fixed_horizon", "anytime", "strongly_convex")
+from .solver import product_coef
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,7 @@ class BoundInputs:
 
 
 def _denominator(kind, b: BoundInputs) -> float:
-    coef = 68.0 if kind == "anytime" else 32.0
-    denom = 1.0 - coef * b.alpha * b.rho * b.G * b.G / b.m
+    denom = 1.0 - product_coef(kind) * b.alpha * b.rho * b.G * b.G / b.m
     if denom <= 0.0:
         raise BoundInfeasibleError(
             f"{kind}: alpha*rho = {b.alpha * b.rho:.6g} violates the product condition"
@@ -107,15 +105,14 @@ def rate_constant(kind, b: BoundInputs, K) -> float:
     base_noise = 4.0 * b.G**2 + b.sigma**2
     fg = b.F * b.F * b.G * b.G
     C = dual_constant(kind, b, K)
+    denom_m = b.m - product_coef(kind) * a * r * b.G * b.G
     if kind == "fixed_horizon":
-        denom_m = b.m - 32.0 * a * r * b.G * b.G
         return (
             b.dist0**2 / (2.0 * a)
             + 2.0 * a * base_noise
             + 8.0 * a * (r * r * fg / K + b.G * b.G * C / denom_m)
         )
     if kind == "anytime":
-        denom_m = b.m - 68.0 * a * r * b.G * b.G
         return (
             b.dist0**2 / (2.0 * a)
             + 5.0 * a * base_noise
@@ -124,7 +121,6 @@ def rate_constant(kind, b: BoundInputs, K) -> float:
         )
     if kind == "strongly_convex":
         logk = math.log(K + 1.0)
-        denom_m = b.m - 32.0 * a * r * b.G * b.G
         return (
             (2.0 - a * b.mu) / (2.0 * a * logk) * b.dist0**2
             + 2.0 * a * base_noise
@@ -160,34 +156,4 @@ def rate_envelope(kind, b: BoundInputs, K) -> RateEnvelope:
         obj=pre * (2.0 * phi + 4.5 / r * z2),
         infeas=pre * (phi + oz2 / (2.0 * r)),
         last_iterate=last,
-    )
-
-
-@dataclass(frozen=True)
-class TheoryBounds:
-    """All six constants plus the dual bounds, for reporting."""
-
-    c_fixed: float
-    c_anytime: float
-    c_strong: float
-    phi_fixed: float
-    phi_anytime: float
-    phi_strong: float
-    dual_fixed: float
-    dual_anytime: float
-    dual_strong: float
-
-
-def theory_bounds(b: BoundInputs, K) -> TheoryBounds:
-    """Evaluate every constant and dual bound at the same inputs and horizon."""
-    return TheoryBounds(
-        c_fixed=dual_constant("fixed_horizon", b, K),
-        c_anytime=dual_constant("anytime", b, K),
-        c_strong=dual_constant("strongly_convex", b, K),
-        phi_fixed=rate_constant("fixed_horizon", b, K),
-        phi_anytime=rate_constant("anytime", b, K),
-        phi_strong=rate_constant("strongly_convex", b, K),
-        dual_fixed=dual_bound("fixed_horizon", b, K),
-        dual_anytime=dual_bound("anytime", b, K),
-        dual_strong=dual_bound("strongly_convex", b, K),
     )

@@ -4,12 +4,14 @@
 sample indices in blocks; ``pdsg_step`` and ``mirror_prox_step`` draw them one
 scalar call at a time.  Each test replays a run both ways and compares every
 field of the state, the random generator included, at every recording tick,
-at the end, at an early stop and at a divergence.
+at the end and at a divergence.  The ergodic means, which the state derives
+from its iteration counter, are checked against sums kept by the tests.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,13 +30,11 @@ from pdsg.solver import (
 ARRAYS = ("x", "z", "sum_plain", "sum_weighted")
 SCALARS = (
     "k",
-    "n_plain",
     "weight_sum",
     "n_obj_queries",
     "n_constr_grad_queries",
     "n_constr_val_queries",
 )
-STOP_BELOW = 0.5
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
@@ -48,28 +48,23 @@ def snapshot(state):
 
 
 class Snapshots:
-    """Recorder stand-in: snapshots each tick and signals a stop at tick ``stop_at``."""
+    """Recorder stand-in: snapshots the state at each tick."""
 
-    def __init__(self, stop_at=None):
-        self.stop_at = stop_at
+    def __init__(self):
         self.ticks = []
         self.record = metrics.RunRecord()
 
     def __call__(self, state):
         self.ticks.append(snapshot(state))
-        return 0.0 if len(self.ticks) == self.stop_at else 1.0
 
 
-def stepwise(step, state, K, recorder, cadence, stop_below):
+def stepwise(step, state, K, recorder, cadence):
     """The run loop written with one scalar step per iteration."""
     for _ in range(K):
         step(state)
         done = state.k - 1
-        if (cadence and done % cadence == 0) or done == K:
-            if recorder is not None:
-                signal = recorder(state)
-                if stop_below is not None and signal <= stop_below:
-                    break
+        if recorder is not None and ((cadence and done % cadence == 0) or done == K):
+            recorder(state)
     return state
 
 
@@ -94,28 +89,25 @@ def qcqps(draw):
 
 @st.composite
 def run_plans(draw, min_K=0):
-    """(K, cadence, stop_at, block): cadences that do and do not divide K."""
+    """(K, cadence, block): cadences that do and do not divide K."""
     K = draw(st.integers(min_K, 90))
     cadence = draw(st.one_of(st.none(), st.integers(1, K + 3)))
-    stop_at = draw(st.one_of(st.none(), st.integers(1, 4)))
     block = draw(st.sampled_from([1, 2, 3, 5, solver._DRAW_BLOCK]))
-    return K, cadence, stop_at, block
+    return K, cadence, block
 
 
 steps = st.floats(1e-3, 1.0)
 kinds = st.sampled_from(SCHEDULE_KINDS)
 
 
-def compare_pdsg(inst, sched, K, cadence, stop_at, block, seed):
-    fused, scalar = Snapshots(stop_at), Snapshots(stop_at)
+def compare_pdsg(inst, sched, K, cadence, block, seed):
+    fused, scalar = Snapshots(), Snapshots()
     with mock.patch.object(solver, "_DRAW_BLOCK", block):
-        got = outcome(
-            lambda: run(inst, sched, K, seed, fused, cadence, stop_below=STOP_BELOW)[0]
-        )
+        got = outcome(lambda: run(inst, sched, K, seed, fused, cadence)[0])
     want = outcome(
         lambda: stepwise(
             lambda s: pdsg_step(s, inst, *sched.steps(s.k)),
-            init_state(inst, seed), K, scalar, cadence, STOP_BELOW,
+            init_state(inst, seed), K, scalar, cadence,
         )
     )
     assert got == want
@@ -131,7 +123,7 @@ def compare_mirror_prox(inst, cfg, K, cadence, block, seed):
     want = outcome(
         lambda: stepwise(
             lambda s: mirror_prox_step(s, inst, a_k, r_k, beta, cfg.z_max),
-            init_state(inst, seed), K, scalar, cadence, None,
+            init_state(inst, seed), K, scalar, cadence,
         )
     )
     assert got == want
@@ -142,16 +134,16 @@ def compare_mirror_prox(inst, cfg, K, cadence, block, seed):
 @PROPERTY
 @given(qcqps(), kinds, steps, steps, run_plans(), st.integers(0, 2**32))
 def test_run_equals_pdsg_steps(inst, kind, alpha, rho, plan, seed):
-    K, cadence, stop_at, block = plan
+    K, cadence, block = plan
     if kind != "anytime":
         K = max(K, 1)
-    compare_pdsg(inst, make_schedule(kind, alpha, rho, K), K, cadence, stop_at, block, seed)
+    compare_pdsg(inst, make_schedule(kind, alpha, rho, K), K, cadence, block, seed)
 
 
 @PROPERTY
 @given(qcqps(), st.floats(0.01, 10.0), steps, steps, run_plans(), st.integers(0, 2**32))
 def test_mirror_prox_run_equals_mirror_prox_steps(inst, z_max, alpha, rho, plan, seed):
-    K, cadence, _, block = plan
+    K, cadence, block = plan
     cfg = MirrorProxConfig(z_max=z_max, alpha=alpha * 10, rho=rho * 10)
     compare_mirror_prox(inst, cfg, K, cadence, block, seed)
 
@@ -165,16 +157,6 @@ def test_run_without_recorder_equals_pdsg_steps():
     for _ in range(K):
         pdsg_step(ref, inst, *sched.steps(ref.k))
     assert snapshot(state) == snapshot(ref)
-
-
-def test_early_stop_leaves_generator_in_step():
-    inst = random_qcqp(4, 3, 5, 6, seed=6)
-    K, cadence = 200, 13
-    sched = make_schedule("fixed_horizon", 0.02, 0.02, K)
-    for stop_at in (1, 3):
-        got = compare_pdsg(inst, sched, K, cadence, stop_at, solver._DRAW_BLOCK, seed=2)
-        assert got[0] == "done"
-        assert got[1][1][0] - 1 == stop_at * cadence  # stopped at that tick
 
 
 class _Blowup(ProblemInstance):
@@ -197,10 +179,10 @@ class _Blowup(ProblemInstance):
 )
 def test_divergence_at_same_iteration_with_same_state(N, m, step, plan, seed):
     inst = _Blowup(N, m)
-    K, cadence, stop_at, block = plan
+    K, cadence, block = plan
     K *= 5  # long enough that most runs draw sample 0 or constraint 0
     sched = make_schedule("fixed_horizon", step * np.sqrt(K), step * np.sqrt(K), K)
-    compare_pdsg(inst, sched, K, cadence, stop_at, block, seed)
+    compare_pdsg(inst, sched, K, cadence, block, seed)
     cfg = MirrorProxConfig(z_max=5.0, alpha=step, rho=step)
     compare_mirror_prox(inst, cfg, K, cadence, block, seed)
 
@@ -209,7 +191,7 @@ def test_divergence_is_reached_mid_block():
     inst = _Blowup(40, 40)
     K = 400
     sched = make_schedule("fixed_horizon", 0.5 * np.sqrt(K), 0.5 * np.sqrt(K), K)
-    got = compare_pdsg(inst, sched, K, 7, None, solver._DRAW_BLOCK, seed=0)
+    got = compare_pdsg(inst, sched, K, 7, solver._DRAW_BLOCK, seed=0)
     assert got[0] == "diverged" and got[1] % 7 not in (0, 1)  # neither end of a block
 
 
@@ -239,12 +221,80 @@ def test_sequences_equal_steps(kind, alpha, rho, K):
         assert (alphas[k - 1], rhos[k - 1], betas[k - 1]) == sched.steps(k)
 
 
-def test_sequences_follow_beta_override():
-    class ConstantBeta(ParamSchedule):
-        def beta_at(self, k):
-            return 0.25
+def assert_ergodic_means(state, start, iterates, alphas):
+    """Both ergodic means of ``state`` against sums of the post-update iterates.
 
-    sched = ConstantBeta("anytime", 1.0, 1.0)
-    _, _, betas = sched.sequences(5)
-    assert betas.tolist() == [0.25] * 5
-    assert [sched.steps(k)[2] for k in range(1, 6)] == [0.25] * 5
+    The sums are taken here in iteration order, as the run loop takes them, so
+    the means must agree bit for bit; with no iterate each is the start point.
+    """
+    assert state.k - 1 == len(iterates) == len(alphas)
+    if iterates:
+        plain, weighted, weight = np.zeros_like(start), np.zeros_like(start), 0.0
+        for x, a_k in zip(iterates, alphas):
+            plain += x
+            weighted += a_k * x
+            weight += a_k
+        want = (plain / len(iterates), weighted / weight)
+    else:
+        want = (start, start)
+    for got, expected in zip((state.ergodic_plain(), state.ergodic_weighted()), want):
+        assert got.tobytes() == expected.tobytes()
+        assert not np.shares_memory(got, state.x)  # a copy, never the iterate itself
+
+
+class Iterates(Snapshots):
+    """Recorder stand-in that keeps the iterate at each tick."""
+
+    def __call__(self, state):
+        self.ticks.append(state.x.copy())
+
+
+def test_ergodic_means_follow_k_after_steps_and_runs():
+    inst = random_qcqp(4, 3, 5, 6, seed=7)
+    start = inst.start_point()
+    K = 60
+    sched = make_schedule("anytime", 0.05, 0.05, K)  # alpha_k varies with k
+    assert_ergodic_means(init_state(inst, 0), start, [], [])
+
+    state, iterates, alphas = init_state(inst, 0), [], []
+    for _ in range(K):
+        a_k, r_k, b_k = sched.steps(state.k)
+        pdsg_step(state, inst, a_k, r_k, b_k)
+        iterates.append(state.x.copy())
+        alphas.append(a_k)
+    assert_ergodic_means(state, start, iterates, alphas)
+
+    grab = Iterates()
+    state, _ = run(inst, sched, K, 1, grab, cadence=1)
+    assert_ergodic_means(state, start, grab.ticks, [sched.steps(k)[0] for k in range(1, K + 1)])
+
+    cfg = MirrorProxConfig(z_max=5.0, alpha=0.5, rho=0.5)
+    grab = Iterates()
+    state, _ = mirror_prox_run(inst, cfg, K, 2, grab, cadence=1)
+    assert_ergodic_means(state, start, grab.ticks, [cfg.steps(K)[0]] * K)
+
+
+def test_ergodic_means_follow_k_on_divergence_mid_block():
+    inst = _Blowup(40, 40)
+    K = 400
+    sched = make_schedule("fixed_horizon", 0.5 * np.sqrt(K), 0.5 * np.sqrt(K), K)
+    cfg = MirrorProxConfig(z_max=5.0, alpha=0.5 * np.sqrt(K), rho=0.5 * np.sqrt(K))
+    policies = (  # (fused run, one step's arguments after the instance, the step)
+        (lambda: run(inst, sched, K, 0), sched.steps, pdsg_step),
+        (lambda: mirror_prox_run(inst, cfg, K, 0), lambda k: (*cfg.steps(K), cfg.z_max),
+         mirror_prox_step),
+    )
+    for go, step_args, step in policies:
+        with pytest.raises(DivergenceError) as info:
+            go()  # no recorder: iterations 1..K form one draw block
+        assert 2 < info.value.iteration < K
+
+        # the iterates before the divergence, replayed one scalar step at a time
+        replay, iterates, alphas = init_state(inst, 0), [], []
+        with pytest.raises(DivergenceError):
+            for _ in range(K):
+                args = step_args(replay.k)
+                step(replay, inst, *args)
+                iterates.append(replay.x.copy())
+                alphas.append(args[0])
+        assert_ergodic_means(info.value.state, inst.start_point(), iterates, alphas)

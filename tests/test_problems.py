@@ -491,17 +491,30 @@ def test_digest_computed_once_and_lazily(tmp_path, counting_hashlib):
     assert counting_hashlib.bytes_hashed == path.stat().st_size
 
 
+_HASH_CFG = dict(
+    family="qcqp", n=3, p=2, N=4, m=4, instance_seed=11,
+    methods=("pdsg", "mirror_prox"), alpha=0.003, rho=0.003,
+    epochs=1, seeds=(0, 1, 2),
+)
+
+
 def test_run_experiment_hashes_each_instance_once(counting_hashlib):
-    cfg = bench.ExperimentConfig(
-        family="qcqp", n=3, p=2, N=4, m=4, instance_seed=11,
-        methods=("pdsg", "mirror_prox"), alpha=0.003, rho=0.003,
-        epochs=1, seeds=(0, 1, 2),
-    )
+    # a generated instance has no reference cache file, so nothing needs its digest
+    cfg = bench.ExperimentConfig(**_HASH_CFG)
     inst = bench.build_instance(cfg)
-    size = len(instance_bytes(inst))
     bench.run_experiment(cfg, inst=inst)
     bench.run_experiment(cfg, inst=inst)
-    assert counting_hashlib.bytes_hashed == size
+    assert counting_hashlib.bytes_hashed == 0
+
+
+def test_run_experiment_hashes_file_instance_once(tmp_path, counting_hashlib):
+    path = _saved(tmp_path, random_qcqp(3, 2, 4, 4, seed=11))
+    cfg = bench.ExperimentConfig(**_HASH_CFG, instance_file=str(path))
+    inst = bench.build_instance(cfg)
+    bench.run_experiment(cfg, inst=inst)  # writes the reference cache file
+    bench.run_experiment(cfg, inst=inst)  # reads it back
+    assert (tmp_path / "inst.bin.ref.json").exists()
+    assert counting_hashlib.bytes_hashed == path.stat().st_size
 
 
 def test_instance_arrays_are_read_only():

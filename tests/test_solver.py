@@ -57,7 +57,7 @@ def test_schedule_values():
     s = fixed_horizon(2.0, 3.0, 100)
     assert s.alpha_at(1) == pytest.approx(0.2)
     assert s.rho_at(50) == pytest.approx(0.3)
-    assert s.beta_at(7) == s.rho_at(7)
+    assert s.steps(7)[2] == s.steps(7)[1]
 
     s = anytime(1.0, 1.0)
     assert s.alpha_at(1) == pytest.approx(1.0 / (np.sqrt(2.0) * np.log(2.0)))
@@ -278,36 +278,6 @@ def test_divergence_guard_raises():
     with pytest.raises(DivergenceError):
         for _ in range(10):
             pdsg_step(state, inst, 1.0, 1.0, 1.0)
-
-
-def test_early_stop_on_hook_signal():
-    inst = random_qcqp(4, 3, 5, 6, seed=6)
-
-    class Signal:
-        record = metrics.RunRecord()
-        calls = 0
-
-        def __call__(self, state):
-            Signal.calls += 1
-            return 0.0  # immediately below any positive tolerance
-
-    state, _ = run(
-        inst, fixed_horizon(0.002, 0.002, 500), 500, seed=0,
-        recorder=Signal(), cadence=10, stop_below=1e-6,
-    )
-    assert Signal.calls == 1
-    assert state.k - 1 == 10  # stopped at the first measurement tick
-
-
-def test_rho_above_beta_warns():
-    class LooseSchedule(ParamSchedule):
-        def beta_at(self, k):
-            return 0.5 * np.asarray(self.rho_at(k))
-
-    inst = random_qcqp(3, 2, 2, 4, seed=5)
-    sched = LooseSchedule("fixed_horizon", 0.01, 0.01, K=10)
-    with pytest.warns(UserWarning):
-        run(inst, sched, 10, seed=0)
 
 
 # -- properties of the solver's invariants --------------------------------------

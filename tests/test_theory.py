@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from pdsg.errors import BoundInfeasibleError
@@ -11,7 +10,6 @@ from pdsg.theory import (
     dual_bound,
     dual_constant,
     rate_envelope,
-    theory_bounds,
 )
 
 
@@ -107,22 +105,3 @@ def test_strongly_convex_last_iterate_bound():
     phi = rate_constant("strongly_convex", b, 1000)
     want = 2 * 0.5 * math.log(1001.0) / 1001.0 * (phi + 1.0 / 2.0)
     assert env.last_iterate == pytest.approx(want, rel=1e-12)
-
-
-def test_theory_bounds_aggregate():
-    b = _inputs(mu=1.0, alpha=1.0, rho=0.1)
-    tb = theory_bounds(b, K=100)
-    assert tb.c_fixed == pytest.approx(dual_constant("fixed_horizon", b, 100))
-    assert tb.dual_anytime == pytest.approx(dual_bound("anytime", b, 100))
-    for field in (
-        tb.c_fixed,
-        tb.c_anytime,
-        tb.c_strong,
-        tb.phi_fixed,
-        tb.phi_anytime,
-        tb.phi_strong,
-        tb.dual_fixed,
-        tb.dual_anytime,
-        tb.dual_strong,
-    ):
-        assert np.isfinite(field) and field >= 0
