@@ -151,8 +151,8 @@ def full_batch_reference(inst, K=200_000, tol=1e-9) -> ReferenceSolution:
     L0 = inst.objective_curvature()
     qcurv = inst.constraint_curvatures()
 
-    fvals = inst.constraint_values(x)
-    grads = inst.constraint_grads(x)
+    # one pass over the constraints per iterate gives both values and gradients
+    fvals, grads = inst.constraint_values_and_grads(x)
 
     best = None
     best_score = math.inf
@@ -171,8 +171,7 @@ def full_batch_reference(inst, K=200_000, tol=1e-9) -> ReferenceSolution:
         alpha_k = 1.0 / (L0 + pen_curv + 1e-2)
 
         x_new = project_box(x - alpha_k * d, inst.box_lo, inst.box_hi)
-        fvals_new = inst.constraint_values(x_new)
-        grads_new = inst.constraint_grads(x_new)
+        fvals_new, grads_new = inst.constraint_values_and_grads(x_new)
         z = np.maximum(z + np.maximum(-z, fvals_new), 0.0)
         if not np.isfinite(x_new).all() or float(np.max(np.abs(z))) > _Z_BLOWUP:
             raise DivergenceError(f"reference diverged at iteration {k}", iteration=k)

@@ -22,6 +22,10 @@ from .errors import ConfigError, DivergenceError
 
 CSV_HEADER = "method,seed,k,epoch,point,obj_err,infeas,z_norm"
 METHODS = ("pdsg", "mirror_prox", "reference")
+# format of the reference cache payload; raised whenever the reference's
+# numerics change, so a cached f0* and a fresh one never meet in one CSV
+# (2: objective from cached quadratic statistics)
+REF_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,8 @@ def reference_for(inst, tol=1e-9, cache_path=None) -> baselines.ReferenceSolutio
 
     With ``cache_path`` the solution is also persisted as JSON next to the
     instance file, written atomically, and reused by later invocations when
-    the content hash and tolerance match.
+    the payload format, the content hash and the tolerance match; any other
+    payload is stale, and is recomputed and overwritten.
     """
     # the digest is the cache key; without a cache file nothing reads it
     digest = problems.instance_digest(inst) if cache_path else None
@@ -87,7 +92,8 @@ def reference_for(inst, tol=1e-9, cache_path=None) -> baselines.ReferenceSolutio
         try:
             with open(cache_path) as fh:
                 payload = json.load(fh)
-            if payload.get("digest") == digest and payload.get("tol") == tol:
+            if (payload.get("format") == REF_FORMAT and payload.get("digest") == digest
+                    and payload.get("tol") == tol):
                 return baselines.ReferenceSolution(
                     x=np.asarray(payload["x"]),
                     z=np.asarray(payload["z"]),
@@ -97,12 +103,13 @@ def reference_for(inst, tol=1e-9, cache_path=None) -> baselines.ReferenceSolutio
                     infeas=payload["infeas"],
                     step_norm=payload["step_norm"],
                 )
-        except (ValueError, KeyError, OSError):
+        except (ValueError, KeyError, AttributeError, OSError):
             pass  # stale or unreadable cache; recompute
 
     ref = baselines.full_batch_reference(inst, tol=tol)
     if cache_path:
         payload = {
+            "format": REF_FORMAT,
             "digest": digest,
             "tol": tol,
             "x": ref.x.tolist(),

@@ -30,6 +30,16 @@ _MAGIC = b"QCPDINST"
 _VERSION = 1
 # magic, version byte, u64 dims (n, p, N, m); the float64 arrays follow
 _HEADER = struct.Struct("<8sB4Q")
+# bytes of an (m, n, n) array handled at a time, so that a pass over Q
+# allocates no temporary of Q's size
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunks(m, n):
+    """Row slices of an (m, n, n) float64 array, each of at most _CHUNK_BYTES
+    (at least one row)."""
+    rows = max(1, _CHUNK_BYTES // (8 * n * n))
+    return [slice(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
 
 
 class ProblemInstance:
@@ -92,9 +102,25 @@ class ProblemInstance:
         """All m constraint subgradients at x, stacked (m, n)."""
         return np.stack([self.constraint(j, x)[1] for j in range(self.m)])
 
+    def constraint_values_and_grads(self, x):
+        """``(constraint_values(x), constraint_grads(x))`` from one pass."""
+        return self.constraint_values(x), self.constraint_grads(x)
+
     def constraint_curvatures(self):
         """Per-constraint Hessian norm bounds (zeros when constraints are affine)."""
         return np.zeros(self.m)
+
+    # -- measurement --------------------------------------------------------
+
+    def measure(self, X):
+        """Objective and all constraint values at each row of X (s, n).
+
+        Returns ``(f0, fvals)`` of shapes (s,) and (s, m).  This generic form
+        makes the per-point calls; subclasses evaluate the stack at once.
+        """
+        f0 = np.array([self.objective(x) for x in X], dtype=float)
+        fvals = np.array([self.constraint_values(x) for x in X], dtype=float)
+        return f0, fvals.reshape(len(X), self.m)
 
     # -- misc ---------------------------------------------------------------
 
@@ -140,7 +166,13 @@ class TheoryConstants:
 
 
 class QuadraticInstance(ProblemInstance):
-    """Least-squares objective with quadratic inequality constraints on a box."""
+    """Least-squares objective with quadratic inequality constraints on a box.
+
+    The objective is evaluated from cached statistics, as the quadratic
+    ``f0(x) = (1/2) x'Px - q'x + r`` with ``P = hessian()``,
+    ``q = (1/N) sum_i H_i'c_i`` and ``r = (1/2) mean_i ||c_i||^2``, so the
+    full-batch objective and its gradient cost O(n^2) and never read H.
+    """
 
     def __init__(self, data: QcqpData):
         N, p, n = data.H.shape
@@ -159,6 +191,7 @@ class QuadraticInstance(ProblemInstance):
         for arr in (*_arrays(data), self.box_lo, self.box_hi):
             arr.flags.writeable = False
         self._hessian = None
+        self._linear = None  # (q, r) of the expanded objective
         self._curvature = None
         self._qnorms = None
         self._digest = None
@@ -166,12 +199,11 @@ class QuadraticInstance(ProblemInstance):
     # -- objective ----------------------------------------------------------
 
     def objective(self, x) -> float:
-        r = self.data.H @ x - self.data.c
-        return float(0.5 * np.mean(np.sum(r * r, axis=1)))
+        return float(self._objective_values(np.asarray(x, dtype=float)[None])[0])
 
     def objective_grad(self, x):
-        r = self.data.H @ x - self.data.c
-        return np.einsum("ipn,ip->n", self.data.H, r) / self.N
+        q, _ = self.linear_terms()
+        return self.hessian() @ x - q
 
     def stoch_objective_grad(self, i, x):
         Hi = self.data.H[i]
@@ -188,6 +220,25 @@ class QuadraticInstance(ProblemInstance):
             self._hessian = (A.T @ A) / self.N
             self._hessian.flags.writeable = False
         return self._hessian
+
+    def linear_terms(self):
+        """``(q, r)`` of ``f0(x) = (1/2) x'Px - q'x + r`` (cached; q read-only).
+
+        q is one pass over H as N small products c_i'H_i: one product over
+        the stacked rows would wake the BLAS worker threads, which then spin
+        beside the single-threaded run loop.  r is f0 at the origin.
+        """
+        if self._linear is None:
+            c = self.data.c
+            q = (c[:, None, :] @ self.data.H).sum(axis=0)[0] / self.N
+            q.flags.writeable = False
+            self._linear = (q, float(0.5 * np.mean(np.sum(c * c, axis=1))))
+        return self._linear
+
+    def _objective_values(self, X):
+        """f0 at each row of X (s, n) from (P, q, r)."""
+        q, r = self.linear_terms()
+        return 0.5 * np.einsum("si,si->s", X @ self.hessian(), X) - X @ q + r
 
     def objective_curvature(self) -> float:
         if self._curvature is None:
@@ -215,10 +266,31 @@ class QuadraticInstance(ProblemInstance):
     def constraint_grads(self, x):
         return self.data.Q @ x + self.data.a
 
+    def constraint_values_and_grads(self, x):
+        Qx = self.data.Q @ x
+        return 0.5 * (Qx @ x) + self.data.a @ x - self.data.b, Qx + self.data.a
+
+    def measure(self, X):
+        """f0 from (P, q, r) and the constraint values from one pass over Q.
+
+        ``Q @ X'`` is m small (n, n) x (n, s) products, shape (m, n, s).  Both
+        contractions are einsums: as one product over all m rows, ``X @ a'``
+        is large enough to wake the BLAS worker threads, which then spin
+        beside the single-threaded run loop.
+        """
+        X = np.asarray(X, dtype=float)
+        QX = np.matmul(self.data.Q, X.T)
+        aX = np.einsum("jn,sn->sj", self.data.a, X)
+        fvals = 0.5 * np.einsum("jis,si->sj", QX, X) + aX - self.data.b
+        return self._objective_values(X), fvals
+
     def constraint_curvatures(self):
-        """Frobenius norms of the Q_j (read-only, cached)."""
+        """Frobenius norms of the Q_j (read-only, cached), chunk by chunk."""
         if self._qnorms is None:
-            self._qnorms = np.linalg.norm(self.data.Q, axis=(1, 2))
+            Q = self.data.Q
+            self._qnorms = np.concatenate(
+                [np.linalg.norm(Q[rows], axis=(1, 2)) for rows in _chunks(self.m, self.n)]
+            )
             self._qnorms.flags.writeable = False
         return self._qnorms
 
@@ -237,8 +309,14 @@ def random_qcqp(n, p, N, m, seed) -> QuadraticInstance:
     rng = np.random.default_rng(seed)
     H = rng.standard_normal((N, p, n))
     c = rng.standard_normal((N, p))
-    M = rng.standard_normal((m, n, n))
-    Q = np.einsum("mik,mjk->mij", M, M) / n
+    # Q in chunks of M: successive draws continue one stream, and each Q_j
+    # depends on M_j alone, so Q is bit-equal to the one-draw build while
+    # only one chunk of M is alive
+    Q = np.empty((m, n, n))
+    for rows in _chunks(m, n):
+        M = rng.standard_normal((rows.stop - rows.start, n, n))
+        np.einsum("mik,mjk->mij", M, M, out=Q[rows])
+    Q /= n
     a = rng.standard_normal((m, n))
     b = rng.uniform(0.1, 1.1, m)
     box = 10.0 * np.ones(n)

@@ -1,5 +1,6 @@
 """Harness and command-line interface tests."""
 
+import json
 import os
 
 import numpy as np
@@ -116,6 +117,38 @@ def test_reference_cache_write_failure_leaves_no_partial_file(tmp_path, monkeypa
     assert os.listdir(tmp_path) == [cache.name]
     again = bench.reference_for(inst, cache_path=str(cache))
     assert np.array_equal(again.x, ref.x) and again.f0 == ref.f0
+
+
+@pytest.mark.parametrize("stale", [None, 1, bench.REF_FORMAT + 1])
+def test_reference_cache_of_another_format_is_recomputed(tmp_path, monkeypatch, stale):
+    inst = random_qcqp(3, 2, 4, 4, seed=1)
+    cache = tmp_path / "inst.bin.ref.json"
+    ref = bench.reference_for(inst, cache_path=str(cache))
+    payload = json.loads(cache.read_text())
+    assert payload["format"] == bench.REF_FORMAT
+    # digest and tol still match; only the format marks the payload stale
+    del payload["format"]
+    if stale is not None:
+        payload["format"] = stale
+    payload["f0"] = 123.0
+    cache.write_text(json.dumps(payload))
+
+    again = bench.reference_for(inst, cache_path=str(cache))
+    assert again.f0 == ref.f0 and np.array_equal(again.x, ref.x)
+    rewritten = json.loads(cache.read_text())
+    assert rewritten["format"] == bench.REF_FORMAT and rewritten["f0"] == ref.f0
+    assert os.listdir(tmp_path) == [cache.name]
+    # recomputed once: the rewritten payload is a hit
+    monkeypatch.setattr(baselines, "full_batch_reference", None)
+    assert bench.reference_for(inst, cache_path=str(cache)).f0 == ref.f0
+
+
+def test_reference_cache_that_is_not_an_object_is_recomputed(tmp_path):
+    inst = random_qcqp(3, 2, 4, 4, seed=1)
+    cache = tmp_path / "inst.bin.ref.json"
+    cache.write_text("[1, 2, 3]")
+    ref = bench.reference_for(inst, cache_path=str(cache))
+    assert json.loads(cache.read_text())["f0"] == ref.f0
 
 
 def test_divergence_produces_partial_record():

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from pdsg.problems import (
     scenario_count_discarding,
     scenario_count_robust,
 )
+import reference_forms
 from test_loop_equivalence import qcqps
 
 
@@ -65,6 +67,43 @@ def test_qcqp_seed_determinism():
     c = random_qcqp(4, 3, 5, 6, seed=43)
     assert instance_bytes(a) == instance_bytes(b)
     assert instance_bytes(a) != instance_bytes(c)
+
+
+def _random_qcqp_one_draw(n, p, N, m, seed):
+    """random_qcqp as built before Q was built in chunks: all of M at once."""
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((N, p, n))
+    c = rng.standard_normal((N, p))
+    M = rng.standard_normal((m, n, n))
+    Q = np.einsum("mik,mjk->mij", M, M) / n
+    a = rng.standard_normal((m, n))
+    b = rng.uniform(0.1, 1.1, m)
+    box = 10.0 * np.ones(n)
+    return QuadraticInstance(QcqpData(H, c, Q, a, b, -box, box))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 5), st.integers(1, 13),
+       st.integers(1, 5), st.integers(0, 2**16))
+def test_chunked_q_build_equals_one_draw(n, p, N, m, rows, seed):
+    with mock.patch.object(problems, "_CHUNK_BYTES", 8 * n * n * rows):
+        chunked = random_qcqp(n, p, N, m, seed)
+    assert instance_digest(chunked) == instance_digest(_random_qcqp_one_draw(n, p, N, m, seed))
+
+
+def test_chunked_q_build_equals_one_draw_at_default_chunk():
+    # 32 rows of M per chunk at n = 64: chunks of 32, 32, 32 and 4
+    assert [s.stop - s.start for s in problems._chunks(100, 64)] == [32, 32, 32, 4]
+    got, want = random_qcqp(64, 2, 3, 100, 5), _random_qcqp_one_draw(64, 2, 3, 100, 5)
+    assert instance_digest(got) == instance_digest(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(qcqps(), st.integers(1, 5))
+def test_chunked_q_norms_equal_one_pass(inst, rows):
+    with mock.patch.object(problems, "_CHUNK_BYTES", 8 * inst.n * inst.n * rows):
+        qnorms = inst.constraint_curvatures()
+    assert qnorms.tobytes() == np.linalg.norm(inst.data.Q, axis=(1, 2)).tobytes()
 
 
 def test_dimension_validation():
@@ -201,22 +240,6 @@ def test_start_point_box_center_when_origin_infeasible():
 # -- certification against the per-sample forms ------------------------------------
 
 
-def _sigma_per_sample(inst, samples, rng_seed):
-    """sigma as one full pass over the N samples per drawn point."""
-    rng = np.random.default_rng(rng_seed)
-    sigma = 0.0
-    for _ in range(samples):
-        x = rng.uniform(inst.box_lo, inst.box_hi)
-        grads = np.einsum("ipn,ip->in", inst.data.H, inst.data.H @ x - inst.data.c)
-        dev = grads - grads.mean(axis=0)
-        sigma = max(sigma, math.sqrt(float(np.mean(np.sum(dev * dev, axis=1)))))
-    return sigma
-
-
-def _hessian_einsum(inst):
-    return np.einsum("ipn,ipq->nq", inst.data.H, inst.data.H) / inst.N
-
-
 def _bounds_per_norm(inst):
     """F and G with the Frobenius norms of Q taken inline."""
     d = inst.data
@@ -231,11 +254,11 @@ def _bounds_per_norm(inst):
 def _assert_certified_like_per_sample_forms(inst, samples, rng_seed):
     consts = certify_constants(inst, samples=samples, rng_seed=rng_seed)
     assert (consts.F, consts.G) == _bounds_per_norm(inst)
-    want = _sigma_per_sample(inst, samples, rng_seed)
+    want = reference_forms.sigma_per_sample(inst, samples, rng_seed)
     assert consts.sigma == pytest.approx(want, rel=1e-12, abs=0.0)
     if inst.N == 1 or samples == 0:
         assert consts.sigma == 0.0
-    hess, ref = inst.hessian(), _hessian_einsum(inst)
+    hess, ref = inst.hessian(), reference_forms.hessian(inst)
     scale = float(np.max(np.abs(ref)))
     np.testing.assert_allclose(hess, ref, rtol=1e-12, atol=1e-12 * scale)
     assert np.array_equal(hess, hess.T)
