@@ -53,6 +53,11 @@ class MirrorProxConfig:
         r = self.rho / math.sqrt(K)
         return self.alpha / math.sqrt(K), r, r
 
+    def sequences(self, K):
+        """(alpha_k, rho_k) for k = 1..K, as constant read-only views."""
+        a_k, r_k, _ = self.steps(max(K, 1))
+        return np.broadcast_to(a_k, K), np.broadcast_to(r_k, K)
+
 
 def zmax_from_reference(z_ref) -> float:
     """Dual box level max(10, 10 ||z_ref||_inf) from a reference dual vector."""
@@ -107,11 +112,8 @@ def mirror_prox_run(inst, cfg: MirrorProxConfig, K, seed, recorder=None, cadence
 
     Equal bit for bit to K calls of ``mirror_prox_step`` with ``cfg.steps(K)``.
     """
-    a_k, r_k, _ = cfg.steps(max(K, 1))
     state = init_state(inst, seed)
-    _iterate(
-        state, inst, np.full(K, a_k), np.full(K, r_k), K, recorder, cadence, z_max=cfg.z_max
-    )
+    _iterate(state, inst, *cfg.sequences(K), K, recorder, cadence, z_max=cfg.z_max)
     record = recorder.record if recorder is not None else metrics.RunRecord(meta={"seed": seed})
     return state, record
 

@@ -26,6 +26,9 @@ METHODS = ("pdsg", "mirror_prox", "reference")
 # numerics change, so a cached f0* and a fresh one never meet in one CSV
 # (2: objective from cached quadratic statistics)
 REF_FORMAT = 2
+# fewest pdsg and mirror-prox runs of an experiment that run through the grid
+# kernel; below it the one-run loop is faster (sweep in notes/decisions.md)
+GRID_MIN_RUNS = 3
 
 
 @dataclass(frozen=True)
@@ -149,19 +152,16 @@ def _solve_reference_method(inst, K, tol):
         return exc
 
 
-def run_one(method, inst, cfg: ExperimentConfig, K, seed, ref, cadence_steps,
-            sched=None, reference_solve=None):
-    """One (method, seed) run; divergence yields a partial record, not a raise.
+def _mirror_prox_config(cfg: ExperimentConfig, ref) -> baselines.MirrorProxConfig:
+    zmax = cfg.mp_zmax if cfg.mp_zmax is not None else baselines.zmax_from_reference(ref.z)
+    return baselines.MirrorProxConfig(z_max=zmax)
 
-    ``sched`` (for pdsg) and ``reference_solve`` (for the reference method,
-    the output of ``_solve_reference_method``) are shared by all seeds of an
-    experiment; when not given they are computed for this run.
-    """
+
+def _recorder(method, inst, cfg: ExperimentConfig, seed, ref, mp=None) -> metrics.Recorder:
+    """The run's Recorder, its meta naming the method, schedule and instance."""
     if method == "pdsg":
         descriptor = f"{cfg.schedule}(alpha={cfg.alpha:g}, rho={cfg.rho:g})"
     elif method == "mirror_prox":
-        zmax = cfg.mp_zmax if cfg.mp_zmax is not None else baselines.zmax_from_reference(ref.z)
-        mp = baselines.MirrorProxConfig(z_max=zmax)
         descriptor = f"mirror_prox(alpha={mp.alpha:g}, rho={mp.rho:g})"
     else:
         descriptor = "reference"
@@ -171,7 +171,35 @@ def run_one(method, inst, cfg: ExperimentConfig, K, seed, ref, cadence_steps,
         "schedule": descriptor,
         "instance": f"{cfg.family} n={inst.n} m={inst.m} seed={cfg.instance_seed}",
     }
-    recorder = metrics.Recorder(inst, ref.f0, meta=meta)
+    return metrics.Recorder(inst, ref.f0, meta=meta)
+
+
+def _log_divergence(record, exc: DivergenceError, m) -> None:
+    """End a record with the partial ``DIVERGED`` row of its divergence."""
+    k = exc.iteration or 0
+    record.rows.append(
+        metrics.RunRow(
+            k=k,
+            epoch=k / m,
+            point=metrics.DIVERGED_TAG,
+            obj_err=math.nan,
+            infeas=math.nan,
+            z_norm=math.nan,
+        )
+    )
+    record.meta["diverged"] = True
+
+
+def run_one(method, inst, cfg: ExperimentConfig, K, seed, ref, cadence_steps,
+            sched=None, reference_solve=None):
+    """One (method, seed) run; divergence yields a partial record, not a raise.
+
+    ``sched`` (for pdsg) and ``reference_solve`` (for the reference method,
+    the output of ``_solve_reference_method``) are shared by all seeds of an
+    experiment; when not given they are computed for this run.
+    """
+    mp = _mirror_prox_config(cfg, ref) if method == "mirror_prox" else None
+    recorder = _recorder(method, inst, cfg, seed, ref, mp)
     try:
         if method == "pdsg":
             if sched is None:
@@ -200,19 +228,36 @@ def run_one(method, inst, cfg: ExperimentConfig, K, seed, ref, cadence_steps,
         else:
             raise ConfigError(f"unknown method {method!r}")
     except DivergenceError as exc:
-        k = exc.iteration or 0
-        recorder.record.rows.append(
-            metrics.RunRow(
-                k=k,
-                epoch=k / inst.m,
-                point=metrics.DIVERGED_TAG,
-                obj_err=math.nan,
-                infeas=math.nan,
-                z_norm=math.nan,
-            )
-        )
-        recorder.record.meta["diverged"] = True
+        _log_divergence(recorder.record, exc, inst.m)
     return recorder.record
+
+
+def _run_grid(runs, inst, cfg: ExperimentConfig, K, ref, sched, cadence_steps):
+    """The (method, seed) loop runs in lockstep through ``solver._iterate_grid``.
+
+    Each run gets the record ``run_one`` gives it: the same trajectory bit
+    for bit and the same rows, with each tick of all running rows measured
+    by one ``inst.measure`` call.  Returns the records in the order of
+    ``runs``.  A record's ``wall_clock`` is the grid's, as its runs share
+    every iteration.
+    """
+    mp = _mirror_prox_config(cfg, ref)
+    steps = {"mirror_prox": (*mp.sequences(K), mp.z_max)}
+    if sched is not None:
+        alphas, rhos, _ = sched.sequences(max(K, 1))
+        steps["pdsg"] = (alphas, rhos, None)
+    recorders = [_recorder(method, inst, cfg, seed, ref, mp) for method, seed in runs]
+    states = [solver.init_state(inst, seed) for _, seed in runs]
+    rows = [(state, *steps[method]) for state, (method, _) in zip(states, runs)]
+
+    def on_tick(live):
+        metrics.record_ticks([recorders[r] for r in live], [states[r] for r in live])
+
+    errors = solver._iterate_grid(rows, inst, K, on_tick=on_tick, cadence=cadence_steps)
+    for recorder, exc in zip(recorders, errors):
+        if exc is not None:
+            _log_divergence(recorder.record, exc, inst.m)
+    return [recorder.record for recorder in recorders]
 
 
 def run_experiment(cfg: ExperimentConfig, inst=None):
@@ -221,7 +266,9 @@ def run_experiment(cfg: ExperimentConfig, inst=None):
     What the runs share is computed here once: the pdsg schedule, validated
     against the instance's certified constants before anything runs (an
     invalid schedule raises ConfigError unless ``cfg.force`` is set), the
-    reference solution, and the reference method's solve.
+    reference solution, and the reference method's solve.  With at least
+    ``GRID_MIN_RUNS`` pdsg and mirror-prox runs, those run in lockstep
+    through one grid kernel; fewer run one at a time.
     """
     if inst is None:
         inst = build_instance(cfg)
@@ -244,7 +291,12 @@ def run_experiment(cfg: ExperimentConfig, inst=None):
         reference_solve = _solve_reference_method(inst, K, cfg.ref_tol)
 
     cadence_steps = max(1, int(round(cfg.cadence * inst.m)))
+    loops = [(m, seed) for m in cfg.methods if m != "reference" for seed in cfg.seeds]
+    grid = None
+    if len(loops) >= GRID_MIN_RUNS:
+        grid = iter(_run_grid(loops, inst, cfg, K, ref, sched, cadence_steps))
     records = [
+        next(grid) if grid is not None and method != "reference" else
         run_one(method, inst, cfg, K, seed, ref, cadence_steps,
                 sched=sched, reference_solve=reference_solve)
         for method in cfg.methods

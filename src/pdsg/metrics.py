@@ -102,7 +102,8 @@ class Recorder:
     The epoch is cross-checked against the run's oracle counters: each
     iteration costs two constraint-function queries, so the counter-based
     epoch must equal k/m exactly; ``AccountingError`` is raised otherwise.
-    A tick measures its three points with one ``inst.measure`` call.
+    A tick measures its three points with one ``inst.measure`` call;
+    ``record_ticks`` measures the ticks of several runs with one call.
     """
 
     def __init__(self, inst, f0_ref, meta=None):
@@ -112,19 +113,23 @@ class Recorder:
         self._t0 = time.perf_counter()
 
     def __call__(self, state):
-        inst = self.inst
+        self.log(state, *self.inst.measure(self.points(state)))
+
+    def points(self, state):
+        """The tick's three points, stacked (3, n), after the accounting check."""
         k = state.k - 1
-        epoch = k / inst.m
         queries = state.n_constr_grad_queries + state.n_constr_val_queries
         if queries != 2 * k:
             raise AccountingError(
                 f"{queries} constraint queries after {k} iterations; expected {2 * k}"
             )
-        z_norm = float(np.linalg.norm(state.z))
+        return np.stack((state.x, state.ergodic_plain(), state.ergodic_weighted()))
 
-        f0, fvals = inst.measure(
-            np.stack((state.x, state.ergodic_plain(), state.ergodic_weighted()))
-        )
+    def log(self, state, f0, fvals):
+        """Append the tick's rows from the measured objective and constraint values."""
+        k = state.k - 1
+        epoch = k / self.inst.m
+        z_norm = float(np.linalg.norm(state.z))
         infeas = np.maximum(fvals, 0.0).mean(axis=1)
         for tag, f, inf in zip(POINT_TAGS, f0, infeas):
             self.record.rows.append(
@@ -132,3 +137,16 @@ class Recorder:
                        infeas=float(inf), z_norm=z_norm)
             )
         self.record.meta["wall_clock"] = time.perf_counter() - self._t0
+
+
+def record_ticks(recorders, states):
+    """One tick of several runs on one instance: every point in one ``measure`` call.
+
+    A pass over Q then serves all 3R points instead of three.  ``measure``
+    may round a point's values differently in a larger stack, within the
+    tolerance contract of ``notes/decisions.md``.
+    """
+    points = [rec.points(state) for rec, state in zip(recorders, states)]
+    f0, fvals = recorders[0].inst.measure(np.concatenate(points))
+    for r, (rec, state) in enumerate(zip(recorders, states)):
+        rec.log(state, f0[3 * r : 3 * r + 3], fvals[3 * r : 3 * r + 3])

@@ -33,6 +33,10 @@ _HEADER = struct.Struct("<8sB4Q")
 # bytes of an (m, n, n) array handled at a time, so that a pass over Q
 # allocates no temporary of Q's size
 _CHUNK_BYTES = 1 << 20
+# bytes of the (rows, n, s) products one step of ``measure`` holds; small
+# enough to come from the heap, so measuring a tick of many runs at once
+# raises no peak
+_MEASURE_BYTES = 1 << 16
 
 
 def _chunks(m, n):
@@ -121,6 +125,35 @@ class ProblemInstance:
         f0 = np.array([self.objective(x) for x in X], dtype=float)
         fvals = np.array([self.constraint_values(x) for x in X], dtype=float)
         return f0, fvals.reshape(len(X), self.m)
+
+    # -- stacked sampled oracles ---------------------------------------------
+
+    def stacked_oracles(self, R):
+        """The three sampled oracles of a run for a stack X (R, n) of points.
+
+        Returns ``(stoch_objective_grads, constraints, constraint_values)``.
+        Each takes an integer array of R indices, one per row of X:
+        ``stoch_objective_grads(xis, X)`` is the (R, n) stack of
+        ``stoch_objective_grad(xis[r], X[r])``; ``constraints(I, X)`` returns
+        the list of values and the (R, n) stack of subgradients of
+        ``constraint(I[r], X[r])``; ``constraint_values(J, X)`` is the list of
+        ``constraint_value(J[r], X[r])``.  Every row is bit-equal to its
+        per-row call.  A returned array may be a buffer that the next call
+        of the same oracle overwrites.  This generic form makes the per-row
+        calls; subclasses evaluate the stack at once.
+        """
+
+        def stoch_objective_grads(xis, X):
+            return np.stack([self.stoch_objective_grad(i, x) for i, x in zip(xis.tolist(), X)])
+
+        def constraints(I, X):
+            vals, grads = zip(*map(self.constraint, I.tolist(), X))
+            return list(vals), np.stack(grads)
+
+        def constraint_values(J, X):
+            return [self.constraint_value(j, x) for j, x in zip(J.tolist(), X)]
+
+        return stoch_objective_grads, constraints, constraint_values
 
     # -- misc ---------------------------------------------------------------
 
@@ -273,16 +306,71 @@ class QuadraticInstance(ProblemInstance):
     def measure(self, X):
         """f0 from (P, q, r) and the constraint values from one pass over Q.
 
-        ``Q @ X'`` is m small (n, n) x (n, s) products, shape (m, n, s).  Both
-        contractions are einsums: as one product over all m rows, ``X @ a'``
-        is large enough to wake the BLAS worker threads, which then spin
-        beside the single-threaded run loop.
+        ``Q @ X'`` is m small (n, n) x (n, s) products, taken a few
+        constraints at a time so that no temporary exceeds _MEASURE_BYTES,
+        however many points the stack holds.  Both contractions are einsums:
+        as one product over all m rows, ``X @ a'`` is large enough to wake
+        the BLAS worker threads, which then spin beside the single-threaded
+        run loop.
         """
         X = np.asarray(X, dtype=float)
-        QX = np.matmul(self.data.Q, X.T)
+        Q, b = self.data.Q, self.data.b
         aX = np.einsum("jn,sn->sj", self.data.a, X)
-        fvals = 0.5 * np.einsum("jis,si->sj", QX, X) + aX - self.data.b
+        fvals = np.empty_like(aX)
+        rows = max(1, _MEASURE_BYTES // (8 * self.n * max(1, len(X))))
+        for lo in range(0, self.m, rows):
+            part = slice(lo, lo + rows)
+            xQx = np.einsum("jis,si->sj", np.matmul(Q[part], X.T), X)
+            fvals[:, part] = 0.5 * xQx + aX[:, part] - b[part]
         return self._objective_values(X), fvals
+
+    def stacked_oracles(self, R):
+        """Stacked oracles from gathered slices and stacked ``np.matmul`` calls.
+
+        Each call gathers the R sampled slices of H and c, or of Q and a, into
+        buffers allocated here once, then evaluates all rows with stacked
+        ``np.matmul`` calls.  numpy runs the same BLAS kernel on each slice of
+        a stack as on a single product (gemv for a matrix times a point, dot
+        for two points), so every row is bit-equal to the per-row oracle; an
+        ``einsum`` contraction is not.  b is looked up per row from a list.
+        The indices are not range-checked.
+        """
+        d, n, p = self.data, self.n, self.p
+        H, c, Q, a = d.H, d.c, d.Q, d.a
+        b = d.b.tolist()
+        Hs, cs = np.empty((R, p, n)), np.empty((R, p))
+        HsT, cs3 = Hs.transpose(0, 2, 1), cs[:, :, None]
+        res, g = np.empty((R, p, 1)), np.empty((R, n, 1))
+        Qs, As = np.empty((R, n, n)), np.empty((R, 1, n))
+        As2 = As.reshape(R, n)
+        Qx, xQx, ax = np.empty((R, n, 1)), np.empty((R, 1, 1)), np.empty((R, 1, 1))
+        g2, Qx2, xQx1, ax1 = g.reshape(R, n), Qx.reshape(R, n), xQx.reshape(R), ax.reshape(R)
+        grads = np.empty((R, n))
+
+        def stoch_objective_grads(xis, X):
+            H.take(xis, 0, Hs, "clip")
+            c.take(xis, 0, cs, "clip")
+            np.matmul(Hs, X[:, :, None], out=res)
+            np.subtract(res, cs3, out=res)
+            np.matmul(HsT, res, out=g)
+            return g2
+
+        def values(J, X):
+            """f_j(x) per row, as a list of floats; Q_j x is left in Qx."""
+            Q.take(J, 0, Qs, "clip")
+            a.take(J, 0, As2, "clip")
+            Xc = X[:, :, None]
+            np.matmul(Qs, Xc, out=Qx)
+            np.matmul(X[:, None, :], Qx, out=xQx)
+            np.matmul(As, Xc, out=ax)
+            return [0.5 * q + v - b[j]
+                    for q, v, j in zip(xQx1.tolist(), ax1.tolist(), J.tolist())]
+
+        def constraints(I, X):
+            fvals = values(I, X)
+            return fvals, np.add(Qx2, As2, out=grads)
+
+        return stoch_objective_grads, constraints, values
 
     def constraint_curvatures(self):
         """Frobenius norms of the Q_j (read-only, cached), chunk by chunk."""

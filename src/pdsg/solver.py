@@ -10,6 +10,8 @@ keeps the dual iterate nonnegative.
 ``pdsg_step`` is the one-step reference form.  ``run`` goes through
 ``_iterate``, a fused loop shared with the mirror-prox baseline that draws
 the sample indices in blocks and is bit-for-bit equal to repeated steps.
+``_iterate_grid`` advances several such runs in lockstep through the
+instance's stacked oracles, each run bit-for-bit equal to its own loop.
 
 A run is single-threaded and deterministic given its seed.  Runs over the
 same instance may execute concurrently; nothing here mutates the instance.
@@ -88,9 +90,22 @@ class ParamSchedule:
         return self.rho / math.log(self.K + 1.0) * np.ones_like(kk)
 
     def steps(self, k):
-        """(alpha_k, rho_k, beta_k = rho_k) as floats for one iteration."""
-        rho_k = float(self.rho_at(k))
-        return float(self.alpha_at(k)), rho_k, rho_k
+        """(alpha_k, rho_k, beta_k = rho_k) as floats for one iteration.
+
+        Scalar arithmetic, bit-equal to ``sequences(K)`` at k - 1: sqrt and the
+        IEEE operations round the same in Python and numpy, but ``math.log``
+        may differ from numpy's log in the last ulp, so anytime keeps numpy's.
+        """
+        if self.kind == "fixed_horizon":
+            root = math.sqrt(self.K)
+            rho_k = self.rho / root
+            return self.alpha / root, rho_k, rho_k
+        if self.kind == "anytime":
+            denom = math.sqrt(k + 1.0) * float(np.log(k + 1.0))
+            rho_k = self.rho / denom
+            return self.alpha / denom, rho_k, rho_k
+        rho_k = self.rho / math.log(self.K + 1.0)
+        return self.alpha / (k + 1.0), rho_k, rho_k
 
     def sequences(self, K):
         """(alpha_k, rho_k, beta_k = rho_k) for k = 1..K as float arrays.
@@ -158,23 +173,18 @@ def validate_schedule(sched: ParamSchedule, m, G, K, mu=None) -> ScheduleReport:
     """Check the step-size conditions of a schedule over horizon K.
 
     Verifies, for k = 1..K-1, the chained dual-step inequality
-    ``rho_k/alpha_k >= rho_{k+1} (1/alpha_{k+1} - mu)`` and ``beta_k >= rho_k``
-    (up to k = K), plus the kind's product condition ``alpha*rho < m/(32 G^2)``
-    (``m/(68 G^2)`` for anytime) and ``alpha >= 1/mu`` for the strongly convex
-    kind.  Report-only; nothing raises.
+    ``rho_k/alpha_k >= rho_{k+1} (1/alpha_{k+1} - mu)``, plus the kind's
+    product condition ``alpha*rho < m/(32 G^2)`` (``m/(68 G^2)`` for anytime)
+    and ``alpha >= 1/mu`` for the strongly convex kind.  The penalty is the
+    dual step, so ``beta_k >= rho_k`` holds by construction and is not
+    checked.  Report-only; nothing raises.
     """
     if mu is None:
         mu = sched.mu
     checks = []
 
-    alpha, rho, beta = sched.sequences(K)
-
-    bad = np.nonzero(beta < rho - 1e-15 * np.abs(rho))[0]
-    checks.append(
-        ScheduleCheck("beta_ge_rho", bad.size == 0, int(bad[0] + 1) if bad.size else None)
-    )
-
     if K >= 2:
+        alpha, rho, _ = sched.sequences(K)
         lhs = rho[:-1] / alpha[:-1]
         rhs = rho[1:] * (1.0 / alpha[1:] - mu)
         slack = 1e-9 * np.maximum(1.0, np.abs(rhs))
@@ -329,6 +339,13 @@ def _advance(state, x, weight_sum, steps, queries):
     state.n_constr_val_queries += queries
 
 
+def _rewind(rng, before, bounds, iterations):
+    """Put ``rng``, last in state ``before``, where the scalar draws of
+    ``iterations`` index triples would leave it."""
+    rng.bit_generator.state = before
+    rng.integers(bounds[: 3 * iterations])
+
+
 def _iterate(state, inst, alphas, rhos, K, recorder=None, cadence=None, z_max=None):
     """Advance ``state`` by K iterations with steps ``alphas[k-1]``, ``rhos[k-1]``.
 
@@ -389,9 +406,7 @@ def _iterate(state, inst, alphas, rhos, K, recorder=None, cadence=None, z_max=No
                     zj_new = 0.0  # last-ulp repair, as in pdsg_step
                 diverged = diverged or not math.isfinite(zj_new) or abs(zj_new) > _Z_BLOWUP
             if diverged:
-                # leave the generator where the scalar draws would have
-                rng.bit_generator.state = rng_before
-                rng.integers(bounds[: 3 * (t + 1)])
+                _rewind(rng, rng_before, bounds, t + 1)
                 _advance(state, x, weight_sum, t, t + 1)
                 raise DivergenceError(
                     f"divergence at iteration {state.k}", iteration=state.k, state=state
@@ -407,6 +422,160 @@ def _iterate(state, inst, alphas, rhos, K, recorder=None, cadence=None, z_max=No
         if done == tick and recorder is not None:
             recorder(state)
     return state
+
+
+def _iterate_grid(rows, inst, K, on_tick=None, cadence=None):
+    """Advance R runs on ``inst`` in lockstep by K iterations each.
+
+    ``rows`` holds one ``(state, alphas, rhos, z_max)`` per run: the
+    arguments of one ``_iterate`` call.  Returns one entry per row: None, or
+    the ``DivergenceError`` that ``_iterate`` would have raised, with the
+    row's state left exactly as ``_iterate`` leaves it; the other rows keep
+    running.  Each row ends, and is seen at every tick, equal bit for bit to
+    its own ``_iterate`` run: each keeps its own generator and block draws,
+    its steps and its dual policy.  The vector work of all rows is batched
+    through ``inst.stacked_oracles``; the per-row scalars (the multiplier,
+    the dual coordinate and its repair) stay Python floats.  ``on_tick`` is
+    called every ``cadence`` completed iterations (and at the end) with the
+    indices of the rows still running, after their states are written back.
+    """
+    lo, hi = inst.box_lo, inst.box_hi
+    for state, *_ in rows:
+        if state.x.shape != lo.shape or state.x.shape != hi.shape:
+            raise DimensionError(
+                f"point and bounds differ in shape: {state.x.shape}, {lo.shape}, {hi.shape}"
+            )
+    bounds = np.tile([inst.m, inst.N, inst.m], min(K, _DRAW_BLOCK))
+    every = cadence if cadence and on_tick is not None else K
+    errors = [None] * len(rows)
+    live = list(range(len(rows)))
+    R = done = 0
+    while done < K and live:
+        tick = min((done // every + 1) * every, K)
+        end = min(tick, done + _DRAW_BLOCK)
+        if len(live) != R:
+            R = len(live)
+            oracles = inst.stacked_oracles(R)
+        steps, failed = _grid_block([rows[r] for r in live], oracles, bounds, lo, hi, done, end)
+        for pos, exc in failed.items():
+            errors[live[pos]] = exc
+        live = [r for r in live if errors[r] is None]
+        done += steps
+        if done == tick and on_tick is not None and live:
+            on_tick(live)
+    return errors
+
+
+def _grid_block(rows, oracles, bounds, lo, hi, done, end):
+    """Iterations done+1..end of every row; returns (steps taken, failures).
+
+    The block ends early after an iteration in which a row diverges: the
+    failed rows are left as ``_iterate`` leaves them, and the others are
+    written back after that iteration, their generators rewound to where
+    its draws end.  ``failures`` maps a row's position to its DivergenceError.
+    """
+    stoch_grads, constraints, constraint_values = oracles
+    R, nb = len(rows), end - done
+    states = [row[0] for row in rows]
+    z_max = [row[3] for row in rows]
+    rng_before = [s.rng.bit_generator.state for s in states]
+    # (nb, 3, R): the index triple of every row, iteration by iteration
+    draws = np.stack([s.rng.integers(bounds[: 3 * nb]) for s in states])
+    draws = np.ascontiguousarray(draws.reshape(R, nb, 3).transpose(1, 2, 0))
+    alphas = np.stack([row[1][done:end] for row in rows], axis=1)  # (nb, R)
+    rhos = np.stack([row[2][done:end] for row in rows], axis=1)
+
+    X = np.stack([s.x for s in states])
+    Xn = np.empty_like(X)
+    flat, flat_n = X.reshape(-1), Xn.reshape(-1)
+    sum_plain = np.stack([s.sum_plain for s in states])
+    sum_weighted = np.stack([s.sum_weighted for s in states])
+    tmp = np.empty_like(X)
+    zs = [s.z.tolist() for s in states]
+    weights = [s.weight_sum for s in states]
+    mirror = [zm is not None for zm in z_max]
+    # the dual update of pdsg reads the new iterate, mirror-prox's the old one
+    at_new = None if all(mirror) or not any(mirror) else np.array(mirror)[:, None] == 0
+
+    failed = {}
+    for t, ((I, xis, J), a_col, r_ks) in enumerate(zip(draws, alphas[:, :, None], rhos)):
+        # Python ints and floats for the per-row scalars, made per iteration
+        # so that a block holds no lists of them
+        i_list, j_list, a_row, r_row = I.tolist(), J.tolist(), alphas[t].tolist(), r_ks.tolist()
+        G = stoch_grads(xis, X)
+        fvals, grads = constraints(I, X)
+        mults = [r_k * f + z[i] for r_k, f, z, i in zip(r_row, fvals, zs, i_list)]
+        active = [mult > 0.0 if mp else not mult <= 0.0 for mult, mp in zip(mults, mirror)]
+        if True in active:
+            m_col = np.array(mults)[:, None]
+            if False in active:
+                where = np.array(active)[:, None]
+                np.multiply(grads, m_col, out=tmp, where=where)
+                np.add(G, tmp, out=G, where=where)
+            else:
+                np.multiply(grads, m_col, out=tmp)
+                G += tmp
+        np.multiply(G, a_col, out=G)
+        np.subtract(X, G, out=Xn)
+        np.maximum(Xn, lo, out=Xn)
+        np.minimum(Xn, hi, out=Xn)
+        # a finite sum of squares means every entry is finite; an overflow
+        # falls through to the entrywise test
+        x_bad = None
+        if not math.isfinite(flat_n @ flat_n):
+            x_bad = (~np.isfinite(Xn).all(axis=1)).tolist()
+
+        Y = X if mirror[0] else Xn
+        if at_new is not None:
+            Y = np.where(at_new, Xn, X)
+        fjs = constraint_values(J, Y)
+        bad = []
+        for pos, (z, j, r_k, fj, zm) in enumerate(zip(zs, j_list, r_row, fjs, z_max)):
+            zj = z[j]
+            if zm is not None:
+                zj_new = min(max(zj + r_k * max(-zj / r_k, fj), 0.0), zm)
+                diverged = False
+            else:
+                zj_new = zj + r_k * max(-zj / r_k, fj)
+                if zj_new < 0.0:
+                    zj_new = 0.0  # last-ulp repair, as in pdsg_step
+                diverged = not math.isfinite(zj_new) or abs(zj_new) > _Z_BLOWUP
+            if diverged or (x_bad is not None and x_bad[pos]):
+                bad.append(pos)
+            else:
+                z[j] = zj_new
+        for pos in bad:
+            state = states[pos]
+            _grid_write_back(state, X[pos], sum_plain[pos], sum_weighted[pos], zs[pos],
+                             weights[pos], t, t + 1)
+            _rewind(state.rng, rng_before[pos], bounds, t + 1)
+            failed[pos] = DivergenceError(
+                f"divergence at iteration {state.k}", iteration=state.k, state=state
+            )
+
+        sum_plain += Xn
+        np.multiply(Xn, a_col, out=tmp)
+        sum_weighted += tmp
+        weights = [w + a_k for w, a_k in zip(weights, a_row)]
+        X, Xn, flat, flat_n = Xn, X, flat_n, flat
+        if bad:
+            break
+    steps = t + 1
+    for pos, state in enumerate(states):
+        if pos not in failed:
+            _grid_write_back(state, X[pos], sum_plain[pos], sum_weighted[pos], zs[pos],
+                             weights[pos], steps, steps)
+            if steps < nb:
+                _rewind(state.rng, rng_before[pos], bounds, steps)
+    return steps, failed
+
+
+def _grid_write_back(state, x, sum_plain, sum_weighted, z, weight_sum, steps, queries):
+    """Copy one grid row into ``state``: the arrays in place, except x."""
+    state.sum_plain[:] = sum_plain
+    state.sum_weighted[:] = sum_weighted
+    state.z[:] = z
+    _advance(state, x.copy(), weight_sum, steps, queries)
 
 
 def run(inst, sched: ParamSchedule, K, seed, recorder=None, cadence=None):

@@ -1,0 +1,344 @@
+"""The seed-batched grid kernel and its stacked oracles, bit for bit.
+
+``solver._iterate_grid`` advances R runs in lockstep through the instance's
+stacked oracles.  Each stacked oracle must equal its per-row oracle bit for
+bit, and each grid row must equal its own ``_iterate`` run in every field of
+the state, the generator included, at every tick, at the end and at a
+divergence.  ``bench.run_experiment`` runs an experiment's loop runs through
+the grid and measures each tick of all of them with one ``measure`` call;
+its rows match the one-run path within the tolerance contract.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_forms as rf
+from pdsg import bench, solver
+from pdsg.baselines import MirrorProxConfig
+from pdsg.errors import DivergenceError
+from pdsg.problems import (
+    ProblemInstance,
+    load_instance,
+    random_qcqp,
+    random_scenario_lp,
+    save_instance,
+)
+from pdsg.solver import SCHEDULE_KINDS, _iterate, _iterate_grid, init_state
+from test_loop_equivalence import PROPERTY, _Blowup, make_schedule, qcqps, run_plans, snapshot
+
+# -- stacked oracles ------------------------------------------------------------
+
+
+def _stack_inputs(inst, R, seed):
+    """R points (box corners and uniform points) and three index arrays; with
+    small m or N the indices repeat."""
+    rng = np.random.default_rng(seed)
+    corners = np.where(rng.random((R, inst.n)) < 0.5, inst.box_lo, inst.box_hi)
+    uniform = rng.uniform(inst.box_lo, inst.box_hi, size=(R, inst.n))
+    X = np.where(rng.random((R, 1)) < 0.3, corners, uniform)
+    return X, rng.integers(inst.N, size=R), rng.integers(inst.m, size=R), rng.integers(
+        inst.m, size=R
+    )
+
+
+def assert_stacked_equal_per_row(inst, X, xis, I, J):
+    """Every stacked oracle row against the per-row oracle at a fresh copy of its point."""
+    stoch_grads, constraints, constraint_values = inst.stacked_oracles(len(X))
+    rows = [x.copy() for x in X]
+    want = np.stack([inst.stoch_objective_grad(i, x) for i, x in zip(xis.tolist(), rows)])
+    assert stoch_grads(xis, X).tobytes() == want.tobytes()
+
+    vals, grads = constraints(I, X)
+    want = [inst.constraint(i, x) for i, x in zip(I.tolist(), rows)]
+    assert list(vals) == [v for v, _ in want]
+
+    want_grads = np.stack([g for _, g in want]).tobytes()
+    assert grads.tobytes() == want_grads
+
+    want = [inst.constraint_value(j, x) for j, x in zip(J.tolist(), rows)]
+    assert list(constraint_values(J, X)) == want
+    assert grads.tobytes() == want_grads  # the value call left the subgradients intact
+
+
+@settings(max_examples=80, deadline=None)
+@given(qcqps(), st.integers(1, 12), st.integers(0, 2**32))
+def test_stacked_oracles_equal_per_row_on_generated(inst, R, seed):
+    assert_stacked_equal_per_row(inst, *_stack_inputs(inst, R, seed))
+
+
+@pytest.mark.parametrize("N", [1, 2, 7])
+@pytest.mark.parametrize("R", [1, 5, 12])
+def test_stacked_oracles_equal_per_row_on_scenario_lp(N, R):
+    inst = random_scenario_lp(5, 8, N, seed=N)
+    assert_stacked_equal_per_row(inst, *_stack_inputs(inst, R, R))
+
+
+@pytest.mark.parametrize("R", range(1, 13))
+def test_stacked_oracles_equal_per_row_on_loaded(tmp_path, R):
+    inst = random_qcqp(9, 6, 40, 12, seed=4)
+    path = tmp_path / "inst.bin"
+    save_instance(inst, path)
+    loaded = load_instance(path)
+    assert_stacked_equal_per_row(loaded, *_stack_inputs(loaded, R, R))
+
+
+def test_stacked_oracles_with_one_repeated_index():
+    inst = random_qcqp(7, 5, 9, 11, seed=3)
+    X, _, _, _ = _stack_inputs(inst, 12, 0)
+    same = np.full(12, 4)
+    assert_stacked_equal_per_row(inst, X, same, same, same)
+
+
+class _Wavy(ProblemInstance):
+    """Test-only instance with non-quadratic oracles: sampled objective
+    gradients sin(x + i), constraint values cos(w_j'x) - 1/2 and subgradients
+    -sin(w_j'x) w_j.  Values are numpy scalars, as a subclass may return."""
+
+    def __init__(self, n=3, m=5, N=4):
+        super().__init__(n, m, -np.ones(n), np.ones(n), N=N)
+        self.w = np.arange(1.0, m * n + 1.0).reshape(m, n) / (m * n)
+
+    def stoch_objective_grad(self, i, x):
+        return np.sin(x + i)
+
+    def constraint(self, j, x):
+        t = self.w[j] @ x
+        return np.cos(t) - 0.5, -np.sin(t) * self.w[j]
+
+
+@pytest.mark.parametrize("R", [1, 4, 12])
+def test_generic_stacked_oracles_make_the_per_row_calls(R):
+    inst = _Wavy()
+    assert_stacked_equal_per_row(inst, *_stack_inputs(inst, R, R))
+
+
+# -- the grid kernel against independent runs --------------------------------------
+
+
+@st.composite
+def row_specs(draw):
+    """(policy, alpha, rho, z_max, seed): a pdsg schedule kind or mirror-prox."""
+    policy = draw(st.sampled_from(SCHEDULE_KINDS + ("mirror_prox",)))
+    alpha, rho = draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 1.0))
+    z_max = draw(st.floats(0.01, 10.0)) if policy == "mirror_prox" else None
+    return policy, alpha, rho, z_max, draw(st.integers(0, 2**32))
+
+
+def _rows(inst, K, specs):
+    """Fresh ``(state, alphas, rhos, z_max)`` rows, as ``run`` and
+    ``mirror_prox_run`` build them."""
+    rows = []
+    for policy, alpha, rho, z_max, seed in specs:
+        if z_max is None:
+            alphas, rhos, _ = make_schedule(policy, alpha, rho, K).sequences(max(K, 1))
+        else:
+            a_k, r_k, _ = MirrorProxConfig(z_max=z_max, alpha=alpha, rho=rho).steps(max(K, 1))
+            alphas, rhos = np.full(K, a_k), np.full(K, r_k)
+        rows.append((init_state(inst, seed), alphas, rhos, z_max))
+    return rows
+
+
+def _ending(state, exc=None):
+    """How a run ended: its iteration at a divergence, every field of its
+    state and the generator's next draw."""
+    head = ("diverged", exc.iteration) if exc is not None else ("done",)
+    return (*head, snapshot(state), state.rng.integers(2**40))
+
+
+def compare_grid(inst, K, specs, cadence, block=solver._DRAW_BLOCK):
+    """Run the rows through the grid and one at a time; return the endings."""
+    rows = _rows(inst, K, specs)
+    grid_ticks = [[] for _ in rows]
+
+    def on_tick(live):
+        for r in live:
+            grid_ticks[r].append(snapshot(rows[r][0]))
+
+    with mock.patch.object(solver, "_DRAW_BLOCK", block):
+        errors = _iterate_grid(rows, inst, K, on_tick=on_tick, cadence=cadence)
+        got = [_ending(row[0], exc) for row, exc in zip(rows, errors)]
+        for r, (state, alphas, rhos, z_max) in enumerate(_rows(inst, K, specs)):
+            ticks = []
+            try:
+                _iterate(state, inst, alphas, rhos, K, lambda s: ticks.append(snapshot(s)),
+                         cadence, z_max=z_max)
+                want = _ending(state)
+            except DivergenceError as exc:
+                assert exc.state is state
+                want = _ending(state, exc)
+            assert got[r] == want, f"row {r} ({specs[r][0]}) ends differently"
+            assert grid_ticks[r] == ticks, f"row {r} ({specs[r][0]}) ticks differently"
+    for exc, (state, *_) in zip(errors, rows):
+        assert exc is None or exc.state is state
+    return got
+
+
+@PROPERTY
+@given(qcqps(), st.lists(row_specs(), min_size=1, max_size=6), run_plans())
+def test_grid_equals_independent_runs(inst, specs, plan):
+    K, cadence, block = plan
+    if any(policy in ("fixed_horizon", "strongly_convex") for policy, *_ in specs):
+        K = max(K, 1)  # these schedules need a horizon
+    compare_grid(inst, K, specs, cadence, block)
+
+
+@PROPERTY
+@given(
+    st.integers(2, 60), st.integers(2, 60), st.floats(0.2, 1.0),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 2**32)), min_size=1, max_size=5),
+    run_plans(min_K=1),
+)
+def test_grid_divergence_equals_independent_runs(N, m, step, kinds, plan):
+    inst = _Blowup(N, m)
+    K, cadence, block = plan
+    K *= 5  # long enough that most rows draw sample 0 or constraint 0
+    scale = step * np.sqrt(K)
+    specs = [("fixed_horizon", scale, scale, None, seed) if pdsg
+             else ("mirror_prox", step, step, 5.0, seed) for pdsg, seed in kinds]
+    compare_grid(inst, K, specs, cadence, block)
+
+
+def test_grid_row_diverges_mid_block_while_the_others_finish():
+    # sample 0 (a NaN gradient) is practically never drawn; constraint 0
+    # (value 1e13) blows up the dual of the pdsg rows with rho_k > 0.1 only
+    inst = _Blowup(2**40, 40)
+    K = 400
+    big, small = 0.5 * np.sqrt(K), 0.01 * np.sqrt(K)
+    specs = [
+        ("fixed_horizon", big, big, None, 0),
+        ("fixed_horizon", small, small, None, 1),
+        ("mirror_prox", big, big, 5.0, 2),
+        ("fixed_horizon", big, big, None, 3),
+        ("mirror_prox", 0.5, 0.5, 5.0, 4),
+    ]
+    got = compare_grid(inst, K, specs, cadence=7)
+    assert [g[0] for g in got] == ["diverged", "done", "done", "diverged", "done"]
+    assert got[0][1] != got[3][1]
+    for ending in (got[0], got[3]):
+        assert ending[1] % 7 not in (0, 1)  # neither end of a block
+
+
+class _NanConstraint(ProblemInstance):
+    """Constraint 0 has a NaN value.  A NaN multiplier takes pdsg's penalty
+    branch, which makes x NaN, and skips mirror-prox's, which runs on."""
+
+    def __init__(self, m):
+        super().__init__(2, m, [-1.0, -1.0], [1.0, 1.0], N=3)
+
+    def stoch_objective_grad(self, i, x):
+        return x - i
+
+    def constraint(self, j, x):
+        return (np.nan if j == 0 else float(x.sum()) - 1.0), np.array([1.0, 1.0])
+
+
+def test_grid_nan_multiplier_follows_each_policy():
+    specs = [("fixed_horizon", 0.3, 0.3, None, seed) for seed in range(3)] + [
+        ("mirror_prox", 0.3, 0.3, 1.0, seed) for seed in range(3)
+    ]
+    got = compare_grid(_NanConstraint(9), 120, specs, cadence=11)
+    assert [g[0] for g in got] == ["diverged"] * 3 + ["done"] * 3
+
+
+# -- experiments ------------------------------------------------------------------
+
+
+def _cfg(**kw):
+    base = dict(family="qcqp", n=6, p=4, N=30, m=25, instance_seed=2,
+                methods=("pdsg", "mirror_prox", "reference"), alpha=0.5, rho=0.5,
+                force=True, epochs=3, cadence=1.0, seeds=(0, 1, 2))
+    base.update(kw)
+    return bench.ExperimentConfig(**base)
+
+
+def _one_run_records(cfg, inst, ref):
+    """The experiment's records, each from its own ``run_one``."""
+    K = cfg.epochs * inst.m
+    sched = bench.build_schedule(cfg, K, bench.problems.certify_constants(inst))
+    cadence_steps = max(1, int(round(cfg.cadence * inst.m)))
+    return [
+        bench.run_one(method, inst, cfg, K, seed, ref, cadence_steps, sched=sched)
+        for method in cfg.methods
+        for seed in cfg.seeds
+    ]
+
+
+def _box_scales(inst):
+    """Contract scales of the objective and of the constraint values that
+    bound those of every point of the box."""
+    corner = np.maximum(np.abs(inst.box_lo), np.abs(inst.box_hi))
+    return rf.objective_scale(inst, corner), float(rf.constraint_values_scale(inst, corner).max())
+
+
+def assert_records_match(got, want, inst):
+    """Same records, rows and z_norm bytes; obj_err and infeas within the contract."""
+    f0_scale, fval_scale = _box_scales(inst)
+
+    def meta(records):
+        return [{k: v for k, v in r.meta.items() if k != "wall_clock"} for r in records]
+
+    assert meta(got) == meta(want)
+    for g, w in zip(got, want):
+        assert [(r.k, r.epoch, r.point) for r in g.rows] == [(r.k, r.epoch, r.point)
+                                                             for r in w.rows]
+        for a, b in zip(g.rows, w.rows):
+            assert np.float64(a.z_norm).tobytes() == np.float64(b.z_norm).tobytes()
+            if a.point != "DIVERGED":
+                rf.assert_within_contract(a.obj_err, b.obj_err, f0_scale)
+                rf.assert_within_contract(a.infeas, b.infeas, fval_scale)
+    got_csv, want_csv = bench.csv_text(got).splitlines(), bench.csv_text(want).splitlines()
+    assert [line.rsplit(",", 3)[::3] for line in got_csv] == [
+        line.rsplit(",", 3)[::3] for line in want_csv
+    ]  # every field but obj_err and infeas, z_norm included, byte for byte
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    dict(schedule="anytime", cadence=0.3, seeds=(4, 1, 1)),
+    dict(methods=("mirror_prox",), seeds=(0, 1, 2, 3)),
+    dict(alpha=1e12, rho=1e12),  # every pdsg run diverges
+])
+def test_experiment_grid_matches_one_run_loops(kw):
+    cfg = _cfg(**kw)
+    inst = bench.build_instance(cfg)
+    with mock.patch.object(solver, "_iterate_grid", wraps=solver._iterate_grid) as grid:
+        records, ref, _ = bench.run_experiment(cfg, inst=inst)
+    assert grid.call_count == 1
+    want = _one_run_records(cfg, inst, ref)
+    assert_records_match(records, want, inst)
+    if cfg.alpha > 1e6:
+        assert all(r.meta.get("diverged") for r in records if r.meta["method"] == "pdsg")
+
+
+def test_experiment_measures_each_grid_tick_once():
+    cfg = _cfg(cadence=0.4, epochs=2)  # cadence 10 of K = 50: ticks at 10, ..., 50
+    inst = bench.build_instance(cfg)
+    measured = []
+    measure = inst.measure
+
+    def counted(X):
+        measured.append(len(X))
+        return measure(X)
+
+    inst.measure = counted
+    records, _, _ = bench.run_experiment(cfg, inst=inst)
+    loops = 2 * len(cfg.seeds)
+    assert measured == [3 * loops] * 5
+    assert all(len(r.rows) == 15 for r in records if r.meta["method"] != "reference")
+
+
+@pytest.mark.parametrize("methods, seeds", [
+    (("pdsg",), (0,)),  # `pdsg solve` with its default single seed
+    (("pdsg", "reference"), (0,)),
+    (("pdsg", "reference"), tuple(range(bench.GRID_MIN_RUNS - 1))),
+])
+def test_experiment_below_the_crossover_runs_one_loop_at_a_time(methods, seeds):
+    cfg = _cfg(methods=methods, seeds=seeds)
+    inst = bench.build_instance(cfg)
+    with mock.patch.object(solver, "_iterate_grid", side_effect=AssertionError("grid used")):
+        records, ref, _ = bench.run_experiment(cfg, inst=inst)
+    assert bench.csv_text(records) == bench.csv_text(_one_run_records(cfg, inst, ref))

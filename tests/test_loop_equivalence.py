@@ -221,6 +221,14 @@ def test_sequences_equal_steps(kind, alpha, rho, K):
         assert (alphas[k - 1], rhos[k - 1], betas[k - 1]) == sched.steps(k)
 
 
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_steps_equal_sequences_over_a_long_horizon(kind):
+    K = 10**5  # math.log and numpy's log differ in the last ulp on a few of these
+    sched = make_schedule(kind, 0.37, 0.91, K)
+    alphas, rhos, betas = (seq.tolist() for seq in sched.sequences(K))
+    assert [sched.steps(k) for k in range(1, K + 1)] == list(zip(alphas, rhos, betas))
+
+
 def assert_ergodic_means(state, start, iterates, alphas):
     """Both ergodic means of ``state`` against sums of the post-update iterates.
 
