@@ -45,7 +45,7 @@ class MirrorProxConfig:
     rho: float = 1.0
 
     def __post_init__(self):
-        if self.z_max <= 0 or self.alpha <= 0 or self.rho <= 0:
+        if not (self.z_max > 0 and self.alpha > 0 and self.rho > 0):  # NaN fails too
             raise ValueError("z_max, alpha and rho must be positive")
 
     def steps(self, K):
@@ -113,7 +113,10 @@ def mirror_prox_run(inst, cfg: MirrorProxConfig, K, seed, recorder=None, cadence
     Equal bit for bit to K calls of ``mirror_prox_step`` with ``cfg.steps(K)``.
     """
     state = init_state(inst, seed)
-    _iterate(state, inst, *cfg.sequences(K), K, recorder, cadence, z_max=cfg.z_max)
+    on_tick = None if recorder is None else lambda live: recorder(state)
+    (exc,) = _iterate([(state, *cfg.sequences(K), cfg.z_max)], inst, K, on_tick, cadence)
+    if exc is not None:
+        raise exc
     record = recorder.record if recorder is not None else metrics.RunRecord(meta={"seed": seed})
     return state, record
 

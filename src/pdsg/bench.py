@@ -26,9 +26,6 @@ METHODS = ("pdsg", "mirror_prox", "reference")
 # numerics change, so a cached f0* and a fresh one never meet in one CSV
 # (2: objective from cached quadratic statistics)
 REF_FORMAT = 2
-# fewest pdsg and mirror-prox runs of an experiment that run through the grid
-# kernel; below it the one-run loop is faster (sweep in notes/decisions.md)
-GRID_MIN_RUNS = 3
 
 
 @dataclass(frozen=True)
@@ -63,6 +60,10 @@ class ExperimentConfig:
             raise ConfigError("epochs must be >= 1")
         if not self.seeds:
             raise ConfigError("at least one run seed is required")
+        for name in ("cadence", "ref_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ConfigError(f"unknown methods {bad}; choose from {METHODS}")
@@ -152,11 +153,6 @@ def _solve_reference_method(inst, K, tol):
         return exc
 
 
-def _mirror_prox_config(cfg: ExperimentConfig, ref) -> baselines.MirrorProxConfig:
-    zmax = cfg.mp_zmax if cfg.mp_zmax is not None else baselines.zmax_from_reference(ref.z)
-    return baselines.MirrorProxConfig(z_max=zmax)
-
-
 def _recorder(method, inst, cfg: ExperimentConfig, seed, ref, mp=None) -> metrics.Recorder:
     """The run's Recorder, its meta naming the method, schedule and instance."""
     if method == "pdsg":
@@ -190,58 +186,16 @@ def _log_divergence(record, exc: DivergenceError, m) -> None:
     record.meta["diverged"] = True
 
 
-def run_one(method, inst, cfg: ExperimentConfig, K, seed, ref, cadence_steps,
-            sched=None, reference_solve=None):
-    """One (method, seed) run; divergence yields a partial record, not a raise.
+def _run_loops(runs, inst, cfg: ExperimentConfig, K, ref, sched, cadence_steps):
+    """The (method, seed) pdsg and mirror-prox runs, through one ``solver._iterate``.
 
-    ``sched`` (for pdsg) and ``reference_solve`` (for the reference method,
-    the output of ``_solve_reference_method``) are shared by all seeds of an
-    experiment; when not given they are computed for this run.
+    Returns their records in the order of ``runs``.  Each tick of all
+    running runs is measured by one ``metrics.record_ticks`` call, and a
+    run that diverges ends its record with a partial ``DIVERGED`` row.  A
+    record's ``wall_clock`` is the loop's, as its runs share every iteration.
     """
-    mp = _mirror_prox_config(cfg, ref) if method == "mirror_prox" else None
-    recorder = _recorder(method, inst, cfg, seed, ref, mp)
-    try:
-        if method == "pdsg":
-            if sched is None:
-                sched = build_schedule(cfg, K, problems.certify_constants(inst))
-            solver.run(inst, sched, K, seed, recorder=recorder, cadence=cadence_steps)
-        elif method == "mirror_prox":
-            baselines.mirror_prox_run(
-                inst, mp, K, seed, recorder=recorder, cadence=cadence_steps
-            )
-        elif method == "reference":
-            out = reference_solve
-            if out is None:
-                out = _solve_reference_method(inst, K, cfg.ref_tol)
-            if isinstance(out, DivergenceError):
-                raise out
-            recorder.record.rows.append(
-                metrics.RunRow(
-                    k=out.iterations,
-                    epoch=out.iterations / inst.m,
-                    point="last",
-                    obj_err=metrics.objective_error(inst, out.x, ref.f0),
-                    infeas=metrics.infeasibility(inst, out.x),
-                    z_norm=float(np.linalg.norm(out.z)),
-                )
-            )
-        else:
-            raise ConfigError(f"unknown method {method!r}")
-    except DivergenceError as exc:
-        _log_divergence(recorder.record, exc, inst.m)
-    return recorder.record
-
-
-def _run_grid(runs, inst, cfg: ExperimentConfig, K, ref, sched, cadence_steps):
-    """The (method, seed) loop runs in lockstep through ``solver._iterate_grid``.
-
-    Each run gets the record ``run_one`` gives it: the same trajectory bit
-    for bit and the same rows, with each tick of all running rows measured
-    by one ``inst.measure`` call.  Returns the records in the order of
-    ``runs``.  A record's ``wall_clock`` is the grid's, as its runs share
-    every iteration.
-    """
-    mp = _mirror_prox_config(cfg, ref)
+    zmax = cfg.mp_zmax if cfg.mp_zmax is not None else baselines.zmax_from_reference(ref.z)
+    mp = baselines.MirrorProxConfig(z_max=zmax)
     steps = {"mirror_prox": (*mp.sequences(K), mp.z_max)}
     if sched is not None:
         alphas, rhos, _ = sched.sequences(max(K, 1))
@@ -253,11 +207,46 @@ def _run_grid(runs, inst, cfg: ExperimentConfig, K, ref, sched, cadence_steps):
     def on_tick(live):
         metrics.record_ticks([recorders[r] for r in live], [states[r] for r in live])
 
-    errors = solver._iterate_grid(rows, inst, K, on_tick=on_tick, cadence=cadence_steps)
+    errors = solver._iterate(rows, inst, K, on_tick=on_tick, cadence=cadence_steps)
     for recorder, exc in zip(recorders, errors):
         if exc is not None:
             _log_divergence(recorder.record, exc, inst.m)
     return [recorder.record for recorder in recorders]
+
+
+def run_one(method, inst, cfg: ExperimentConfig, K, seed, ref, cadence_steps,
+            reference_solve=None):
+    """One (method, seed) run; divergence yields a partial record, not a raise.
+
+    ``reference_solve`` (the reference method's output of
+    ``_solve_reference_method``) is shared by all seeds of an experiment;
+    when not given it is computed for this run.
+    """
+    if method in ("pdsg", "mirror_prox"):
+        sched = None
+        if method == "pdsg":
+            sched = build_schedule(cfg, K, problems.certify_constants(inst))
+        return _run_loops([(method, seed)], inst, cfg, K, ref, sched, cadence_steps)[0]
+    if method != "reference":
+        raise ConfigError(f"unknown method {method!r}")
+    recorder = _recorder(method, inst, cfg, seed, ref)
+    out = reference_solve
+    if out is None:
+        out = _solve_reference_method(inst, K, cfg.ref_tol)
+    if isinstance(out, DivergenceError):
+        _log_divergence(recorder.record, out, inst.m)
+    else:
+        recorder.record.rows.append(
+            metrics.RunRow(
+                k=out.iterations,
+                epoch=out.iterations / inst.m,
+                point="last",
+                obj_err=metrics.objective_error(inst, out.x, ref.f0),
+                infeas=metrics.infeasibility(inst, out.x),
+                z_norm=float(np.linalg.norm(out.z)),
+            )
+        )
+    return recorder.record
 
 
 def run_experiment(cfg: ExperimentConfig, inst=None):
@@ -266,9 +255,8 @@ def run_experiment(cfg: ExperimentConfig, inst=None):
     What the runs share is computed here once: the pdsg schedule, validated
     against the instance's certified constants before anything runs (an
     invalid schedule raises ConfigError unless ``cfg.force`` is set), the
-    reference solution, and the reference method's solve.  With at least
-    ``GRID_MIN_RUNS`` pdsg and mirror-prox runs, those run in lockstep
-    through one grid kernel; fewer run one at a time.
+    reference solution, and the reference method's solve.  The pdsg and
+    mirror-prox runs go through one run loop together.
     """
     if inst is None:
         inst = build_instance(cfg)
@@ -291,16 +279,13 @@ def run_experiment(cfg: ExperimentConfig, inst=None):
         reference_solve = _solve_reference_method(inst, K, cfg.ref_tol)
 
     cadence_steps = max(1, int(round(cfg.cadence * inst.m)))
-    loops = [(m, seed) for m in cfg.methods if m != "reference" for seed in cfg.seeds]
-    grid = None
-    if len(loops) >= GRID_MIN_RUNS:
-        grid = iter(_run_grid(loops, inst, cfg, K, ref, sched, cadence_steps))
+    runs = [(method, seed) for method in cfg.methods for seed in cfg.seeds]
+    loops = iter(_run_loops([run for run in runs if run[0] != "reference"],
+                            inst, cfg, K, ref, sched, cadence_steps))
     records = [
-        next(grid) if grid is not None and method != "reference" else
         run_one(method, inst, cfg, K, seed, ref, cadence_steps,
-                sched=sched, reference_solve=reference_solve)
-        for method in cfg.methods
-        for seed in cfg.seeds
+                reference_solve=reference_solve) if method == "reference" else next(loops)
+        for method, seed in runs
     ]
     return records, ref, report
 

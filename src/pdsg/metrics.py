@@ -102,8 +102,8 @@ class Recorder:
     The epoch is cross-checked against the run's oracle counters: each
     iteration costs two constraint-function queries, so the counter-based
     epoch must equal k/m exactly; ``AccountingError`` is raised otherwise.
-    A tick measures its three points with one ``inst.measure`` call;
-    ``record_ticks`` measures the ticks of several runs with one call.
+    A tick measures its three points with one ``inst.measure`` call, through
+    ``record_ticks``, which measures the ticks of several runs with one call.
     """
 
     def __init__(self, inst, f0_ref, meta=None):
@@ -113,7 +113,7 @@ class Recorder:
         self._t0 = time.perf_counter()
 
     def __call__(self, state):
-        self.log(state, *self.inst.measure(self.points(state)))
+        record_ticks([self], [state])
 
     def points(self, state):
         """The tick's three points, stacked (3, n), after the accounting check."""

@@ -7,11 +7,10 @@ from the new iterate's constraint value.  Three step-size schedules are
 built in; each uses the dual step as the penalty (``beta_k = rho_k``), which
 keeps the dual iterate nonnegative.
 
-``pdsg_step`` is the one-step reference form.  ``run`` goes through
-``_iterate``, a fused loop shared with the mirror-prox baseline that draws
-the sample indices in blocks and is bit-for-bit equal to repeated steps.
-``_iterate_grid`` advances several such runs in lockstep through the
-instance's stacked oracles, each run bit-for-bit equal to its own loop.
+``pdsg_step`` is the one-step reference form.  Every run, pdsg or
+mirror-prox, goes through ``_iterate``, which advances one or several runs,
+draws the sample indices in blocks and is bit-for-bit equal to repeated
+steps; from ``GRID_MIN_RUNS`` live runs it batches their stacked oracles.
 
 A run is single-threaded and deterministic given its seed.  Runs over the
 same instance may execute concurrently; nothing here mutates the instance.
@@ -62,12 +61,12 @@ class ParamSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        if self.alpha <= 0 or self.rho <= 0:
+        if not (self.alpha > 0 and self.rho > 0):  # NaN fails too
             raise ConfigError("alpha and rho must be positive")
         if self.kind in ("fixed_horizon", "strongly_convex"):
             if self.K is None or self.K < 1:
                 raise ConfigError(f"{self.kind} requires a positive horizon K")
-        if self.kind == "strongly_convex" and self.mu <= 0:
+        if self.kind == "strongly_convex" and not self.mu > 0:
             raise ConfigError("strongly_convex requires mu > 0")
 
     def alpha_at(self, k):
@@ -132,9 +131,16 @@ def strongly_convex(alpha, rho, K, mu) -> ParamSchedule:
     return ParamSchedule("strongly_convex", alpha, rho, K=K, mu=mu)
 
 
+def _product_limit(m, G, kind) -> float:
+    """m/(c G^2), the bound on alpha*rho in the kind's product condition."""
+    if not G > 0:
+        raise ConfigError(f"G must be positive, got {G}")
+    return m / (product_coef(kind) * G * G)
+
+
 def max_equal_steps(m, G, kind="fixed_horizon", safety=0.999) -> float:
     """Largest alpha = rho passing the kind's product condition, times safety."""
-    return safety * math.sqrt(m / (product_coef(kind) * G * G))
+    return safety * math.sqrt(_product_limit(m, G, kind))
 
 
 # -- schedule validation -------------------------------------------------------
@@ -177,7 +183,7 @@ def validate_schedule(sched: ParamSchedule, m, G, K, mu=None) -> ScheduleReport:
     product condition ``alpha*rho < m/(32 G^2)`` (``m/(68 G^2)`` for anytime)
     and ``alpha >= 1/mu`` for the strongly convex kind.  The penalty is the
     dual step, so ``beta_k >= rho_k`` holds by construction and is not
-    checked.  Report-only; nothing raises.
+    checked.  Report-only: only a G that is not positive raises.
     """
     if mu is None:
         mu = sched.mu
@@ -198,7 +204,7 @@ def validate_schedule(sched: ParamSchedule, m, G, K, mu=None) -> ScheduleReport:
         checks.append(ScheduleCheck("step_ratio_monotone", True))
 
     denom = product_coef(sched.kind)
-    limit = m / (denom * G * G)
+    limit = _product_limit(m, G, sched.kind)
     prod_ok = sched.alpha * sched.rho < limit
     checks.append(
         ScheduleCheck(
@@ -327,6 +333,9 @@ def pdsg_step(state: SolverState, inst, alpha_k, rho_k, beta_k) -> SolverState:
 
 # index triples drawn per rng call; a block also ends at every recording tick
 _DRAW_BLOCK = 4096
+# live rows from which a block runs on the stacked kernel; below it the
+# per-row kernel is faster (sweep in notes/decisions.md)
+GRID_MIN_RUNS = 3
 
 
 def _advance(state, x, weight_sum, steps, queries):
@@ -346,39 +355,69 @@ def _rewind(rng, before, bounds, iterations):
     rng.integers(bounds[: 3 * iterations])
 
 
-def _iterate(state, inst, alphas, rhos, K, recorder=None, cadence=None, z_max=None):
-    """Advance ``state`` by K iterations with steps ``alphas[k-1]``, ``rhos[k-1]``.
+def _iterate(rows, inst, K, on_tick=None, cadence=None):
+    """Advance R runs on ``inst`` by K iterations each: the one run loop.
 
-    ``rhos[k-1]`` is both the dual step and the penalty of iteration k.
-
-    With ``z_max`` None this equals K calls of ``pdsg_step``; with a dual box
-    level it equals K calls of ``baselines.mirror_prox_step`` (dual update at
-    the old iterate, clipped to [0, z_max], own divergence test).  Equal bit
-    for bit in every field of the state, the generator included: the index
-    triples (i_k, xi_k, j_k) come from one ``rng.integers`` call per block
-    over the tiled bounds, which draws the same numbers as the scalar calls.
-    Blocks end at every recording tick, where the state is written back
-    before the recorder sees it.  ``recorder`` and ``cadence`` act as in
-    ``run``.
+    ``rows`` holds one ``(state, alphas, rhos, z_max)`` per run; ``rhos[k-1]``
+    is both the dual step and the penalty of iteration k.  With ``z_max``
+    None a row equals K calls of ``pdsg_step``; with a dual box level, K calls
+    of ``baselines.mirror_prox_step`` (dual update at the old iterate, clipped
+    to [0, z_max], own divergence test).  Equal bit for bit in every field of
+    the state, the generator included: a row draws the index triples of a
+    block with one ``rng.integers`` call over the tiled bounds, which draws
+    what the scalar calls draw.  Returns one entry per row: None, or the
+    ``DivergenceError`` its steps would have raised, with its state left as
+    they leave it; the other rows keep running.  ``on_tick`` is called every
+    ``cadence`` iterations (and at the end) with the indices of the live
+    rows, after their states are written back.  Whenever the number of live
+    rows changes the kernel is chosen again: ``_stacked_block`` from
+    ``GRID_MIN_RUNS`` live rows, ``_row_block`` below.
     """
-    x, z, rng = state.x, state.z, state.rng
     lo, hi = inst.box_lo, inst.box_hi
-    if x.shape != lo.shape or x.shape != hi.shape:
-        raise DimensionError(
-            f"point and bounds differ in shape: {x.shape}, {lo.shape}, {hi.shape}"
-        )
-    stoch_grad, constraint, constraint_value = (
-        inst.stoch_objective_grad, inst.constraint, inst.constraint_value
-    )
-    sum_plain, sum_weighted, weight_sum = state.sum_plain, state.sum_weighted, state.weight_sum
-    mirror = z_max is not None
+    for state, *_ in rows:
+        if state.x.shape != lo.shape or state.x.shape != hi.shape:
+            raise DimensionError(
+                f"point and bounds differ in shape: {state.x.shape}, {lo.shape}, {hi.shape}"
+            )
     bounds = np.tile([inst.m, inst.N, inst.m], min(K, _DRAW_BLOCK))
-    every = cadence if cadence and recorder is not None else K
-
-    done = 0
-    while done < K:
+    every = cadence if cadence and on_tick is not None else K
+    errors = [None] * len(rows)
+    live = list(range(len(rows)))
+    R = done = 0
+    while done < K and live:
         tick = min((done // every + 1) * every, K)
         end = min(tick, done + _DRAW_BLOCK)
+        if len(live) != R:
+            R = len(live)
+            if R >= GRID_MIN_RUNS:
+                kernel, oracles = _stacked_block, inst.stacked_oracles(R)
+            else:
+                kernel = _row_block
+                oracles = (inst.stoch_objective_grad, inst.constraint, inst.constraint_value)
+        steps, failed = kernel([rows[r] for r in live], oracles, bounds, lo, hi, done, end)
+        for pos, exc in failed.items():
+            errors[live[pos]] = exc
+        live = [r for r in live if errors[r] is None]
+        done += steps
+        if done == tick and on_tick is not None and live:
+            on_tick(live)
+    return errors
+
+
+def _row_block(rows, oracles, bounds, lo, hi, done, end):
+    """Iterations done+1..end of each row in turn, through the per-row
+    oracles; returns (end - done, failures).
+
+    A row that diverges stops at that iteration, left as its step calls
+    leave it; the others run the whole block.  ``failures`` maps a row's
+    position to its DivergenceError.
+    """
+    stoch_grad, constraint, constraint_value = oracles
+    failed = {}
+    for pos, (state, alphas, rhos, z_max) in enumerate(rows):
+        x, z, rng = state.x, state.z, state.rng
+        sum_plain, sum_weighted, weight_sum = state.sum_plain, state.sum_weighted, state.weight_sum
+        mirror = z_max is not None
         rng_before = rng.bit_generator.state
         draws = iter(rng.integers(bounds[: 3 * (end - done)]).tolist())
         block = zip(draws, draws, draws, alphas[done:end].tolist(), rhos[done:end].tolist())
@@ -408,69 +447,29 @@ def _iterate(state, inst, alphas, rhos, K, recorder=None, cadence=None, z_max=No
             if diverged:
                 _rewind(rng, rng_before, bounds, t + 1)
                 _advance(state, x, weight_sum, t, t + 1)
-                raise DivergenceError(
+                failed[pos] = DivergenceError(
                     f"divergence at iteration {state.k}", iteration=state.k, state=state
                 )
+                break
 
             z[j] = zj_new
             x = x_new
             sum_plain += x_new
             sum_weighted += a_k * x_new
             weight_sum += a_k
-        _advance(state, x, weight_sum, end - done, end - done)
-        done = end
-        if done == tick and recorder is not None:
-            recorder(state)
-    return state
+        else:
+            _advance(state, x, weight_sum, end - done, end - done)
+    return end - done, failed
 
 
-def _iterate_grid(rows, inst, K, on_tick=None, cadence=None):
-    """Advance R runs on ``inst`` in lockstep by K iterations each.
+def _stacked_block(rows, oracles, bounds, lo, hi, done, end):
+    """Iterations done+1..end of every row in lockstep, through the stacked
+    oracles; returns (steps taken, failures).
 
-    ``rows`` holds one ``(state, alphas, rhos, z_max)`` per run: the
-    arguments of one ``_iterate`` call.  Returns one entry per row: None, or
-    the ``DivergenceError`` that ``_iterate`` would have raised, with the
-    row's state left exactly as ``_iterate`` leaves it; the other rows keep
-    running.  Each row ends, and is seen at every tick, equal bit for bit to
-    its own ``_iterate`` run: each keeps its own generator and block draws,
-    its steps and its dual policy.  The vector work of all rows is batched
-    through ``inst.stacked_oracles``; the per-row scalars (the multiplier,
-    the dual coordinate and its repair) stay Python floats.  ``on_tick`` is
-    called every ``cadence`` completed iterations (and at the end) with the
-    indices of the rows still running, after their states are written back.
-    """
-    lo, hi = inst.box_lo, inst.box_hi
-    for state, *_ in rows:
-        if state.x.shape != lo.shape or state.x.shape != hi.shape:
-            raise DimensionError(
-                f"point and bounds differ in shape: {state.x.shape}, {lo.shape}, {hi.shape}"
-            )
-    bounds = np.tile([inst.m, inst.N, inst.m], min(K, _DRAW_BLOCK))
-    every = cadence if cadence and on_tick is not None else K
-    errors = [None] * len(rows)
-    live = list(range(len(rows)))
-    R = done = 0
-    while done < K and live:
-        tick = min((done // every + 1) * every, K)
-        end = min(tick, done + _DRAW_BLOCK)
-        if len(live) != R:
-            R = len(live)
-            oracles = inst.stacked_oracles(R)
-        steps, failed = _grid_block([rows[r] for r in live], oracles, bounds, lo, hi, done, end)
-        for pos, exc in failed.items():
-            errors[live[pos]] = exc
-        live = [r for r in live if errors[r] is None]
-        done += steps
-        if done == tick and on_tick is not None and live:
-            on_tick(live)
-    return errors
-
-
-def _grid_block(rows, oracles, bounds, lo, hi, done, end):
-    """Iterations done+1..end of every row; returns (steps taken, failures).
-
+    The vector work of all rows is batched; the per-row scalars (the
+    multiplier, the dual coordinate and its repair) stay Python floats.
     The block ends early after an iteration in which a row diverges: the
-    failed rows are left as ``_iterate`` leaves them, and the others are
+    failed rows are left as their step calls leave them, and the others are
     written back after that iteration, their generators rewound to where
     its draws end.  ``failures`` maps a row's position to its DivergenceError.
     """
@@ -546,8 +545,8 @@ def _grid_block(rows, oracles, bounds, lo, hi, done, end):
                 z[j] = zj_new
         for pos in bad:
             state = states[pos]
-            _grid_write_back(state, X[pos], sum_plain[pos], sum_weighted[pos], zs[pos],
-                             weights[pos], t, t + 1)
+            _write_back(state, X[pos], sum_plain[pos], sum_weighted[pos], zs[pos],
+                        weights[pos], t, t + 1)
             _rewind(state.rng, rng_before[pos], bounds, t + 1)
             failed[pos] = DivergenceError(
                 f"divergence at iteration {state.k}", iteration=state.k, state=state
@@ -563,15 +562,15 @@ def _grid_block(rows, oracles, bounds, lo, hi, done, end):
     steps = t + 1
     for pos, state in enumerate(states):
         if pos not in failed:
-            _grid_write_back(state, X[pos], sum_plain[pos], sum_weighted[pos], zs[pos],
-                             weights[pos], steps, steps)
+            _write_back(state, X[pos], sum_plain[pos], sum_weighted[pos], zs[pos],
+                        weights[pos], steps, steps)
             if steps < nb:
                 _rewind(state.rng, rng_before[pos], bounds, steps)
     return steps, failed
 
 
-def _grid_write_back(state, x, sum_plain, sum_weighted, z, weight_sum, steps, queries):
-    """Copy one grid row into ``state``: the arrays in place, except x."""
+def _write_back(state, x, sum_plain, sum_weighted, z, weight_sum, steps, queries):
+    """Copy one stacked row into ``state``: the arrays in place, except x."""
     state.sum_plain[:] = sum_plain
     state.sum_weighted[:] = sum_weighted
     state.z[:] = z
@@ -584,13 +583,17 @@ def run(inst, sched: ParamSchedule, K, seed, recorder=None, cadence=None):
     ``recorder`` is called with the state every ``cadence`` completed
     iterations (and at the end).  With no recorder the returned record is
     empty.  Deterministic given (inst, sched, K, seed), and equal bit for
-    bit to K calls of ``pdsg_step`` with ``sched.steps(k)``.
+    bit to K calls of ``pdsg_step`` with ``sched.steps(k)``: one row of
+    ``_iterate``, whose ``DivergenceError`` is raised here.
     """
     if sched.K is not None and sched.K != K:
         raise ConfigError(f"schedule horizon K={sched.K} does not match run K={K}")
     alphas, rhos, _ = sched.sequences(max(K, 1))
     state = init_state(inst, seed)
-    _iterate(state, inst, alphas, rhos, K, recorder, cadence)
+    on_tick = None if recorder is None else lambda live: recorder(state)
+    (exc,) = _iterate([(state, alphas, rhos, None)], inst, K, on_tick, cadence)
+    if exc is not None:
+        raise exc
 
     if recorder is not None:
         record = recorder.record

@@ -312,6 +312,41 @@ def test_cli_divergence_exit_code(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("flags", [
+    ["--cadence", "inf"],  # used to overflow in int(round(...))
+    ["--cadence", "0"],  # used to measure every iteration
+    ["--cadence", "-1"],
+    ["--ref-tol", "nan"],  # used to run the reference's whole iteration budget
+    ["--ref-tol", "0"],
+    ["--alpha", "nan", "--rho", "nan", "--force"],  # used to exit 3 as a divergence
+    ["--schedule", "strongly_convex", "--mu", "nan", "--force"],
+    ["--method", "mirror_prox", "--zmax", "nan"],  # used to run with no dual box
+])
+def test_cli_rejects_out_of_range_run_options(tmp_path, capsys, flags):
+    rc = cli.main(
+        ["solve", "--n", "3", "--p", "2", "--N", "4", "--m", "4",
+         "--alpha", "0.003", "--rho", "0.003", "--epochs", "1",
+         "--out", str(tmp_path)] + flags
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "runs.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--G", "0"],  # used to raise ZeroDivisionError
+    ["--G", "nan"],
+    ["--alpha", "nan"],
+])
+def test_cli_validate_schedule_rejects_degenerate_inputs(capsys, flags):
+    rc = cli.main(
+        ["validate-schedule", "--schedule", "fixed_horizon", "--alpha", "1", "--rho", "1",
+         "--m", "10", "--G", "1"] + flags
+    )
+    assert rc == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
 def test_cli_validate_schedule(capsys):
     rc = cli.main(
         ["validate-schedule", "--schedule", "anytime",

@@ -1,12 +1,14 @@
-"""The seed-batched grid kernel and its stacked oracles, bit for bit.
+"""The run loop over several runs, its two kernels and the stacked oracles, bit for bit.
 
-``solver._iterate_grid`` advances R runs in lockstep through the instance's
-stacked oracles.  Each stacked oracle must equal its per-row oracle bit for
-bit, and each grid row must equal its own ``_iterate`` run in every field of
-the state, the generator included, at every tick, at the end and at a
-divergence.  ``bench.run_experiment`` runs an experiment's loop runs through
-the grid and measures each tick of all of them with one ``measure`` call;
-its rows match the one-run path within the tolerance contract.
+``solver._iterate`` advances R runs together: in lockstep through the
+instance's stacked oracles from ``solver.GRID_MIN_RUNS`` live rows, one row
+at a time through the per-row oracles below that.  Each stacked oracle must
+equal its per-row oracle bit for bit, and each row must equal its own
+one-row run (``run`` or ``mirror_prox_run``) in every field of the state,
+the generator included, at every tick, at the end and at a divergence.
+``bench.run_experiment`` runs an experiment's loop runs through one call
+and measures each tick of all of them with one ``measure`` call; its rows
+match the one-run records within the tolerance contract.
 """
 
 from unittest import mock
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 import reference_forms as rf
 from pdsg import bench, solver
-from pdsg.baselines import MirrorProxConfig
+from pdsg.baselines import MirrorProxConfig, mirror_prox_run
 from pdsg.errors import DivergenceError
 from pdsg.problems import (
     ProblemInstance,
@@ -27,8 +29,16 @@ from pdsg.problems import (
     random_scenario_lp,
     save_instance,
 )
-from pdsg.solver import SCHEDULE_KINDS, _iterate, _iterate_grid, init_state
-from test_loop_equivalence import PROPERTY, _Blowup, make_schedule, qcqps, run_plans, snapshot
+from pdsg.solver import SCHEDULE_KINDS, _iterate, init_state, run
+from test_loop_equivalence import (
+    PROPERTY,
+    Snapshots,
+    _Blowup,
+    make_schedule,
+    qcqps,
+    run_plans,
+    snapshot,
+)
 
 # -- stacked oracles ------------------------------------------------------------
 
@@ -116,7 +126,7 @@ def test_generic_stacked_oracles_make_the_per_row_calls(R):
     assert_stacked_equal_per_row(inst, *_stack_inputs(inst, R, R))
 
 
-# -- the grid kernel against independent runs --------------------------------------
+# -- several runs against one-row runs ----------------------------------------------
 
 
 @st.composite
@@ -142,6 +152,15 @@ def _rows(inst, K, specs):
     return rows
 
 
+def _one_row_run(inst, K, spec, recorder, cadence):
+    """The spec's own ``run`` or ``mirror_prox_run``; returns its final state."""
+    policy, alpha, rho, z_max, seed = spec
+    if z_max is None:
+        return run(inst, make_schedule(policy, alpha, rho, K), K, seed, recorder, cadence)[0]
+    cfg = MirrorProxConfig(z_max=z_max, alpha=alpha, rho=rho)
+    return mirror_prox_run(inst, cfg, K, seed, recorder, cadence)[0]
+
+
 def _ending(state, exc=None):
     """How a run ended: its iteration at a divergence, every field of its
     state and the generator's next draw."""
@@ -149,8 +168,10 @@ def _ending(state, exc=None):
     return (*head, snapshot(state), state.rng.integers(2**40))
 
 
-def compare_grid(inst, K, specs, cadence, block=solver._DRAW_BLOCK):
-    """Run the rows through the grid and one at a time; return the endings."""
+def compare_grid(inst, K, specs, cadence, block=solver._DRAW_BLOCK, min_runs=1):
+    """Run the rows through one ``_iterate`` call, with the stacked kernel
+    from ``min_runs`` live rows, and each through its own one-row run at the
+    default crossover; return the endings."""
     rows = _rows(inst, K, specs)
     grid_ticks = [[] for _ in rows]
 
@@ -159,19 +180,17 @@ def compare_grid(inst, K, specs, cadence, block=solver._DRAW_BLOCK):
             grid_ticks[r].append(snapshot(rows[r][0]))
 
     with mock.patch.object(solver, "_DRAW_BLOCK", block):
-        errors = _iterate_grid(rows, inst, K, on_tick=on_tick, cadence=cadence)
+        with mock.patch.object(solver, "GRID_MIN_RUNS", min_runs):
+            errors = _iterate(rows, inst, K, on_tick=on_tick, cadence=cadence)
         got = [_ending(row[0], exc) for row, exc in zip(rows, errors)]
-        for r, (state, alphas, rhos, z_max) in enumerate(_rows(inst, K, specs)):
-            ticks = []
+        for r, spec in enumerate(specs):
+            ticks = Snapshots()
             try:
-                _iterate(state, inst, alphas, rhos, K, lambda s: ticks.append(snapshot(s)),
-                         cadence, z_max=z_max)
-                want = _ending(state)
+                want = _ending(_one_row_run(inst, K, spec, ticks, cadence))
             except DivergenceError as exc:
-                assert exc.state is state
-                want = _ending(state, exc)
-            assert got[r] == want, f"row {r} ({specs[r][0]}) ends differently"
-            assert grid_ticks[r] == ticks, f"row {r} ({specs[r][0]}) ticks differently"
+                want = _ending(exc.state, exc)
+            assert got[r] == want, f"row {r} ({spec[0]}) ends differently"
+            assert grid_ticks[r] == ticks.ticks, f"row {r} ({spec[0]}) ticks differently"
     for exc, (state, *_) in zip(errors, rows):
         assert exc is None or exc.state is state
     return got
@@ -244,6 +263,48 @@ def test_grid_nan_multiplier_follows_each_policy():
     assert [g[0] for g in got] == ["diverged"] * 3 + ["done"] * 3
 
 
+# -- kernel selection -------------------------------------------------------------
+
+
+def test_survivors_below_the_crossover_switch_to_the_per_row_kernel():
+    # as above: the big pdsg rows diverge mid-run, leaving two live rows
+    inst = _Blowup(2**40, 40)
+    K = 400
+    big, small = 0.5 * np.sqrt(K), 0.01 * np.sqrt(K)
+    specs = [
+        ("fixed_horizon", big, big, None, 0),
+        ("fixed_horizon", small, small, None, 1),
+        ("fixed_horizon", big, big, None, 3),
+        ("mirror_prox", big, big, 5.0, 2),
+    ]
+    built, kernel_rows = [], []
+    stacked_oracles, row_block = inst.stacked_oracles, solver._row_block
+
+    def counted_oracles(R):
+        built.append(R)
+        return stacked_oracles(R)
+
+    def counted_block(rows, *args):
+        kernel_rows.append(len(rows))
+        return row_block(rows, *args)
+
+    inst.stacked_oracles = counted_oracles
+    with mock.patch.object(solver, "_row_block", counted_block):
+        got = compare_grid(inst, K, specs, cadence=7, min_runs=solver.GRID_MIN_RUNS)
+    assert [g[0] for g in got] == ["diverged", "done", "diverged", "done"]
+    assert built == [4, 3]  # one stacked build per live count at or above the crossover
+    # the one-row runs of compare_grid add blocks of one row
+    assert set(kernel_rows) == {1, 2}
+
+
+@pytest.mark.parametrize("policy", ["fixed_horizon", "mirror_prox"])
+def test_one_row_run_never_builds_stacked_oracles(policy):
+    inst = random_qcqp(5, 3, 7, 11, seed=8)
+    spec = (policy, 0.05, 0.05, 5.0 if policy == "mirror_prox" else None, 4)
+    with mock.patch.object(inst, "stacked_oracles", side_effect=AssertionError("stacked")):
+        _one_row_run(inst, 300, spec, Snapshots(), 7)
+
+
 # -- experiments ------------------------------------------------------------------
 
 
@@ -258,10 +319,9 @@ def _cfg(**kw):
 def _one_run_records(cfg, inst, ref):
     """The experiment's records, each from its own ``run_one``."""
     K = cfg.epochs * inst.m
-    sched = bench.build_schedule(cfg, K, bench.problems.certify_constants(inst))
     cadence_steps = max(1, int(round(cfg.cadence * inst.m)))
     return [
-        bench.run_one(method, inst, cfg, K, seed, ref, cadence_steps, sched=sched)
+        bench.run_one(method, inst, cfg, K, seed, ref, cadence_steps)
         for method in cfg.methods
         for seed in cfg.seeds
     ]
@@ -305,9 +365,9 @@ def assert_records_match(got, want, inst):
 def test_experiment_grid_matches_one_run_loops(kw):
     cfg = _cfg(**kw)
     inst = bench.build_instance(cfg)
-    with mock.patch.object(solver, "_iterate_grid", wraps=solver._iterate_grid) as grid:
+    with mock.patch.object(solver, "_iterate", wraps=solver._iterate) as loop:
         records, ref, _ = bench.run_experiment(cfg, inst=inst)
-    assert grid.call_count == 1
+    assert loop.call_count == 1
     want = _one_run_records(cfg, inst, ref)
     assert_records_match(records, want, inst)
     if cfg.alpha > 1e6:
@@ -315,30 +375,37 @@ def test_experiment_grid_matches_one_run_loops(kw):
 
 
 def test_experiment_measures_each_grid_tick_once():
-    cfg = _cfg(cadence=0.4, epochs=2)  # cadence 10 of K = 50: ticks at 10, ..., 50
-    inst = bench.build_instance(cfg)
-    measured = []
-    measure = inst.measure
+    # both sides of the crossover: 6 loop runs, and 2 on the per-row kernel
+    for seeds in ((0, 1, 2), (0,)):
+        # cadence 10 of K = 50: ticks at 10, ..., 50
+        cfg = _cfg(cadence=0.4, epochs=2, seeds=seeds)
+        inst = bench.build_instance(cfg)
+        measured = []
+        measure = inst.measure
 
-    def counted(X):
-        measured.append(len(X))
-        return measure(X)
+        def counted(X):
+            measured.append(len(X))
+            return measure(X)
 
-    inst.measure = counted
-    records, _, _ = bench.run_experiment(cfg, inst=inst)
-    loops = 2 * len(cfg.seeds)
-    assert measured == [3 * loops] * 5
-    assert all(len(r.rows) == 15 for r in records if r.meta["method"] != "reference")
+        inst.measure = counted
+        records, _, _ = bench.run_experiment(cfg, inst=inst)
+        loops = 2 * len(cfg.seeds)
+        assert measured == [3 * loops] * 5
+        assert all(len(r.rows) == 15 for r in records if r.meta["method"] != "reference")
 
 
 @pytest.mark.parametrize("methods, seeds", [
     (("pdsg",), (0,)),  # `pdsg solve` with its default single seed
     (("pdsg", "reference"), (0,)),
-    (("pdsg", "reference"), tuple(range(bench.GRID_MIN_RUNS - 1))),
+    (("pdsg", "reference"), tuple(range(solver.GRID_MIN_RUNS - 1))),
 ])
 def test_experiment_below_the_crossover_runs_one_loop_at_a_time(methods, seeds):
     cfg = _cfg(methods=methods, seeds=seeds)
     inst = bench.build_instance(cfg)
-    with mock.patch.object(solver, "_iterate_grid", side_effect=AssertionError("grid used")):
+    with mock.patch.object(inst, "stacked_oracles", side_effect=AssertionError("stacked")):
         records, ref, _ = bench.run_experiment(cfg, inst=inst)
-    assert bench.csv_text(records) == bench.csv_text(_one_run_records(cfg, inst, ref))
+    want = _one_run_records(cfg, inst, ref)
+    if len(seeds) == 1:
+        assert bench.csv_text(records) == bench.csv_text(want)
+    else:  # both runs' ticks are measured in one call, within the contract
+        assert_records_match(records, want, inst)

@@ -118,6 +118,14 @@ def test_max_equal_steps_is_valid_and_tight():
         assert s * s > 0.99 * m / (denom * G * G)
 
 
+@pytest.mark.parametrize("G", [0.0, -1.0, float("nan")])
+def test_product_condition_rejects_nonpositive_G(G):
+    with pytest.raises(ConfigError, match="G must be positive"):
+        max_equal_steps(10, G)
+    with pytest.raises(ConfigError, match="G must be positive"):
+        validate_schedule(fixed_horizon(1.0, 1.0, 100), 10, G, 100)
+
+
 def test_hand_trace_ten_steps(one_dim):
     state = init_state(one_dim, seed=0)
     xs, zs = [state.x[0]], [state.z[0]]
