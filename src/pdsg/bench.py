@@ -225,7 +225,7 @@ def run_one(method, inst, cfg: ExperimentConfig, K, seed, ref, cadence_steps,
     if method in ("pdsg", "mirror_prox"):
         sched = None
         if method == "pdsg":
-            sched = build_schedule(cfg, K, problems.certify_constants(inst))
+            sched = build_schedule(cfg, K, problems.certify_constants(inst, samples=0))
         return _run_loops([(method, seed)], inst, cfg, K, ref, sched, cadence_steps)[0]
     if method != "reference":
         raise ConfigError(f"unknown method {method!r}")
@@ -264,7 +264,8 @@ def run_experiment(cfg: ExperimentConfig, inst=None):
 
     sched = report = None
     if "pdsg" in cfg.methods:
-        constants = problems.certify_constants(inst)
+        # the schedule reads G and mu only: no sigma estimate, whose samples read H twice
+        constants = problems.certify_constants(inst, samples=0)
         sched = build_schedule(cfg, K, constants)
         report = solver.validate_schedule(sched, inst.m, constants.G, K)
         if not report.ok and not cfg.force:

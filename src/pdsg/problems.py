@@ -37,6 +37,9 @@ _CHUNK_BYTES = 1 << 20
 # enough to come from the heap, so measuring a tick of many runs at once
 # raises no peak
 _MEASURE_BYTES = 1 << 16
+# growth of a constraint screen's candidates since its anchor, as a share of
+# m, past which it takes a new anchor (one full pass) rather than gather them
+_SCREEN_SHARE = 0.125
 
 
 def _chunks(m, n):
@@ -113,6 +116,25 @@ class ProblemInstance:
     def constraint_curvatures(self):
         """Per-constraint Hessian norm bounds (zeros when constraints are affine)."""
         return np.zeros(self.m)
+
+    def constraint_screen(self):
+        """A screen for full-batch solves: ``screen(x, keep)``.
+
+        It returns ``(idx, fvals, grads, grad_sq)``: the values and the
+        stacked subgradients at x of the constraints ``idx`` (an index
+        array, or ``slice(None)`` for all m), and ``grad_sq``, the sum over
+        all m constraints of the squared subgradient norms at x.  ``idx``
+        holds every j with ``keep[j]`` set and every j whose value at x can
+        be positive; a constraint left out has a value at most 0.  This
+        generic form screens nothing: it returns every constraint from one
+        ``constraint_values_and_grads`` pass.
+        """
+
+        def screen(x, keep):
+            fvals, grads = self.constraint_values_and_grads(x)
+            return slice(None), fvals, grads, float(np.sum(grads * grads))
+
+        return screen
 
     # -- measurement --------------------------------------------------------
 
@@ -227,6 +249,7 @@ class QuadraticInstance(ProblemInstance):
         self._linear = None  # (q, r) of the expanded objective
         self._curvature = None
         self._qnorms = None
+        self._grad_stats = None  # (S2, v, c0) of the summed squared gradient norms
         self._digest = None
 
     # -- objective ----------------------------------------------------------
@@ -381,6 +404,85 @@ class QuadraticInstance(ProblemInstance):
             )
             self._qnorms.flags.writeable = False
         return self._qnorms
+
+    def gradient_statistics(self):
+        """``(S2, v, c0)`` with ``sum_j ||Q_j x + a_j||^2 = x'S2x + 2v'x + c0``.
+
+        ``S2 = sum_j Q_j^2``, ``v = sum_j Q_j a_j`` and ``c0 = sum_j ||a_j||^2``
+        (cached; S2 and v read-only).  Q is read once, chunk by chunk: the
+        Q_j of a chunk, stacked as rows, give their sum of squares as one
+        Gram product (exactly symmetric) and their sum of Q_j a_j as one
+        product with the stacked a_j.
+        """
+        if self._grad_stats is None:
+            n, Q, a = self.n, self.data.Q, self.data.a
+            S2, v = np.zeros((n, n)), np.zeros(n)
+            for rows in _chunks(self.m, n):
+                A = Q[rows].reshape(-1, n)
+                S2 += A.T @ A
+                v += A.T @ a[rows].reshape(-1)
+            S2.flags.writeable = v.flags.writeable = False
+            self._grad_stats = (S2, v, float(np.einsum("jn,jn->", a, a)))
+        return self._grad_stats
+
+    def constraint_screen(self):
+        """A screen that evaluates only the constraints that can be positive.
+
+        A full pass at an anchor x_a gives ``F = f(x_a)`` and ``G = grad
+        f(x_a)``.  Q_j is symmetric (``QcqpData``) and ``||Q_j||_2 <= q_j``,
+        its Frobenius norm, so at ``x = x_a + D``
+
+            f_j(x) <= F_j + G_j'D + (1/2) q_j ||D||^2.
+
+        A constraint is evaluated when ``keep[j]`` is set or this bound plus
+        the margin ``4 (n+2)^2 eps (q_j s^2 + ||a_j|| s + |b_j|)``,
+        ``s = ||x|| + ||x_a||``, is >= 0; the margin covers the rounding of
+        f_j at x and of the bound (``notes/decisions.md``).  The candidates
+        are gathered and evaluated with the products of
+        ``constraint_values_and_grads``, at most _CHUNK_BYTES of Q at a time.
+        When they outgrow those at the anchor by _SCREEN_SHARE of m, or pass
+        half of m, x becomes the new anchor: one full pass, which also serves
+        the first call.  ``grad_sq`` comes from ``gradient_statistics()``.
+        """
+        n, m, Q, a, b = self.n, self.m, self.data.Q, self.data.a, self.data.b
+        qn = self.constraint_curvatures()
+        S2, v, c0 = self.gradient_statistics()
+        slack = 4.0 * (n + 2) ** 2 * np.finfo(float).eps
+        qs, an, ab = slack * qn, slack * np.linalg.norm(a, axis=1), slack * np.abs(b)
+        rows = max(1, _CHUNK_BYTES // (8 * n * n))
+        Qs = np.empty((min(rows, m), n, n))
+        xa = F = G = None  # the anchor and the full pass there
+        limit = 0.0  # candidate count past which the screen re-anchors
+
+        def candidates(x, keep):
+            D = x - xa
+            s = math.sqrt(float(x @ x)) + math.sqrt(float(xa @ xa))
+            upper = F + np.einsum("jn,n->j", G, D)
+            upper += (0.5 * float(D @ D)) * qn + (qs * (s * s) + an * s + ab)
+            return np.flatnonzero(keep | (upper >= 0.0))
+
+        def evaluate(idx, x):
+            Qx = np.empty((len(idx), n))
+            for lo in range(0, len(idx), rows):
+                part = idx[lo:lo + rows]
+                np.matmul(Q.take(part, 0, Qs[: len(part)], "clip"), x, out=Qx[lo:lo + len(part)])
+            ai = a[idx]
+            return 0.5 * (Qx @ x) + ai @ x - b[idx], Qx + ai
+
+        def screen(x, keep):
+            nonlocal xa, F, G, limit
+            grad_sq = max(float(x @ (S2 @ x)) + 2.0 * float(v @ x) + c0, 0.0)
+            if xa is not None:
+                idx = candidates(x, keep)
+                if len(idx) <= limit:
+                    return (idx, *evaluate(idx, x), grad_sq)
+            F, G = self.constraint_values_and_grads(x)
+            xa = x.copy()
+            idx = candidates(x, keep)
+            limit = min(len(idx) + _SCREEN_SHARE * m, 0.5 * m)
+            return idx, F[idx], G[idx], grad_sq
+
+        return screen
 
 
 def random_qcqp(n, p, N, m, seed) -> QuadraticInstance:

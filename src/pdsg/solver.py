@@ -61,8 +61,10 @@ class ParamSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        if not (self.alpha > 0 and self.rho > 0):  # NaN fails too
-            raise ConfigError("alpha and rho must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.rho < math.inf):  # NaN fails too
+            raise ConfigError(
+                f"alpha and rho must be positive and finite, got {self.alpha}, {self.rho}"
+            )
         if self.kind in ("fixed_horizon", "strongly_convex"):
             if self.K is None or self.K < 1:
                 raise ConfigError(f"{self.kind} requires a positive horizon K")

@@ -3,8 +3,9 @@
 The library evaluates several quantities in a faster form than the obvious
 one: the objective from cached statistics (P, q, r), the constraint values of
 a stack of points from one pass over Q, sigma from batched sample points, the
-Hessian as one Gram product.  The obvious per-sample and per-point forms live
-here, and tests hold the library to them.
+Hessian as one Gram product, the reference solve from a constraint screen.
+The obvious per-sample and per-point forms live here, and tests hold the
+library to them.
 
 Tolerance contract.  A faster form that reorders floating-point arithmetic
 must agree with its reference form elementwise,
@@ -24,6 +25,9 @@ hundred.  A faster form that keeps the arithmetic must be bit-equal instead.
 import math
 
 import numpy as np
+
+from pdsg import baselines
+from pdsg.solver import _Z_BLOWUP, project_box
 
 MEASURE_RTOL = 1e-12
 
@@ -101,3 +105,43 @@ def sigma_per_sample(inst, samples, rng_seed):
 def hessian(inst):
     """(1/N) sum_i H_i'H_i as one einsum over H."""
     return np.einsum("ipn,ipq->nq", inst.data.H, inst.data.H) / inst.N
+
+
+def full_batch_reference(inst, K=200_000, tol=1e-9):
+    """``baselines.full_batch_reference`` unscreened, with per-point forms
+    throughout: every constraint at every iterate, two passes over Q and one
+    over H per iteration.  Returns ``(x, z, f0, iterations, converged)``."""
+    x = inst.start_point()
+    z = np.zeros(inst.m)
+    m = inst.m
+    L0 = inst.objective_curvature()
+    qcurv = inst.constraint_curvatures()
+    fvals, grads = constraint_values(inst, x), constraint_grads(inst, x)
+    best, best_score, converged = None, math.inf, False
+    k, step_norm = 0, math.inf
+    infeas = float(np.maximum(fvals, 0.0).mean())
+    for k in range(1, K + 1):
+        mult = np.maximum(fvals + z, 0.0)
+        d = objective_grad(inst, x) + grads.T @ (mult / m)
+        pen_curv = float(np.sum(grads * grads)) / m + float(mult @ qcurv) / m
+        alpha_k = 1.0 / (L0 + pen_curv + 1e-2)
+        x_new = project_box(x - alpha_k * d, inst.box_lo, inst.box_hi)
+        fvals_new = constraint_values(inst, x_new)
+        grads_new = constraint_grads(inst, x_new)
+        z = np.maximum(z + np.maximum(-z, fvals_new), 0.0)
+        assert np.isfinite(x_new).all() and float(np.max(np.abs(z))) <= _Z_BLOWUP
+        step_norm = float(np.linalg.norm(x_new - x))
+        infeas = float(np.maximum(fvals_new, 0.0).mean())
+        x, fvals, grads = x_new, fvals_new, grads_new
+        hit_tol = infeas <= tol and step_norm <= tol * min(1.0, alpha_k)
+        if hit_tol or k % baselines._CHECK_EVERY == 0:
+            score = max(infeas, step_norm)
+            if score < best_score:
+                best_score = score
+                best = (x.copy(), z.copy())
+            if hit_tol:
+                converged = True
+                break
+    if best is None or max(infeas, step_norm) < best_score:
+        best = (x.copy(), z.copy())
+    return best[0], best[1], objective(inst, best[0]), k, converged

@@ -321,6 +321,9 @@ def test_cli_divergence_exit_code(tmp_path):
     ["--alpha", "nan", "--rho", "nan", "--force"],  # used to exit 3 as a divergence
     ["--schedule", "strongly_convex", "--mu", "nan", "--force"],
     ["--method", "mirror_prox", "--zmax", "nan"],  # used to run with no dual box
+    ["--alpha", "inf", "--force"],  # used to exit 3 as a divergence
+    ["--rho", "inf", "--force"],
+    ["--method", "mirror_prox", "--zmax", "inf"],  # used to exit 0 with no dual box
 ])
 def test_cli_rejects_out_of_range_run_options(tmp_path, capsys, flags):
     rc = cli.main(

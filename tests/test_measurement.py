@@ -4,10 +4,14 @@ The objective is evaluated as ``(1/2) x'Px - q'x + r`` and a stack of points
 is measured with one pass over Q; both reorder the arithmetic, so they are
 held to the tolerance contract of ``reference_forms``.  The shared ``Q @ x``
 of ``constraint_values_and_grads`` keeps the arithmetic and is bit-equal.
+The reference solve evaluates only the constraints its screen lets through
+and sums the squared gradient norms from cached statistics; it is held to
+the unscreened form under the same contract.
 """
 
 import dataclasses
-import math
+import functools
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -16,10 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_forms as rf
-from pdsg import baselines, metrics
+from pdsg import metrics
 from pdsg.baselines import full_batch_reference
-from pdsg.problems import load_instance, random_qcqp, random_scenario_lp, save_instance
-from pdsg.solver import _Z_BLOWUP, fixed_horizon, project_box, run
+from pdsg.problems import (
+    ProblemInstance, QuadraticInstance, load_instance, random_qcqp, random_scenario_lp,
+    save_instance,
+)
+from pdsg.solver import fixed_horizon, run
 from test_loop_equivalence import qcqps
 
 
@@ -107,6 +114,10 @@ def test_generic_measure_makes_the_per_point_calls(one_dim):
     assert fvals.tolist() == [[one_dim.constraint_value(0, x)] for x in X]
     vals, grads = one_dim.constraint_values_and_grads(X[0])
     assert vals.tolist() == [2.0] and grads.tolist() == [[-1.0]]
+    # the generic screen evaluates every constraint
+    idx, vals, grads, grad_sq = one_dim.constraint_screen()(X[0], np.zeros(1, dtype=bool))
+    assert idx == slice(None) and vals.tolist() == [2.0] and grads.tolist() == [[-1.0]]
+    assert grad_sq == 1.0
 
 
 # -- counting: what a tick and the reference solve touch ----------------------
@@ -163,77 +174,164 @@ def test_recorder_tick_is_one_batched_measurement_without_h(monkeypatch):
     assert rec.record.rows == expected.record.rows
 
 
-def test_reference_reads_q_once_per_iteration_and_never_h(monkeypatch):
+def test_reference_reads_q_once_per_anchor_and_never_h(monkeypatch):
     inst = random_qcqp(5, 4, 10, 10, seed=0)
     _without_h(inst, monkeypatch)
     _forbid(inst, monkeypatch, "constraint_values", "constraint_grads")
     calls = _count(inst, monkeypatch, "constraint_values_and_grads")
     ref = full_batch_reference(inst, tol=1e-9)
     assert ref.converged and ref.iterations > 1
-    assert len(calls) == ref.iterations + 1  # the start point, then once per iteration
+    assert len(calls) == 1  # the anchor at the start point; no re-anchor here
 
 
-# -- the shared Q @ x alone is bit-exact ----------------------------------------
+# -- the screen ---------------------------------------------------------------
 
 
-def _reference_two_passes(inst, K=200_000, tol=1e-9):
-    """``full_batch_reference`` as it was before the constraint pass was
-    shared: per-point forms throughout, two passes over Q per iteration."""
-    x = inst.start_point()
-    z = np.zeros(inst.m)
-    m = inst.m
-    L0 = inst.objective_curvature()
-    qcurv = inst.constraint_curvatures()
-    fvals, grads = rf.constraint_values(inst, x), rf.constraint_grads(inst, x)
-    best, best_score, converged = None, math.inf, False
-    k, step_norm = 0, math.inf
-    infeas = float(np.maximum(fvals, 0.0).mean())
-    for k in range(1, K + 1):
-        mult = np.maximum(fvals + z, 0.0)
-        d = rf.objective_grad(inst, x) + grads.T @ (mult / m)
-        pen_curv = float(np.sum(grads * grads)) / m + float(mult @ qcurv) / m
-        alpha_k = 1.0 / (L0 + pen_curv + 1e-2)
-        x_new = project_box(x - alpha_k * d, inst.box_lo, inst.box_hi)
-        fvals_new = rf.constraint_values(inst, x_new)
-        grads_new = rf.constraint_grads(inst, x_new)
-        z = np.maximum(z + np.maximum(-z, fvals_new), 0.0)
-        assert np.isfinite(x_new).all() and float(np.max(np.abs(z))) <= _Z_BLOWUP
-        step_norm = float(np.linalg.norm(x_new - x))
-        infeas = float(np.maximum(fvals_new, 0.0).mean())
-        x, fvals, grads = x_new, fvals_new, grads_new
-        hit_tol = infeas <= tol and step_norm <= tol * min(1.0, alpha_k)
-        if hit_tol or k % baselines._CHECK_EVERY == 0:
-            score = max(infeas, step_norm)
-            if score < best_score:
-                best_score = score
-                best = (x.copy(), z.copy())
-            if hit_tol:
-                converged = True
-                break
-    if best is None or max(infeas, step_norm) < best_score:
-        best = (x.copy(), z.copy())
-    return best[0], best[1], rf.objective(inst, best[0]), k, converged
+def _binding(shape, seed, shift):
+    """``random_qcqp`` with targets c_i + H_i u, ||u|| = shift: its least-squares
+    minimiser moves out of the feasible set, so constraints bind."""
+    inst = random_qcqp(*shape, seed=seed)
+    u = np.random.default_rng(seed + 1).standard_normal(inst.n)
+    u *= shift / np.linalg.norm(u)
+    d = inst.data
+    return QuadraticInstance(dataclasses.replace(d, c=d.c + d.H @ u))
+
+
+def _exact_values(inst, x):
+    """f_j(x) for every j in exact rational arithmetic on the float inputs."""
+    d, xs = inst.data, [Fraction(v) for v in x]
+    return [
+        sum(Fraction(q) * xi * xk for row, xi in zip(d.Q[j].tolist(), xs)
+            for q, xk in zip(row, xs)) / 2
+        + sum(Fraction(aj) * xi for aj, xi in zip(d.a[j].tolist(), xs)) - Fraction(d.b[j])
+        for j in range(inst.m)
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(qcqps(), st.integers(0, 2**32), st.sampled_from(["same", "near", "far"]))
+def test_screen_keeps_every_constraint_that_can_be_positive(inst, seed, where):
+    """Anchors and points in the box, with some b_j set so that f_j is zero at
+    the point to within a few ulps: every j whose exact value at the point is
+    > 0, whose computed value is > 0, or that is kept, comes back evaluated."""
+    rng = np.random.default_rng(seed)
+    xa = rng.uniform(inst.box_lo, inst.box_hi)
+    x = {"same": xa.copy(),
+         "near": np.clip(xa + 1e-7 * rng.standard_normal(inst.n), inst.box_lo, inst.box_hi),
+         "far": rng.uniform(inst.box_lo, inst.box_hi)}[where]
+    g = rf.constraint_values(inst, x) + inst.data.b
+    b = np.where(rng.random(inst.m) < 0.7, g + rng.integers(-3, 4, inst.m) * np.spacing(g),
+                 inst.data.b)
+    inst = QuadraticInstance(dataclasses.replace(inst.data, b=b))
+    keep = rng.random(inst.m) < 0.2
+
+    screen = inst.constraint_screen()
+    screen(xa, np.zeros(inst.m, dtype=bool))
+    idx, fvals, grads, grad_sq = screen(x, keep)
+
+    exact = np.array([v > 0 for v in _exact_values(inst, x)])
+    want_vals = rf.constraint_values(inst, x)
+    assert set(np.flatnonzero(exact | (want_vals > 0) | keep)) <= set(idx.tolist())
+    rf.assert_within_contract(fvals, want_vals[idx], rf.constraint_values_scale(inst, x)[idx])
+    grad_scale = rf.constraint_grads_scale(inst, x)
+    rf.assert_within_contract(grads, rf.constraint_grads(inst, x)[idx], grad_scale[idx])
+    rf.assert_within_contract(grad_sq, float(np.sum(rf.constraint_grads(inst, x) ** 2)),
+                              float(np.sum(grad_scale**2)))
+
+
+def test_screen_reanchors_when_the_candidates_grow():
+    inst = random_qcqp(20, 15, 200, 200, seed=13)
+    screen = inst.constraint_screen()
+    with mock.patch.object(inst, "constraint_values_and_grads",
+                           wraps=inst.constraint_values_and_grads) as full:
+        none = np.zeros(inst.m, dtype=bool)
+        screen(np.zeros(inst.n), none)
+        screen(np.full(inst.n, 1e-3), none)  # near the anchor: gathered
+        assert full.call_count == 1
+        corner = inst.box_hi.copy()
+        idx, fvals, grads, _ = screen(corner, none)  # most constraints can be positive there
+        assert full.call_count == 2
+    want = rf.constraint_values(inst, corner)
+    assert np.all(want[np.setdiff1d(np.arange(inst.m), idx)] < 0)
+    assert fvals.tobytes() == want[idx].tobytes()
+    assert grads.tobytes() == rf.constraint_grads(inst, corner)[idx].tobytes()
+
+
+# -- the reference against its unscreened form ----------------------------------
 
 
 _DESK, _MIDSCALE = ((20, 15, 200, 200), 13), ((100, 95, 1000, 1000), 0)
 
 
-@pytest.mark.parametrize("shape,seed", [_DESK, _MIDSCALE], ids=["desk", "midscale"])
-def test_shared_constraint_pass_is_bit_exact(shape, seed):
-    inst = random_qcqp(*shape, seed=seed)
-    want_x, want_z, want_f0, want_k, want_converged = _reference_two_passes(inst)
-    # the library's loop with the per-point objective forms, its shared pass kept
+def _instance(name):
+    if name == "desk":
+        return random_qcqp(*_DESK[0], seed=_DESK[1])
+    if name == "midscale":
+        return random_qcqp(*_MIDSCALE[0], seed=_MIDSCALE[1])
+    if name == "binding":
+        return _binding((40, 30, 300, 400), 0, 0.6)
+    return random_scenario_lp(8, 300, 4, seed=1)
+
+
+# K caps the binding instance, which does not converge in the default budget
+_BUDGET = {"desk": 200_000, "midscale": 200_000, "binding": 300, "scenario": 200_000}
+
+
+@functools.cache  # small results only: the instances are built again per test
+def _unscreened(name):
+    return rf.full_batch_reference(_instance(name), K=_BUDGET[name])
+
+
+@pytest.mark.parametrize("name", ["desk", "midscale"])
+def test_shared_constraint_pass_is_bit_exact(name):
+    """The generic screen (every constraint from one shared pass) with the
+    per-point objective forms is byte-equal to the unscreened form."""
+    inst = _instance(name)
+    want_x, want_z, want_f0, want_k, want_converged = _unscreened(name)
+    generic = functools.partial(ProblemInstance.constraint_screen, inst)
     with mock.patch.object(inst, "objective", lambda x: rf.objective(inst, x)), \
-            mock.patch.object(inst, "objective_grad", lambda x: rf.objective_grad(inst, x)):
+            mock.patch.object(inst, "objective_grad", lambda x: rf.objective_grad(inst, x)), \
+            mock.patch.object(inst, "constraint_screen", generic):
         got = full_batch_reference(inst)
     assert got.converged and want_converged
     assert got.x.tobytes() == want_x.tobytes() and got.z.tobytes() == want_z.tobytes()
     assert got.iterations == want_k and got.f0 == want_f0
 
 
+@pytest.mark.parametrize("name", ["desk", "midscale", "binding", "scenario"])
+def test_screened_reference_within_contract(name):
+    inst = _instance(name)
+    want_x, _, want_f0, want_k, want_converged = _unscreened(name)
+    screens = []
+    make = inst.constraint_screen
+
+    def counted():
+        screen = make()
+
+        def rows(x, keep):
+            out = screen(x, keep)
+            screens.append(len(out[0]))
+            return out
+
+        return rows
+
+    with mock.patch.object(inst, "constraint_screen", counted), \
+            mock.patch.object(inst, "constraint_values_and_grads",
+                              wraps=inst.constraint_values_and_grads) as full:
+        got = full_batch_reference(inst, K=_BUDGET[name])
+    assert got.converged == want_converged and got.iterations == want_k
+    assert want_converged or want_k == _BUDGET[name]
+    np.testing.assert_allclose(got.x, want_x, rtol=0, atol=1e-12)
+    rf.assert_within_contract(got.f0, want_f0, rf.objective_scale(inst, want_x))
+    # Q rows read: m per anchor plus the candidates, against m at the start
+    # point and per iteration with one shared pass unscreened
+    assert len(screens) == want_k + 1
+    assert full.call_count * inst.m + sum(screens) <= (want_k + 1) * inst.m / 5
+
+
 def test_cached_statistics_reference_within_contract():
     inst = random_qcqp(*_DESK[0], seed=_DESK[1])
-    want_x, _, want_f0, want_k, _ = _reference_two_passes(inst)
+    want_x, _, want_f0, want_k, _ = rf.full_batch_reference(inst)
     fast = full_batch_reference(inst)
     assert fast.converged and fast.iterations == want_k
     rf.assert_within_contract(fast.f0, want_f0, rf.objective_scale(inst, want_x))
