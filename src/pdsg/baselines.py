@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
 from .errors import ConfigError, DivergenceError
-from .solver import _Z_BLOWUP, SolverState, _iterate, init_state, project_box
+from .solver import _Z_BLOWUP, ParamSchedule, SolverState, _run_row, fixed_horizon, project_box
 
 # iterations between best-iterate checks in the reference solve
 _CHECK_EVERY = 20
@@ -34,7 +33,8 @@ _CHECK_EVERY = 20
 class MirrorProxConfig:
     """Step sizes and dual box for the mirror-prox baseline.
 
-    ``alpha`` and ``rho`` scale constant sequences ``alpha/sqrt(K)`` and
+    The steps of a K-iteration run are the fixed-horizon schedule of
+    ``alpha`` and ``rho``: the constants ``alpha/sqrt(K)`` and
     ``rho/sqrt(K)``.  The fixed penalty is the dual step ``rho/sqrt(K)``, as
     in the main solver's ``beta_k = rho_k``.  The dual iterate is projected
     into [0, z_max]^m.
@@ -49,15 +49,13 @@ class MirrorProxConfig:
             raise ConfigError("z_max, alpha and rho must be positive and finite, got "
                               f"{self.z_max}, {self.alpha}, {self.rho}")
 
+    def schedule(self, K) -> ParamSchedule:
+        """The fixed-horizon schedule of a K-iteration run (horizon 1 for K = 0)."""
+        return fixed_horizon(self.alpha, self.rho, max(K, 1))
+
     def steps(self, K):
         """(alpha_k, rho_k, beta = rho_k) actually used for a K-iteration run."""
-        r = self.rho / math.sqrt(K)
-        return self.alpha / math.sqrt(K), r, r
-
-    def sequences(self, K):
-        """(alpha_k, rho_k) for k = 1..K, as constant read-only views."""
-        a_k, r_k, _ = self.steps(max(K, 1))
-        return np.broadcast_to(a_k, K), np.broadcast_to(r_k, K)
+        return self.schedule(K).steps(1)
 
 
 def zmax_from_reference(z_ref) -> float:
@@ -113,13 +111,7 @@ def mirror_prox_run(inst, cfg: MirrorProxConfig, K, seed, recorder=None, cadence
 
     Equal bit for bit to K calls of ``mirror_prox_step`` with ``cfg.steps(K)``.
     """
-    state = init_state(inst, seed)
-    on_tick = None if recorder is None else lambda live: recorder(state)
-    (exc,) = _iterate([(state, *cfg.sequences(K), cfg.z_max)], inst, K, on_tick, cadence)
-    if exc is not None:
-        raise exc
-    record = recorder.record if recorder is not None else metrics.RunRecord(meta={"seed": seed})
-    return state, record
+    return _run_row(inst, cfg.schedule(K), cfg.z_max, K, seed, recorder, cadence)
 
 
 # -- deterministic full-batch reference ---------------------------------------

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -90,40 +90,29 @@ def reference_for(inst, tol=1e-9, cache_path=None) -> baselines.ReferenceSolutio
     the payload format, the content hash and the tolerance match; any other
     payload is stale, and is recomputed and overwritten.
     """
-    # the digest is the cache key; without a cache file nothing reads it
+    # the digest is part of the key; without a cache file nothing reads it
     digest = problems.instance_digest(inst) if cache_path else None
+    key = {"format": REF_FORMAT, "digest": digest, "tol": tol}
+    names = [f.name for f in fields(baselines.ReferenceSolution)]
     if cache_path and os.path.exists(cache_path):
         try:
             with open(cache_path) as fh:
                 payload = json.load(fh)
-            if (payload.get("format") == REF_FORMAT and payload.get("digest") == digest
-                    and payload.get("tol") == tol):
+            if all(payload.get(k) == v for k, v in key.items()):
+                values = {name: payload[name] for name in names}
+                # the arrays are stored as JSON lists
                 return baselines.ReferenceSolution(
-                    x=np.asarray(payload["x"]),
-                    z=np.asarray(payload["z"]),
-                    f0=payload["f0"],
-                    converged=payload["converged"],
-                    iterations=payload["iterations"],
-                    infeas=payload["infeas"],
-                    step_norm=payload["step_norm"],
+                    **{k: np.asarray(v) if isinstance(v, list) else v for k, v in values.items()}
                 )
         except (ValueError, KeyError, AttributeError, OSError):
             pass  # stale or unreadable cache; recompute
 
     ref = baselines.full_batch_reference(inst, tol=tol)
     if cache_path:
-        payload = {
-            "format": REF_FORMAT,
-            "digest": digest,
-            "tol": tol,
-            "x": ref.x.tolist(),
-            "z": ref.z.tolist(),
-            "f0": ref.f0,
-            "converged": ref.converged,
-            "iterations": ref.iterations,
-            "infeas": ref.infeas,
-            "step_norm": ref.step_norm,
-        }
+        payload = dict(key)
+        for name in names:
+            value = getattr(ref, name)
+            payload[name] = value.tolist() if isinstance(value, np.ndarray) else value
         # write beside the target and rename, so readers never see a partial file
         tmp = f"{cache_path}.{os.getpid()}.tmp"
         try:
@@ -196,10 +185,9 @@ def _run_loops(runs, inst, cfg: ExperimentConfig, K, ref, sched, cadence_steps):
     """
     zmax = cfg.mp_zmax if cfg.mp_zmax is not None else baselines.zmax_from_reference(ref.z)
     mp = baselines.MirrorProxConfig(z_max=zmax)
-    steps = {"mirror_prox": (*mp.sequences(K), mp.z_max)}
+    steps = {"mirror_prox": (*mp.schedule(K).sequences(K), mp.z_max)}
     if sched is not None:
-        alphas, rhos, _ = sched.sequences(max(K, 1))
-        steps["pdsg"] = (alphas, rhos, None)
+        steps["pdsg"] = (*sched.sequences(K), None)
     recorders = [_recorder(method, inst, cfg, seed, ref, mp) for method, seed in runs]
     states = [solver.init_state(inst, seed) for _, seed in runs]
     rows = [(state, *steps[method]) for state, (method, _) in zip(states, runs)]

@@ -216,7 +216,6 @@ class TheoryConstants:
     G: float
     sigma: float
     mu: float
-    sigma_is_estimate: bool = True
     mu_exact: bool = False
 
 
@@ -247,7 +246,7 @@ class QuadraticInstance(ProblemInstance):
             arr.flags.writeable = False
         self._hessian = None
         self._linear = None  # (q, r) of the expanded objective
-        self._curvature = None
+        self._eigenvalues = None
         self._qnorms = None
         self._grad_stats = None  # (S2, v, c0) of the summed squared gradient norms
         self._digest = None
@@ -296,13 +295,17 @@ class QuadraticInstance(ProblemInstance):
         q, r = self.linear_terms()
         return 0.5 * np.einsum("si,si->s", X @ self.hessian(), X) - X @ q + r
 
+    def _hessian_eigenvalues(self):
+        """Ascending eigenvalues of the Hessian (read-only, cached), or None
+        when n > 512 and the Hessian is not factored."""
+        if self._eigenvalues is None and self.n <= 512:
+            self._eigenvalues = np.linalg.eigvalsh(self.hessian())
+            self._eigenvalues.flags.writeable = False
+        return self._eigenvalues
+
     def objective_curvature(self) -> float:
-        if self._curvature is None:
-            if self.n <= 512:
-                self._curvature = float(np.linalg.eigvalsh(self.hessian())[-1])
-            else:
-                self._curvature = float(np.linalg.norm(self.hessian(), "fro"))
-        return self._curvature
+        eigs = self._hessian_eigenvalues()
+        return float(np.linalg.norm(self.hessian(), "fro") if eigs is None else eigs[-1])
 
     # -- constraints ----------------------------------------------------------
 
@@ -586,11 +589,9 @@ def certify_constants(inst: QuadraticInstance, samples=16, rng_seed=0) -> Theory
     msd = grads.sum(axis=(0, 1)) / inst.N
     sigma = math.sqrt(float(msd.max(initial=0.0)))
 
-    if inst.n <= 512:
-        mu = max(float(np.linalg.eigvalsh(inst.hessian())[0]), 0.0)
-        mu_exact = True
-    else:
-        mu, mu_exact = 0.0, False
+    eigs = inst._hessian_eigenvalues()
+    mu_exact = eigs is not None
+    mu = max(float(eigs[0]), 0.0) if mu_exact else 0.0
     return TheoryConstants(F=F, G=G, sigma=sigma, mu=mu, mu_exact=mu_exact)
 
 
@@ -704,7 +705,8 @@ def load_instance(path) -> QuadraticInstance:
 
     The float payload is read once into one aligned array; the instance's
     arrays are read-only views of it.  A header that disagrees with the file
-    size, and NaN or infinite data, raise ValueError.
+    size, NaN or infinite data, and a Q_j that is not exactly symmetric
+    raise ValueError.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -731,13 +733,32 @@ def load_instance(path) -> QuadraticInstance:
         got = fh.readinto(payload)
         if got != payload.nbytes:
             raise ValueError(f"{path}: read {got} of {payload.nbytes} payload bytes")
-    if not np.isfinite(payload).all():
-        raise ValueError(f"{path}: instance data holds NaN or infinite values")
     arrays, off = [], 0
     for shape, size in zip(shapes, sizes):
         arrays.append(payload[off : off + size].reshape(shape))
         off += size
+    _check_payload(path, arrays)
     return QuadraticInstance(QcqpData(*arrays))
+
+
+def _check_payload(path, arrays):
+    """Raise ValueError unless every value is finite and every Q_j symmetric.
+
+    One pass in pieces of at most _CHUNK_BYTES, so that each piece of Q is
+    compared with its transpose while it is still in cache.
+    """
+    Q = arrays[2]
+    for arr in arrays:
+        rows = max(1, _CHUNK_BYTES // (arr.itemsize * (arr.size // len(arr))))
+        for lo in range(0, len(arr), rows):
+            piece = arr[lo : lo + rows]
+            if not np.isfinite(piece).all():
+                raise ValueError(f"{path}: instance data holds NaN or infinite values")
+            if arr is Q:
+                symmetric = (piece == piece.transpose(0, 2, 1)).all(axis=(1, 2))
+                if not symmetric.all():
+                    j = lo + int(np.argmin(symmetric))
+                    raise ValueError(f"{path}: constraint matrix Q_{j} is not symmetric")
 
 
 def instance_digest(inst: QuadraticInstance) -> str:

@@ -46,10 +46,10 @@ class ParamSchedule:
     anytime          alpha_k = alpha/(sqrt(k+1)log(k+1)), rho_k likewise
     strongly_convex  alpha_k = alpha/(k+1),             rho_k = rho/log(K+1)
 
-    The penalty is the dual step, beta_k = rho_k, in all three; ``steps`` and
-    ``sequences`` return it as their third value.  Logs are natural.  ``K``
-    is required for the kinds whose sequences depend on the horizon; ``mu`` is
-    the strong convexity modulus and is only used by ``strongly_convex``.
+    The penalty is the dual step, beta_k = rho_k, in all three; ``steps``
+    returns it as its third value.  Logs are natural.  ``K`` is required for
+    the kinds whose sequences depend on the horizon; ``mu`` is the strong
+    convexity modulus and is only used by ``strongly_convex``.
     """
 
     kind: str
@@ -71,25 +71,6 @@ class ParamSchedule:
         if self.kind == "strongly_convex" and not self.mu > 0:
             raise ConfigError("strongly_convex requires mu > 0")
 
-    def alpha_at(self, k):
-        """alpha_k for 1-based iteration index k (scalar or array)."""
-        if self.kind == "fixed_horizon":
-            return self.alpha / math.sqrt(self.K) * np.ones_like(np.asarray(k, dtype=float))
-        if self.kind == "anytime":
-            kk = np.asarray(k, dtype=float)
-            return self.alpha / (np.sqrt(kk + 1.0) * np.log(kk + 1.0))
-        kk = np.asarray(k, dtype=float)
-        return self.alpha / (kk + 1.0)
-
-    def rho_at(self, k):
-        """rho_k for 1-based iteration index k (scalar or array)."""
-        kk = np.asarray(k, dtype=float)
-        if self.kind == "fixed_horizon":
-            return self.rho / math.sqrt(self.K) * np.ones_like(kk)
-        if self.kind == "anytime":
-            return self.rho / (np.sqrt(kk + 1.0) * np.log(kk + 1.0))
-        return self.rho / math.log(self.K + 1.0) * np.ones_like(kk)
-
     def steps(self, k):
         """(alpha_k, rho_k, beta_k = rho_k) as floats for one iteration.
 
@@ -109,16 +90,19 @@ class ParamSchedule:
         return self.alpha / (k + 1.0), rho_k, rho_k
 
     def sequences(self, K):
-        """(alpha_k, rho_k, beta_k = rho_k) for k = 1..K as float arrays.
+        """(alpha_k, rho_k) for k = 1..K as float arrays; rho_k is also the penalty.
 
         Element k-1 of each array equals the matching entry of ``steps(k)``.
+        A constant sequence is a read-only broadcast view.
         """
         ks = np.arange(1, K + 1, dtype=float)
-        alphas, rhos = (
-            np.broadcast_to(np.asarray(at(ks), dtype=float), ks.shape)
-            for at in (self.alpha_at, self.rho_at)
-        )
-        return alphas, rhos, rhos
+        if self.kind == "fixed_horizon":
+            root = math.sqrt(self.K)
+            return np.broadcast_to(self.alpha / root, K), np.broadcast_to(self.rho / root, K)
+        if self.kind == "anytime":
+            denom = np.sqrt(ks + 1.0) * np.log(ks + 1.0)
+            return self.alpha / denom, self.rho / denom
+        return self.alpha / (ks + 1.0), np.broadcast_to(self.rho / math.log(self.K + 1.0), K)
 
 
 def fixed_horizon(alpha, rho, K) -> ParamSchedule:
@@ -192,7 +176,7 @@ def validate_schedule(sched: ParamSchedule, m, G, K, mu=None) -> ScheduleReport:
     checks = []
 
     if K >= 2:
-        alpha, rho, _ = sched.sequences(K)
+        alpha, rho = sched.sequences(K)
         lhs = rho[:-1] / alpha[:-1]
         rhs = rho[1:] * (1.0 / alpha[1:] - mu)
         slack = 1e-9 * np.maximum(1.0, np.abs(rhs))
@@ -579,26 +563,29 @@ def _write_back(state, x, sum_plain, sum_weighted, z, weight_sum, steps, queries
     _advance(state, x.copy(), weight_sum, steps, queries)
 
 
+def _run_row(inst, sched: ParamSchedule, z_max, K, seed, recorder, cadence):
+    """One run as one row of ``_iterate``: ``run`` with ``z_max`` None,
+    ``mirror_prox_run`` with its dual box level.  Returns (state, record) and
+    raises the row's ``DivergenceError``."""
+    state = init_state(inst, seed)
+    on_tick = None if recorder is None else lambda live: recorder(state)
+    row = (state, *sched.sequences(max(K, 1)), z_max)
+    (exc,) = _iterate([row], inst, K, on_tick, cadence)
+    if exc is not None:
+        raise exc
+    if recorder is None:
+        return state, metrics.RunRecord(rows=[], meta={"seed": seed, "K": K})
+    return state, recorder.record
+
+
 def run(inst, sched: ParamSchedule, K, seed, recorder=None, cadence=None):
     """Run K iterations from the default start; returns (state, record).
 
     ``recorder`` is called with the state every ``cadence`` completed
     iterations (and at the end).  With no recorder the returned record is
     empty.  Deterministic given (inst, sched, K, seed), and equal bit for
-    bit to K calls of ``pdsg_step`` with ``sched.steps(k)``: one row of
-    ``_iterate``, whose ``DivergenceError`` is raised here.
+    bit to K calls of ``pdsg_step`` with ``sched.steps(k)``.
     """
     if sched.K is not None and sched.K != K:
         raise ConfigError(f"schedule horizon K={sched.K} does not match run K={K}")
-    alphas, rhos, _ = sched.sequences(max(K, 1))
-    state = init_state(inst, seed)
-    on_tick = None if recorder is None else lambda live: recorder(state)
-    (exc,) = _iterate([(state, alphas, rhos, None)], inst, K, on_tick, cadence)
-    if exc is not None:
-        raise exc
-
-    if recorder is not None:
-        record = recorder.record
-    else:
-        record = metrics.RunRecord(rows=[], meta={"seed": seed, "K": K})
-    return state, record
+    return _run_row(inst, sched, None, K, seed, recorder, cadence)

@@ -144,7 +144,7 @@ def _rows(inst, K, specs):
     rows = []
     for policy, alpha, rho, z_max, seed in specs:
         if z_max is None:
-            alphas, rhos, _ = make_schedule(policy, alpha, rho, K).sequences(max(K, 1))
+            alphas, rhos = make_schedule(policy, alpha, rho, K).sequences(max(K, 1))
         else:
             a_k, r_k, _ = MirrorProxConfig(z_max=z_max, alpha=alpha, rho=rho).steps(max(K, 1))
             alphas, rhos = np.full(K, a_k), np.full(K, r_k)

@@ -215,18 +215,45 @@ def test_sequences_equal_steps(kind, alpha, rho, K):
     if kind != "anytime":
         K = max(K, 1)
     sched = make_schedule(kind, alpha, rho, K)
-    alphas, rhos, betas = (seq.tolist() for seq in sched.sequences(K))
-    assert len(alphas) == len(rhos) == len(betas) == K
+    seqs = sched.sequences(K)
+    # the constant sequences are read-only views of one value
+    constant = {"fixed_horizon": seqs, "anytime": (), "strongly_convex": seqs[1:]}[kind]
+    for seq in constant:
+        assert seq.strides == (0,) and not seq.flags.writeable
+    alphas, rhos = (seq.tolist() for seq in seqs)
+    assert len(alphas) == len(rhos) == K
     for k in range(1, K + 1):
-        assert (alphas[k - 1], rhos[k - 1], betas[k - 1]) == sched.steps(k)
+        # rho_k is both the dual step and the penalty
+        assert (alphas[k - 1], rhos[k - 1], rhos[k - 1]) == sched.steps(k)
 
 
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
 def test_steps_equal_sequences_over_a_long_horizon(kind):
     K = 10**5  # math.log and numpy's log differ in the last ulp on a few of these
     sched = make_schedule(kind, 0.37, 0.91, K)
-    alphas, rhos, betas = (seq.tolist() for seq in sched.sequences(K))
-    assert [sched.steps(k) for k in range(1, K + 1)] == list(zip(alphas, rhos, betas))
+    alphas, rhos = (seq.tolist() for seq in sched.sequences(K))
+    assert [sched.steps(k) for k in range(1, K + 1)] == list(zip(alphas, rhos, rhos))
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 1000])
+def test_mirror_prox_steps_are_the_fixed_horizon_schedule(K):
+    cfg = MirrorProxConfig(z_max=5.0, alpha=0.37, rho=0.91)
+    a_k, r_k = 0.37 / np.sqrt(K), 0.91 / np.sqrt(K)
+    assert cfg.steps(K) == (a_k, r_k, r_k)
+    alphas, rhos = cfg.schedule(K).sequences(K)
+    assert alphas.tolist() == [a_k] * K and rhos.tolist() == [r_k] * K
+
+
+def test_zero_iteration_runs_return_the_start_and_the_same_empty_record():
+    inst = random_qcqp(4, 3, 5, 6, seed=7)
+    start = snapshot(init_state(inst, 3))
+    for K in (0, 5):
+        state, record = run(inst, make_schedule("anytime", 0.1, 0.1, K), K, 3)
+        mp_state, mp_record = mirror_prox_run(inst, MirrorProxConfig(), K, 3)
+        if K == 0:
+            assert snapshot(state) == snapshot(mp_state) == start
+        assert record.rows == mp_record.rows == []
+        assert record.meta == mp_record.meta == {"seed": 3, "K": K}
 
 
 def assert_ergodic_means(state, start, iterates, alphas):

@@ -324,6 +324,16 @@ def test_cached_curvature_arrays_are_read_only():
     assert inst.objective_curvature() == before[2]
 
 
+def test_hessian_is_factored_once_for_mu_and_curvature(monkeypatch):
+    inst = random_qcqp(4, 3, 5, 6, seed=1)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    mu, curvature = certify_constants(inst, samples=0).mu, inst.objective_curvature()
+    assert len(calls) == 1
+    eigs = eigvalsh(inst.hessian())
+    assert (mu, curvature) == (max(float(eigs[0]), 0.0), float(eigs[-1]))
+
+
 # -- scenario sizing ----------------------------------------------------------
 
 
@@ -613,6 +623,24 @@ def test_instance_file_rejects_non_finite_data(tmp_path, name, value):
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="NaN or infinite"):
         load_instance(path)
+
+
+def test_instance_file_rejects_non_symmetric_q(tmp_path, capsys):
+    inst = random_qcqp(3, 2, 2, 4, seed=0)
+    Q = inst.data.Q.copy()
+    for j in (2, 3):  # skew parts leave x'Q_j x unchanged but not the gradient Q_j x
+        Q[j, 0, 1] += 5.0
+        Q[j, 1, 0] -= 5.0
+    d = inst.data
+    path = _saved(tmp_path, QuadraticInstance(QcqpData(d.H, d.c, Q, d.a, d.b, d.box_lo, d.box_hi)))
+    with pytest.raises(ValueError, match="Q_2 is not symmetric"):
+        load_instance(path)
+    rc = cli.main(
+        ["solve", "--instance", str(path), "--method", "pdsg", "--alpha", "0.003",
+         "--rho", "0.003", "--epochs", "1", "--seeds", "0", "--out", str(tmp_path)]
+    )
+    assert rc == 2
+    assert "Q_2 is not symmetric" in capsys.readouterr().err
 
 
 def test_cli_corrupt_instance_exits_2(tmp_path, capsys):

@@ -55,24 +55,23 @@ def test_project_box_dimension_error():
 
 def test_schedule_values():
     s = fixed_horizon(2.0, 3.0, 100)
-    assert s.alpha_at(1) == pytest.approx(0.2)
-    assert s.rho_at(50) == pytest.approx(0.3)
+    assert s.steps(1)[0] == pytest.approx(0.2)
+    assert s.steps(50)[1] == pytest.approx(0.3)
     assert s.steps(7)[2] == s.steps(7)[1]
 
     s = anytime(1.0, 1.0)
-    assert s.alpha_at(1) == pytest.approx(1.0 / (np.sqrt(2.0) * np.log(2.0)))
-    assert s.rho_at(3) == pytest.approx(1.0 / (2.0 * np.log(4.0)))
+    assert s.steps(1)[0] == pytest.approx(1.0 / (np.sqrt(2.0) * np.log(2.0)))
+    assert s.steps(3)[1] == pytest.approx(1.0 / (2.0 * np.log(4.0)))
 
     s = strongly_convex(2.0, 1.0, 99, mu=0.5)
-    assert s.alpha_at(1) == pytest.approx(1.0)
-    assert s.alpha_at(9) == pytest.approx(0.2)
-    assert s.rho_at(5) == pytest.approx(1.0 / np.log(100.0))
+    assert s.steps(1)[0] == pytest.approx(1.0)
+    assert s.steps(9)[0] == pytest.approx(0.2)
+    assert s.steps(5)[1] == pytest.approx(1.0 / np.log(100.0))
 
 
 def test_schedule_alpha_nonincreasing():
-    ks = np.arange(1, 2000)
     for s in (fixed_horizon(1, 1, 2000), anytime(1, 1), strongly_convex(1, 1, 2000, mu=1.0)):
-        a = np.asarray(s.alpha_at(ks))
+        a = s.sequences(1999)[0]
         assert np.all(np.diff(a) <= 1e-15)
 
 
@@ -191,7 +190,7 @@ def test_ergodic_accumulators_match_recomputation():
     state, _ = run(inst, sched, K, seed=2, recorder=Grab(), cadence=1)
     stacked = np.stack(iterates)
     assert np.max(np.abs(state.ergodic_plain() - stacked.mean(axis=0))) < 1e-12
-    alphas = np.asarray(sched.alpha_at(np.arange(1, K + 1)))
+    alphas = sched.sequences(K)[0]
     weighted = (alphas[:, None] * stacked).sum(axis=0) / alphas.sum()
     assert np.max(np.abs(state.ergodic_weighted() - weighted)) < 1e-12
 
