@@ -25,9 +25,6 @@ import numpy as np
 from .errors import ConfigError, DivergenceError
 from .solver import _Z_BLOWUP, ParamSchedule, SolverState, _run_row, fixed_horizon, project_box
 
-# iterations between best-iterate checks in the reference solve
-_CHECK_EVERY = 20
-
 
 @dataclass(frozen=True)
 class MirrorProxConfig:
@@ -119,7 +116,8 @@ def mirror_prox_run(inst, cfg: MirrorProxConfig, K, seed, recorder=None, cadence
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Ground-truth output: best iterate, duals, objective, and diagnostics."""
+    """Ground-truth output: the iterate the solve stops at, its duals, its
+    objective and its diagnostics."""
 
     x: np.ndarray
     z: np.ndarray
@@ -138,12 +136,11 @@ def full_batch_reference(inst, K=200_000, tol=1e-9) -> ReferenceSolution:
     ``z_j <- z_j + rho * max(-z_j/beta, f_j(x_new))`` for every coordinate,
     with beta = rho = 1; the primal step adapts to a local curvature bound
     of the augmented Lagrangian.  Stops once both the infeasibility and the
-    primal step norm drop below ``tol``; returns the best iterate seen
-    (scored by max of those two, every ``_CHECK_EVERY`` iterations) flagged
-    non-converged if the tolerance was never reached.  ``converged`` is this
-    stopping rule, not a KKT certificate: on the desk instance (seed 13,
-    n=20, m=200) the converged output has a KKT residual of 1.72e-9 at
-    tol 1e-9.
+    primal step norm drop below ``tol``, or after K iterations, and returns
+    the iterate it stops at, flagged non-converged if the tolerance was
+    never reached.  ``converged`` is this stopping rule, not a KKT
+    certificate: on the desk instance (seed 13, n=20, m=200) the converged
+    output has a KKT residual of 1.72e-9 at tol 1e-9.
 
     Constraints come from ``inst.constraint_screen()``: a j left out of the
     screen has z_j = 0 and f_j(x) <= 0, so it adds exactly 0 to the
@@ -158,8 +155,6 @@ def full_batch_reference(inst, K=200_000, tol=1e-9) -> ReferenceSolution:
     screen = inst.constraint_screen()
     idx, fvals, grads, grad_sq = screen(x, z > 0.0)
 
-    best = None
-    best_score = math.inf
     converged = False
     k = 0
     step_norm = math.inf
@@ -187,25 +182,16 @@ def full_batch_reference(inst, K=200_000, tol=1e-9) -> ReferenceSolution:
 
         # step/alpha approximates the projected gradient, so converged output
         # meets the KKT contract and not just a small-step test
-        hit_tol = infeas <= tol and step_norm <= tol * min(1.0, alpha_k)
-        if hit_tol or k % _CHECK_EVERY == 0:
-            score = max(infeas, step_norm)
-            if score < best_score:
-                best_score = score
-                best = (x.copy(), z.copy(), step_norm, infeas)
-            if hit_tol:
-                converged = True
-                break
+        if infeas <= tol and step_norm <= tol * min(1.0, alpha_k):
+            converged = True
+            break
 
-    if best is None or max(infeas, step_norm) < best_score:
-        best = (x.copy(), z.copy(), step_norm, infeas)
-    bx, bz, bstep, binf = best
     return ReferenceSolution(
-        x=bx,
-        z=bz,
-        f0=float(inst.objective(bx)),
+        x=x,
+        z=z,
+        f0=float(inst.objective(x)),
         converged=converged,
         iterations=k,
-        infeas=binf,
-        step_norm=bstep,
+        infeas=infeas,
+        step_norm=step_norm,
     )

@@ -243,7 +243,8 @@ def run_experiment(cfg: ExperimentConfig, inst=None):
     What the runs share is computed here once: the pdsg schedule, validated
     against the instance's certified constants before anything runs (an
     invalid schedule raises ConfigError unless ``cfg.force`` is set), the
-    reference solution, and the reference method's solve.  The pdsg and
+    reference solution, and the reference method's solve, which is that
+    solution when it converged within the run budget K.  The pdsg and
     mirror-prox runs go through one run loop together.
     """
     if inst is None:
@@ -265,7 +266,9 @@ def run_experiment(cfg: ExperimentConfig, inst=None):
     ref = reference_for(inst, tol=cfg.ref_tol, cache_path=cache_path)
     reference_solve = None
     if "reference" in cfg.methods:
-        reference_solve = _solve_reference_method(inst, K, cfg.ref_tol)
+        # the solve is deterministic: one that converged within K is the capped solve
+        converged = ref.converged and ref.iterations <= K
+        reference_solve = ref if converged else _solve_reference_method(inst, K, cfg.ref_tol)
 
     cadence_steps = max(1, int(round(cfg.cadence * inst.m)))
     runs = [(method, seed) for method in cfg.methods for seed in cfg.seeds]

@@ -56,8 +56,8 @@ def _add_instance_args(p):
 
 def _add_run_args(p):
     p.add_argument("--schedule", choices=solver.SCHEDULE_KINDS, default="fixed_horizon")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, default=1.0, help="pdsg step alpha (mirror-prox uses 1)")
+    p.add_argument("--rho", type=float, default=1.0, help="pdsg step rho (mirror-prox uses 1)")
     p.add_argument("--mu", type=float, default=None, help="override certified modulus")
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--cadence", type=float, default=1.0, help="epochs between measurements")

@@ -110,8 +110,10 @@ class ProblemInstance:
         return np.stack([self.constraint(j, x)[1] for j in range(self.m)])
 
     def constraint_values_and_grads(self, x):
-        """``(constraint_values(x), constraint_grads(x))`` from one pass."""
-        return self.constraint_values(x), self.constraint_grads(x)
+        """``(constraint_values(x), constraint_grads(x))`` from one pass:
+        one ``constraint(j, x)`` call per constraint."""
+        vals, grads = zip(*(self.constraint(j, x) for j in range(self.m)))
+        return np.array(vals), np.stack(grads)
 
     def constraint_curvatures(self):
         """Per-constraint Hessian norm bounds (zeros when constraints are affine)."""

@@ -334,6 +334,23 @@ def _advance(state, x, weight_sum, steps, queries):
     state.n_constr_val_queries += queries
 
 
+def _policy(z_max):
+    """A row's dual rule ``(mirror, cap, limit)``: pdsg's unbounded dual with
+    its ``_Z_BLOWUP`` test, or mirror-prox's box [0, z_max] with none.  The
+    kernels clip the new coordinate to [0, cap] and diverge unless it is
+    ``<= limit``.  The clip keeps -0.0 and NaN, as ``pdsg_step``'s repair and
+    ``mirror_prox_step``'s ``min(max(v, 0.0), z_max)`` do, so both are
+    reproduced bit for bit, the finiteness and magnitude tests included."""
+    if z_max is None:
+        return False, math.inf, _Z_BLOWUP
+    return True, z_max, math.inf
+
+
+def _diverged(state):
+    """The ``DivergenceError`` of a row stopped at iteration ``state.k``."""
+    return DivergenceError(f"divergence at iteration {state.k}", iteration=state.k, state=state)
+
+
 def _rewind(rng, before, bounds, iterations):
     """Put ``rng``, last in state ``before``, where the scalar draws of
     ``iterations`` index triples would leave it."""
@@ -403,7 +420,7 @@ def _row_block(rows, oracles, bounds, lo, hi, done, end):
     for pos, (state, alphas, rhos, z_max) in enumerate(rows):
         x, z, rng = state.x, state.z, state.rng
         sum_plain, sum_weighted, weight_sum = state.sum_plain, state.sum_weighted, state.weight_sum
-        mirror = z_max is not None
+        mirror, cap, limit = _policy(z_max)
         rng_before = rng.bit_generator.state
         draws = iter(rng.integers(bounds[: 3 * (end - done)]).tolist())
         block = zip(draws, draws, draws, alphas[done:end].tolist(), rhos[done:end].tolist())
@@ -421,21 +438,13 @@ def _row_block(rows, oracles, bounds, lo, hi, done, end):
             diverged = not math.isfinite(x_new @ x_new) and not np.isfinite(x_new).all()
 
             zj = z.item(j)
-            if mirror:
-                fj = constraint_value(j, x)
-                zj_new = min(max(zj + r_k * max(-zj / r_k, fj), 0.0), z_max)
-            else:
-                fj = constraint_value(j, x_new)
-                zj_new = zj + r_k * max(-zj / r_k, fj)
-                if zj_new < 0.0:
-                    zj_new = 0.0  # last-ulp repair, as in pdsg_step
-                diverged = diverged or not math.isfinite(zj_new) or abs(zj_new) > _Z_BLOWUP
-            if diverged:
+            fj = constraint_value(j, x if mirror else x_new)
+            zj_new = zj + r_k * max(-zj / r_k, fj)
+            zj_new = 0.0 if zj_new < 0.0 else cap if zj_new > cap else zj_new
+            if diverged or not zj_new <= limit:
                 _rewind(rng, rng_before, bounds, t + 1)
                 _advance(state, x, weight_sum, t, t + 1)
-                failed[pos] = DivergenceError(
-                    f"divergence at iteration {state.k}", iteration=state.k, state=state
-                )
+                failed[pos] = _diverged(state)
                 break
 
             z[j] = zj_new
@@ -453,7 +462,7 @@ def _stacked_block(rows, oracles, bounds, lo, hi, done, end):
     oracles; returns (steps taken, failures).
 
     The vector work of all rows is batched; the per-row scalars (the
-    multiplier, the dual coordinate and its repair) stay Python floats.
+    multiplier and the dual coordinate) stay Python floats.
     The block ends early after an iteration in which a row diverges: the
     failed rows are left as their step calls leave them, and the others are
     written back after that iteration, their generators rewound to where
@@ -462,7 +471,7 @@ def _stacked_block(rows, oracles, bounds, lo, hi, done, end):
     stoch_grads, constraints, constraint_values = oracles
     R, nb = len(rows), end - done
     states = [row[0] for row in rows]
-    z_max = [row[3] for row in rows]
+    rules = [_policy(row[3]) for row in rows]
     rng_before = [s.rng.bit_generator.state for s in states]
     # (nb, 3, R): the index triple of every row, iteration by iteration
     draws = np.stack([s.rng.integers(bounds[: 3 * nb]) for s in states])
@@ -478,7 +487,7 @@ def _stacked_block(rows, oracles, bounds, lo, hi, done, end):
     tmp = np.empty_like(X)
     zs = [s.z.tolist() for s in states]
     weights = [s.weight_sum for s in states]
-    mirror = [zm is not None for zm in z_max]
+    mirror = [rule[0] for rule in rules]
     # the dual update of pdsg reads the new iterate, mirror-prox's the old one
     at_new = None if all(mirror) or not any(mirror) else np.array(mirror)[:, None] == 0
 
@@ -515,17 +524,11 @@ def _stacked_block(rows, oracles, bounds, lo, hi, done, end):
             Y = np.where(at_new, Xn, X)
         fjs = constraint_values(J, Y)
         bad = []
-        for pos, (z, j, r_k, fj, zm) in enumerate(zip(zs, j_list, r_row, fjs, z_max)):
+        for pos, (z, j, r_k, fj, (_, cap, lim)) in enumerate(zip(zs, j_list, r_row, fjs, rules)):
             zj = z[j]
-            if zm is not None:
-                zj_new = min(max(zj + r_k * max(-zj / r_k, fj), 0.0), zm)
-                diverged = False
-            else:
-                zj_new = zj + r_k * max(-zj / r_k, fj)
-                if zj_new < 0.0:
-                    zj_new = 0.0  # last-ulp repair, as in pdsg_step
-                diverged = not math.isfinite(zj_new) or abs(zj_new) > _Z_BLOWUP
-            if diverged or (x_bad is not None and x_bad[pos]):
+            zj_new = zj + r_k * max(-zj / r_k, fj)
+            zj_new = 0.0 if zj_new < 0.0 else cap if zj_new > cap else zj_new
+            if not zj_new <= lim or (x_bad is not None and x_bad[pos]):
                 bad.append(pos)
             else:
                 z[j] = zj_new
@@ -534,9 +537,7 @@ def _stacked_block(rows, oracles, bounds, lo, hi, done, end):
             _write_back(state, X[pos], sum_plain[pos], sum_weighted[pos], zs[pos],
                         weights[pos], t, t + 1)
             _rewind(state.rng, rng_before[pos], bounds, t + 1)
-            failed[pos] = DivergenceError(
-                f"divergence at iteration {state.k}", iteration=state.k, state=state
-            )
+            failed[pos] = _diverged(state)
 
         sum_plain += Xn
         np.multiply(Xn, a_col, out=tmp)

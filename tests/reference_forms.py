@@ -26,7 +26,6 @@ import math
 
 import numpy as np
 
-from pdsg import baselines
 from pdsg.solver import _Z_BLOWUP, project_box
 
 MEASURE_RTOL = 1e-12
@@ -117,9 +116,7 @@ def full_batch_reference(inst, K=200_000, tol=1e-9):
     L0 = inst.objective_curvature()
     qcurv = inst.constraint_curvatures()
     fvals, grads = constraint_values(inst, x), constraint_grads(inst, x)
-    best, best_score, converged = None, math.inf, False
-    k, step_norm = 0, math.inf
-    infeas = float(np.maximum(fvals, 0.0).mean())
+    converged, k = False, 0
     for k in range(1, K + 1):
         mult = np.maximum(fvals + z, 0.0)
         d = objective_grad(inst, x) + grads.T @ (mult / m)
@@ -133,15 +130,7 @@ def full_batch_reference(inst, K=200_000, tol=1e-9):
         step_norm = float(np.linalg.norm(x_new - x))
         infeas = float(np.maximum(fvals_new, 0.0).mean())
         x, fvals, grads = x_new, fvals_new, grads_new
-        hit_tol = infeas <= tol and step_norm <= tol * min(1.0, alpha_k)
-        if hit_tol or k % baselines._CHECK_EVERY == 0:
-            score = max(infeas, step_norm)
-            if score < best_score:
-                best_score = score
-                best = (x.copy(), z.copy())
-            if hit_tol:
-                converged = True
-                break
-    if best is None or max(infeas, step_norm) < best_score:
-        best = (x.copy(), z.copy())
-    return best[0], best[1], objective(inst, best[0]), k, converged
+        if infeas <= tol and step_norm <= tol * min(1.0, alpha_k):
+            converged = True
+            break
+    return x, z, objective(inst, x), k, converged

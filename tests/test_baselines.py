@@ -1,5 +1,7 @@
 """Mirror-prox variant and deterministic reference solver tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,20 @@ def test_reference_one_dim_analytic(one_dim):
     assert abs(ref.x[0] + 1.0) < 1e-6
     assert abs(ref.f0 + 1.0) < 1e-6
     assert abs(ref.z[0] - 1.0) < 1e-6
+
+
+def test_generic_full_pass_makes_one_constraint_call_per_constraint(one_dim):
+    # the generic screen takes every constraint from one
+    # constraint_values_and_grads pass: m constraint calls per iterate
+    x = np.array([0.5])
+    with mock.patch.object(one_dim, "constraint", wraps=one_dim.constraint) as calls:
+        ref = full_batch_reference(one_dim, tol=1e-10)
+        assert calls.call_count == (ref.iterations + 1) * one_dim.m
+        calls.reset_mock()
+        fvals, grads = one_dim.constraint_values_and_grads(x)
+        assert calls.call_count == one_dim.m
+    assert fvals.tobytes() == one_dim.constraint_values(x).tobytes()
+    assert grads.tobytes() == one_dim.constraint_grads(x).tobytes()
 
 
 def test_reference_scenario_one_dim_analytic():

@@ -34,6 +34,7 @@ from test_loop_equivalence import (
     PROPERTY,
     Snapshots,
     _Blowup,
+    compare_mirror_prox,
     make_schedule,
     qcqps,
     run_plans,
@@ -239,6 +240,23 @@ def test_grid_row_diverges_mid_block_while_the_others_finish():
     assert got[0][1] != got[3][1]
     for ending in (got[0], got[3]):
         assert ending[1] % 7 not in (0, 1)  # neither end of a block
+
+
+def test_mirror_prox_dual_above_the_blowup_level_runs_on():
+    # mirror-prox has no blow-up test on its dual: with a box above
+    # _Z_BLOWUP its dual passes that level where pdsg's diverges
+    inst = _Blowup(2**40, 40)
+    K = 400
+    big = 0.5 * np.sqrt(K)
+    specs = [("fixed_horizon", big, big, None, 0), ("mirror_prox", big, big, 1e15, 1),
+             ("mirror_prox", big, big, 1e15, 2)]
+    for min_runs in (1, len(specs) + 1):  # the stacked kernel, then the per-row one
+        got = compare_grid(inst, K, specs, cadence=7, min_runs=min_runs)
+        assert [g[0] for g in got] == ["diverged", "done", "done"]
+    cfg = MirrorProxConfig(z_max=1e15, alpha=big, rho=big)
+    got = compare_mirror_prox(inst, cfg, K, 7, solver._DRAW_BLOCK, seed=1)
+    z = np.frombuffer(got[1][0][1])
+    assert got[0] == "done" and z.max() > solver._Z_BLOWUP
 
 
 class _NanConstraint(ProblemInstance):

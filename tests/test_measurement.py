@@ -264,7 +264,7 @@ _DESK, _MIDSCALE = ((20, 15, 200, 200), 13), ((100, 95, 1000, 1000), 0)
 
 
 def _instance(name):
-    if name == "desk":
+    if name.startswith("desk"):
         return random_qcqp(*_DESK[0], seed=_DESK[1])
     if name == "midscale":
         return random_qcqp(*_MIDSCALE[0], seed=_MIDSCALE[1])
@@ -273,8 +273,10 @@ def _instance(name):
     return random_scenario_lp(8, 300, 4, seed=1)
 
 
-# K caps the binding instance, which does not converge in the default budget
-_BUDGET = {"desk": 200_000, "midscale": 200_000, "binding": 300, "scenario": 200_000}
+# K caps the binding instance, which does not converge in the default budget,
+# and desk_capped, which stops at K = 37 long before it converges
+_BUDGET = {"desk": 200_000, "desk_capped": 37, "midscale": 200_000, "binding": 300,
+           "scenario": 200_000}
 
 
 @functools.cache  # small results only: the instances are built again per test
@@ -298,7 +300,7 @@ def test_shared_constraint_pass_is_bit_exact(name):
     assert got.iterations == want_k and got.f0 == want_f0
 
 
-@pytest.mark.parametrize("name", ["desk", "midscale", "binding", "scenario"])
+@pytest.mark.parametrize("name", ["desk", "desk_capped", "midscale", "binding", "scenario"])
 def test_screened_reference_within_contract(name):
     inst = _instance(name)
     want_x, _, want_f0, want_k, want_converged = _unscreened(name)
