@@ -30,7 +30,7 @@ REF_FORMAT = 2
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs: problem, solver, measurement."""
+    """Everything one experiment needs: problem, solver, measurement (and CLI defaults)."""
 
     family: str = "qcqp"
     n: int = 20
@@ -142,21 +142,8 @@ def _solve_reference_method(inst, K, tol):
         return exc
 
 
-def _recorder(method, inst, cfg: ExperimentConfig, seed, ref, mp=None) -> metrics.Recorder:
-    """The run's Recorder, its meta naming the method, schedule and instance."""
-    if method == "pdsg":
-        descriptor = f"{cfg.schedule}(alpha={cfg.alpha:g}, rho={cfg.rho:g})"
-    elif method == "mirror_prox":
-        descriptor = f"mirror_prox(alpha={mp.alpha:g}, rho={mp.rho:g})"
-    else:
-        descriptor = "reference"
-    meta = {
-        "method": method,
-        "seed": seed,
-        "schedule": descriptor,
-        "instance": f"{cfg.family} n={inst.n} m={inst.m} seed={cfg.instance_seed}",
-    }
-    return metrics.Recorder(inst, ref.f0, meta=meta)
+def _recorder(method, inst, seed, ref) -> metrics.Recorder:
+    return metrics.Recorder(inst, ref.f0, meta={"method": method, "seed": seed})
 
 
 def _log_divergence(record, exc: DivergenceError, m) -> None:
@@ -188,7 +175,7 @@ def _run_loops(runs, inst, cfg: ExperimentConfig, K, ref, sched, cadence_steps):
     steps = {"mirror_prox": (*mp.schedule(K).sequences(K), mp.z_max)}
     if sched is not None:
         steps["pdsg"] = (*sched.sequences(K), None)
-    recorders = [_recorder(method, inst, cfg, seed, ref, mp) for method, seed in runs]
+    recorders = [_recorder(method, inst, seed, ref) for method, seed in runs]
     states = [solver.init_state(inst, seed) for _, seed in runs]
     rows = [(state, *steps[method]) for state, (method, _) in zip(states, runs)]
 
@@ -217,7 +204,7 @@ def run_one(method, inst, cfg: ExperimentConfig, K, seed, ref, cadence_steps,
         return _run_loops([(method, seed)], inst, cfg, K, ref, sched, cadence_steps)[0]
     if method != "reference":
         raise ConfigError(f"unknown method {method!r}")
-    recorder = _recorder(method, inst, cfg, seed, ref)
+    recorder = _recorder(method, inst, seed, ref)
     out = reference_solve
     if out is None:
         out = _solve_reference_method(inst, K, cfg.ref_tol)

@@ -9,6 +9,7 @@ subcommand, with command-line flags taking precedence.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -44,29 +45,29 @@ def read_config_file(path) -> dict:
 
 
 def _add_instance_args(p):
-    p.add_argument("--family", choices=("qcqp", "scenario_lp"), default="qcqp")
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--p", type=int, default=15)
-    p.add_argument("--N", type=int, default=200)
-    p.add_argument("--m", type=int, default=200)
-    p.add_argument("--second-stage-dim", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0, help="instance generation seed")
-    p.add_argument("--instance", default=None, help="read the instance from this file")
+    p.add_argument("--family", choices=("qcqp", "scenario_lp"))
+    p.add_argument("--n", type=int)
+    p.add_argument("--p", type=int)
+    p.add_argument("--N", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--second-stage-dim", type=int)
+    p.add_argument("--seed", type=int, help="instance generation seed")
+    p.add_argument("--instance", help="read the instance from this file")
 
 
 def _add_run_args(p):
-    p.add_argument("--schedule", choices=solver.SCHEDULE_KINDS, default="fixed_horizon")
-    p.add_argument("--alpha", type=float, default=1.0, help="pdsg step alpha (mirror-prox uses 1)")
-    p.add_argument("--rho", type=float, default=1.0, help="pdsg step rho (mirror-prox uses 1)")
-    p.add_argument("--mu", type=float, default=None, help="override certified modulus")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--cadence", type=float, default=1.0, help="epochs between measurements")
-    p.add_argument("--seeds", default="0", help="comma-separated run seeds")
+    p.add_argument("--schedule", choices=solver.SCHEDULE_KINDS)
+    p.add_argument("--alpha", type=float, help="pdsg step alpha (needs a pdsg run)")
+    p.add_argument("--rho", type=float, help="pdsg step rho (needs a pdsg run)")
+    p.add_argument("--mu", type=float, help="override certified modulus")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--cadence", type=float, help="epochs between measurements")
+    p.add_argument("--seeds", help="comma-separated run seeds")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--csv", default="runs.csv", help="CSV file name")
     p.add_argument("--force", action="store_true", help="run despite schedule validation failure")
-    p.add_argument("--ref-tol", type=float, default=1e-9)
-    p.add_argument("--zmax", type=float, default=None, help="mirror-prox dual box level")
+    p.add_argument("--ref-tol", type=float)
+    p.add_argument("--zmax", type=float, help="mirror-prox dual box level (needs a mirror_prox run)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,39 +111,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _instance_fields(args) -> dict:
-    """The ``ExperimentConfig`` fields set by ``_add_instance_args``."""
-    return dict(
-        family=args.family,
-        n=args.n,
-        p=args.p,
-        N=args.N,
-        m=args.m,
-        second_stage_dim=args.second_stage_dim,
-        instance_seed=args.seed,
-        instance_file=args.instance,
-    )
+# options whose ExperimentConfig field has another name
+_FIELDS = {"seed": "instance_seed", "instance": "instance_file", "zmax": "mp_zmax"}
 
 
-def _experiment_config(args, methods) -> bench.ExperimentConfig:
-    return bench.ExperimentConfig(
-        **_instance_fields(args),
-        methods=methods,
-        schedule=args.schedule,
-        alpha=args.alpha,
-        rho=args.rho,
-        mu=args.mu,
-        mp_zmax=args.zmax,
-        epochs=args.epochs,
-        cadence=args.cadence,
-        seeds=_parse_seeds(args.seeds),
-        force=args.force,
-        ref_tol=args.ref_tol,
-    )
+def _config(args, **fixed) -> bench.ExperimentConfig:
+    """The ``ExperimentConfig`` of the options given, with ``fixed`` on top.
+
+    An option not given is None and leaves its field at the default.
+    """
+    names = {f.name for f in dataclasses.fields(bench.ExperimentConfig)}
+    given = {_FIELDS.get(k, k): v for k, v in vars(args).items() if v is not None}
+    given = {k: v for k, v in given.items() if k in names}
+    if "seeds" in given:
+        given["seeds"] = _parse_seeds(given["seeds"])
+    return bench.ExperimentConfig(**{**given, **fixed})
 
 
 def cmd_generate(args) -> int:
-    inst = bench.build_instance(bench.ExperimentConfig(**_instance_fields(args)))
+    inst = bench.build_instance(_config(args))
     problems.save_instance(inst, args.out)
     consts = problems.certify_constants(inst)
     print(f"wrote {args.out}")
@@ -156,7 +143,11 @@ def cmd_generate(args) -> int:
 
 
 def _run_and_write(args, methods) -> int:
-    cfg = _experiment_config(args, methods)
+    if "pdsg" not in methods and (args.alpha is not None or args.rho is not None):
+        raise ConfigError("--alpha and --rho set pdsg's steps, and no pdsg run is asked for")
+    if "mirror_prox" not in methods and args.zmax is not None:
+        raise ConfigError("--zmax sets mirror-prox's dual box, and no mirror_prox run is asked for")
+    cfg = _config(args, methods=methods)
     records, ref, _ = bench.run_experiment(cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, args.csv)

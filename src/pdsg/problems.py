@@ -103,11 +103,11 @@ class ProblemInstance:
 
     def constraint_values(self, x):
         """All m constraint values at x (measurement use; O(m) pass)."""
-        return np.array([self.constraint_value(j, x) for j in range(self.m)])
+        return self.constraint_values_and_grads(x)[0]
 
     def constraint_grads(self, x):
         """All m constraint subgradients at x, stacked (m, n)."""
-        return np.stack([self.constraint(j, x)[1] for j in range(self.m)])
+        return self.constraint_values_and_grads(x)[1]
 
     def constraint_values_and_grads(self, x):
         """``(constraint_values(x), constraint_grads(x))`` from one pass:
@@ -319,13 +319,6 @@ class QuadraticInstance(ProblemInstance):
     def constraint_value(self, j, x) -> float:
         Qx = self.data.Q[j] @ x
         return 0.5 * float(x @ Qx) + float(self.data.a[j] @ x) - float(self.data.b[j])
-
-    def constraint_values(self, x):
-        Qx = self.data.Q @ x
-        return 0.5 * (Qx @ x) + self.data.a @ x - self.data.b
-
-    def constraint_grads(self, x):
-        return self.data.Q @ x + self.data.a
 
     def constraint_values_and_grads(self, x):
         Qx = self.data.Q @ x

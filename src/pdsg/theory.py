@@ -138,20 +138,14 @@ def rate_envelope(kind, b: BoundInputs, K) -> RateEnvelope:
     r = b.rho
     z2 = b.zstar_norm**2
     oz2 = b.ones_plus_zstar_norm**2
+    last = None
     if kind == "fixed_horizon":
         pre = 1.0 / math.sqrt(K)
-        return RateEnvelope(
-            obj=pre * (2.0 * phi + 4.5 / r * z2),
-            infeas=pre * (phi + oz2 / (2.0 * r)),
-        )
-    if kind == "anytime":
+    elif kind == "anytime":
         pre = math.log(K + 1.0) / (2.0 * (math.sqrt(K + 2.0) - math.sqrt(2.0)))
-        return RateEnvelope(
-            obj=pre * (2.0 * phi + 4.5 / r * z2),
-            infeas=pre * (phi + oz2 / (2.0 * r)),
-        )
-    pre = math.log(K + 1.0) / K
-    last = 2.0 * b.alpha * math.log(K + 1.0) / (K + 1.0) * (phi + z2 / (2.0 * r))
+    else:
+        pre = math.log(K + 1.0) / K
+        last = 2.0 * b.alpha * math.log(K + 1.0) / (K + 1.0) * (phi + z2 / (2.0 * r))
     return RateEnvelope(
         obj=pre * (2.0 * phi + 4.5 / r * z2),
         infeas=pre * (phi + oz2 / (2.0 * r)),

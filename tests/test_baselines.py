@@ -105,8 +105,12 @@ def test_generic_full_pass_makes_one_constraint_call_per_constraint(one_dim):
         calls.reset_mock()
         fvals, grads = one_dim.constraint_values_and_grads(x)
         assert calls.call_count == one_dim.m
-    assert fvals.tobytes() == one_dim.constraint_values(x).tobytes()
-    assert grads.tobytes() == one_dim.constraint_grads(x).tobytes()
+        calls.reset_mock()
+        assert fvals.tobytes() == one_dim.constraint_values(x).tobytes()
+        assert calls.call_count == one_dim.m
+        calls.reset_mock()
+        assert grads.tobytes() == one_dim.constraint_grads(x).tobytes()
+        assert calls.call_count == one_dim.m
 
 
 def test_reference_scenario_one_dim_analytic():

@@ -356,14 +356,58 @@ def test_cli_divergence_exit_code(tmp_path):
     ["--method", "mirror_prox", "--zmax", "inf"],  # used to exit 0 with no dual box
 ])
 def test_cli_rejects_out_of_range_run_options(tmp_path, capsys, flags):
+    # pdsg's steps are valid unless the case sets them; mirror-prox takes none
+    steps = [] if "mirror_prox" in flags else ["--alpha", "0.003", "--rho", "0.003"]
     rc = cli.main(
-        ["solve", "--n", "3", "--p", "2", "--N", "4", "--m", "4",
-         "--alpha", "0.003", "--rho", "0.003", "--epochs", "1",
-         "--out", str(tmp_path)] + flags
+        ["solve", "--n", "3", "--p", "2", "--N", "4", "--m", "4", "--epochs", "1",
+         "--out", str(tmp_path)] + steps + flags
     )
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "--zmax" in flags:
+        assert "z_max" in err
     assert not (tmp_path / "runs.csv").exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["solve", "--method", "mirror_prox", "--alpha", "0.003"], "--alpha"),
+    (["solve", "--method", "reference", "--rho", "0.003"], "--rho"),
+    (["solve", "--zmax", "5", "--alpha", "0.003", "--rho", "0.003"], "--zmax"),
+    (["compare", "--methods", "mirror_prox,reference", "--alpha", "0.003"], "--alpha"),
+    (["compare", "--methods", "pdsg,reference", "--zmax", "5",
+      "--alpha", "0.003", "--rho", "0.003"], "--zmax"),
+])
+def test_cli_refuses_options_that_configure_no_run(tmp_path, capsys, flags, named):
+    rc = cli.main(flags + ["--n", "3", "--p", "2", "--N", "4", "--m", "4", "--epochs", "1",
+                           "--out", str(tmp_path)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "runs.csv").exists()
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["solve"], bench.ExperimentConfig()),
+    (["compare"], bench.ExperimentConfig(methods=("pdsg", "mirror_prox"))),
+    (["generate"], bench.ExperimentConfig()),
+])
+def test_cli_options_not_given_leave_experiment_config_defaults(tmp_path, monkeypatch,
+                                                                argv, want):
+    seen = []
+
+    def capture(cfg, *args, **kwargs):
+        seen.append(cfg)
+        raise _Captured
+
+    monkeypatch.setattr(bench, "run_experiment", capture)
+    monkeypatch.setattr(bench, "build_instance", capture)
+    with pytest.raises(_Captured):
+        cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert seen == [want]
 
 
 @pytest.mark.parametrize("flags", [
@@ -492,6 +536,19 @@ def test_cli_config_file_booleans(tmp_path):
     assert cli.main(solve + ["--force"]) == 0
     cfg.write_text(_TINY_FILE + "force = true\n")
     assert cli.main(solve) == 0
+
+
+def test_cli_config_file_values_count_as_given(tmp_path, capsys):
+    # the file's alpha and rho configure no mirror-prox run
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(_TINY_FILE)
+    mirror_prox = ["--config", str(cfg), "solve", "--method", "mirror_prox",
+                   "--out", str(tmp_path)]
+    assert cli.main(mirror_prox) == 2
+    assert "--alpha" in capsys.readouterr().err
+    assert not (tmp_path / "runs.csv").exists()
+    cfg.write_text(_TINY_FILE.replace("alpha = 0.003\nrho = 0.003\n", ""))
+    assert cli.main(mirror_prox) == 0
 
 
 def test_cli_config_file_equals_form(tmp_path):

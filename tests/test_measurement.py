@@ -60,6 +60,7 @@ def _assert_forms_within_contract(inst, X):
         assert vals.tobytes() == want_vals.tobytes()
         assert grads.tobytes() == rf.constraint_grads(inst, x).tobytes()
         assert inst.constraint_values(x).tobytes() == want_vals.tobytes()
+        assert inst.constraint_grads(x).tobytes() == rf.constraint_grads(inst, x).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
