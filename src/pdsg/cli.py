@@ -56,10 +56,11 @@ def _add_instance_args(p):
 
 
 def _add_run_args(p):
-    p.add_argument("--schedule", choices=solver.SCHEDULE_KINDS)
+    p.add_argument("--schedule", choices=solver.SCHEDULE_KINDS,
+                   help="pdsg step schedule (needs a pdsg run)")
     p.add_argument("--alpha", type=float, help="pdsg step alpha (needs a pdsg run)")
     p.add_argument("--rho", type=float, help="pdsg step rho (needs a pdsg run)")
-    p.add_argument("--mu", type=float, help="override certified modulus")
+    p.add_argument("--mu", type=float, help="override certified modulus (needs a pdsg run)")
     p.add_argument("--epochs", type=int)
     p.add_argument("--cadence", type=float, help="epochs between measurements")
     p.add_argument("--seeds", help="comma-separated run seeds")
@@ -143,8 +144,11 @@ def cmd_generate(args) -> int:
 
 
 def _run_and_write(args, methods) -> int:
-    if "pdsg" not in methods and (args.alpha is not None or args.rho is not None):
-        raise ConfigError("--alpha and --rho set pdsg's steps, and no pdsg run is asked for")
+    pdsg_only = [f"--{k}" for k in ("schedule", "alpha", "rho", "mu")
+                 if getattr(args, k) is not None]
+    if "pdsg" not in methods and pdsg_only:
+        raise ConfigError(f"{', '.join(pdsg_only)}: pdsg's schedule and steps, "
+                          "and no pdsg run is asked for")
     if "mirror_prox" not in methods and args.zmax is not None:
         raise ConfigError("--zmax sets mirror-prox's dual box, and no mirror_prox run is asked for")
     cfg = _config(args, methods=methods)

@@ -33,6 +33,10 @@ _HEADER = struct.Struct("<8sB4Q")
 # bytes of an (m, n, n) array handled at a time, so that a pass over Q
 # allocates no temporary of Q's size
 _CHUNK_BYTES = 1 << 20
+# rows and columns of one block of a Gram product that ``random_qcqp`` forms
+# (upper blocks only, then mirrored); fastest at n = 100 in a sweep over
+# block sizes (notes/decisions.md), and a single block at n <= 20
+_GRAM_BLOCK = 20
 # bytes of the (rows, n, s) products one step of ``measure`` holds; small
 # enough to come from the heap, so measuring a tick of many runs at once
 # raises no peak
@@ -490,6 +494,11 @@ def random_qcqp(n, p, N, m, seed) -> QuadraticInstance:
     ``Q_j = M_j M_j'/n`` with ``M_j`` standard normal, PSD by construction
     and with O(1) 2-norm; ``b_j`` is uniform on [0.1, 1.1], which
     makes the origin strictly feasible.  Deterministic given the seed.
+
+    ``M`` is drawn in 1 MiB chunks, and each ``Q_j`` is built from its
+    upper-triangular blocks of ``_GRAM_BLOCK`` rows and columns, each
+    mirrored into its transpose.  ``Q`` is exactly symmetric and bit-equal to
+    the Gram product of one draw of all of ``M``.
     """
     n, p, N, m = int(n), int(p), int(N), int(m)
     if min(n, p, N, m) < 1:
@@ -499,11 +508,21 @@ def random_qcqp(n, p, N, m, seed) -> QuadraticInstance:
     c = rng.standard_normal((N, p))
     # Q in chunks of M: successive draws continue one stream, and each Q_j
     # depends on M_j alone, so Q is bit-equal to the one-draw build while
-    # only one chunk of M is alive
+    # only one chunk of M is alive.  Within a chunk, each entry of a block is
+    # the same length-n einsum dot product of two contiguous rows of M as in
+    # one call over the chunk, and rows i, j give the same sum in either
+    # order, so the blocks I <= J and their mirrors are that call's bits.
     Q = np.empty((m, n, n))
+    blocks = [slice(lo, min(lo + _GRAM_BLOCK, n)) for lo in range(0, n, _GRAM_BLOCK)]
     for rows in _chunks(m, n):
         M = rng.standard_normal((rows.stop - rows.start, n, n))
-        np.einsum("mik,mjk->mij", M, M, out=Q[rows])
+        Qc = Q[rows]
+        for i, I in enumerate(blocks):
+            for J in blocks[i:]:
+                np.einsum("mik,mjk->mij", M[:, I], M[:, J], out=Qc[:, I, J])
+                if J is not I:
+                    Qc[:, J, I] = Qc[:, I, J].transpose(0, 2, 1)
+        del M  # before the next draw, which would otherwise overlap it
     Q /= n
     a = rng.standard_normal((m, n))
     b = rng.uniform(0.1, 1.1, m)

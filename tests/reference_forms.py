@@ -3,8 +3,9 @@
 The library evaluates several quantities in a faster form than the obvious
 one: the objective from cached statistics (P, q, r), the constraint values of
 a stack of points from one pass over Q, sigma from batched sample points, the
-Hessian as one Gram product, the reference solve from a constraint screen.
-The obvious per-sample and per-point forms live here, and tests hold the
+Hessian as one Gram product, the reference solve from a constraint screen,
+a random QCQP's Q from chunks of M and upper Gram blocks.  The obvious
+per-sample, per-point and one-draw forms live here, and tests hold the
 library to them.
 
 Tolerance contract.  A faster form that reorders floating-point arithmetic
@@ -26,6 +27,7 @@ import math
 
 import numpy as np
 
+from pdsg.problems import QcqpData, QuadraticInstance
 from pdsg.solver import _Z_BLOWUP, project_box
 
 MEASURE_RTOL = 1e-12
@@ -104,6 +106,20 @@ def sigma_per_sample(inst, samples, rng_seed):
 def hessian(inst):
     """(1/N) sum_i H_i'H_i as one einsum over H."""
     return np.einsum("ipn,ipq->nq", inst.data.H, inst.data.H) / inst.N
+
+
+def random_qcqp_one_draw(n, p, N, m, seed):
+    """random_qcqp as built before Q was built in chunks: all of M at once,
+    and Q as one Gram product."""
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((N, p, n))
+    c = rng.standard_normal((N, p))
+    M = rng.standard_normal((m, n, n))
+    Q = np.einsum("mik,mjk->mij", M, M) / n
+    a = rng.standard_normal((m, n))
+    b = rng.uniform(0.1, 1.1, m)
+    box = 10.0 * np.ones(n)
+    return QuadraticInstance(QcqpData(H, c, Q, a, b, -box, box))
 
 
 def full_batch_reference(inst, K=200_000, tol=1e-9):

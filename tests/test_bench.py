@@ -375,6 +375,10 @@ def test_cli_rejects_out_of_range_run_options(tmp_path, capsys, flags):
     (["solve", "--method", "reference", "--rho", "0.003"], "--rho"),
     (["solve", "--zmax", "5", "--alpha", "0.003", "--rho", "0.003"], "--zmax"),
     (["compare", "--methods", "mirror_prox,reference", "--alpha", "0.003"], "--alpha"),
+    (["solve", "--method", "mirror_prox", "--schedule", "anytime"], "--schedule"),
+    (["solve", "--method", "reference", "--mu", "5"], "--mu"),
+    (["compare", "--methods", "mirror_prox,reference", "--schedule", "strongly_convex",
+      "--mu", "5"], "--schedule, --mu"),
     (["compare", "--methods", "pdsg,reference", "--zmax", "5",
       "--alpha", "0.003", "--rho", "0.003"], "--zmax"),
 ])
@@ -539,7 +543,7 @@ def test_cli_config_file_booleans(tmp_path):
 
 
 def test_cli_config_file_values_count_as_given(tmp_path, capsys):
-    # the file's alpha and rho configure no mirror-prox run
+    # the file's alpha, rho, schedule and mu configure no mirror-prox run
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(_TINY_FILE)
     mirror_prox = ["--config", str(cfg), "solve", "--method", "mirror_prox",
@@ -547,7 +551,13 @@ def test_cli_config_file_values_count_as_given(tmp_path, capsys):
     assert cli.main(mirror_prox) == 2
     assert "--alpha" in capsys.readouterr().err
     assert not (tmp_path / "runs.csv").exists()
-    cfg.write_text(_TINY_FILE.replace("alpha = 0.003\nrho = 0.003\n", ""))
+    no_steps = _TINY_FILE.replace("alpha = 0.003\nrho = 0.003\n", "")
+    for line, named in [("schedule = anytime", "--schedule"), ("mu = 5", "--mu")]:
+        cfg.write_text(no_steps + line + "\n")
+        assert cli.main(mirror_prox) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "runs.csv").exists()
+    cfg.write_text(no_steps)
     assert cli.main(mirror_prox) == 0
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -69,33 +70,72 @@ def test_qcqp_seed_determinism():
     assert instance_bytes(a) != instance_bytes(c)
 
 
-def _random_qcqp_one_draw(n, p, N, m, seed):
-    """random_qcqp as built before Q was built in chunks: all of M at once."""
-    rng = np.random.default_rng(seed)
-    H = rng.standard_normal((N, p, n))
-    c = rng.standard_normal((N, p))
-    M = rng.standard_normal((m, n, n))
-    Q = np.einsum("mik,mjk->mij", M, M) / n
-    a = rng.standard_normal((m, n))
-    b = rng.uniform(0.1, 1.1, m)
-    box = 10.0 * np.ones(n)
-    return QuadraticInstance(QcqpData(H, c, Q, a, b, -box, box))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 5), st.integers(1, 13),
        st.integers(1, 5), st.integers(0, 2**16))
 def test_chunked_q_build_equals_one_draw(n, p, N, m, rows, seed):
     with mock.patch.object(problems, "_CHUNK_BYTES", 8 * n * n * rows):
         chunked = random_qcqp(n, p, N, m, seed)
-    assert instance_digest(chunked) == instance_digest(_random_qcqp_one_draw(n, p, N, m, seed))
+    want = reference_forms.random_qcqp_one_draw(n, p, N, m, seed)
+    assert instance_digest(chunked) == instance_digest(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 24), st.data(), st.integers(1, 9), st.integers(1, 3),
+       st.integers(0, 2**16))
+def test_blocked_q_build_equals_one_draw(n, data, m, rows, seed):
+    block = data.draw(st.integers(1, n + 1), label="block")
+    with mock.patch.object(problems, "_GRAM_BLOCK", block), \
+            mock.patch.object(problems, "_CHUNK_BYTES", 8 * n * n * rows):
+        got = random_qcqp(n, 2, 3, m, seed)
+    Q = got.data.Q
+    assert np.array_equal(Q, Q.transpose(0, 2, 1))
+    want = reference_forms.random_qcqp_one_draw(n, 2, 3, m, seed)
+    assert instance_digest(got) == instance_digest(want)
+
+
+def _assert_q_build_equals_one_draw(shape, chunks, blocks):
+    n, m = shape[0], shape[3]
+    assert len(problems._chunks(m, n)) == chunks
+    assert -(-n // problems._GRAM_BLOCK) == blocks
+    with mock.patch.object(problems.np, "einsum", wraps=np.einsum) as einsum:
+        got = random_qcqp(*shape)
+    # one Gram product per upper block pair of each chunk
+    assert einsum.call_count == chunks * blocks * (blocks + 1) // 2
+    Q = got.data.Q
+    assert np.array_equal(Q, Q.transpose(0, 2, 1))
+    assert instance_digest(got) == instance_digest(reference_forms.random_qcqp_one_draw(*shape))
 
 
 def test_chunked_q_build_equals_one_draw_at_default_chunk():
-    # 32 rows of M per chunk at n = 64: chunks of 32, 32, 32 and 4
+    # 32 rows of M per chunk at n = 64: chunks of 32, 32, 32 and 4, and a
+    # ragged last block: 20, 20, 20 and 4
     assert [s.stop - s.start for s in problems._chunks(100, 64)] == [32, 32, 32, 4]
-    got, want = random_qcqp(64, 2, 3, 100, 5), _random_qcqp_one_draw(64, 2, 3, 100, 5)
-    assert instance_digest(got) == instance_digest(want)
+    _assert_q_build_equals_one_draw((64, 2, 3, 100, 5), chunks=4, blocks=4)
+
+
+@pytest.mark.parametrize("shape", [(20, 15, 200, 200, 13), (7, 3, 4, 9, 1)])
+def test_q_build_is_one_product_per_chunk_when_n_fits_a_block(shape):
+    # desk's shape, and n below the block size
+    _assert_q_build_equals_one_draw(shape, chunks=1, blocks=1)
+
+
+@pytest.mark.parametrize("shape", [(100, 95, 200, 300), (30, 5, 10, 500)])
+def test_q_build_holds_one_chunk_at_a_time(shape):
+    # one chunk of M at a time, plus block-sized mirror copies: a second
+    # chunk-sized temporary (the next chunk of M drawn while the last is
+    # alive, a copy of a chunk of Q) or one the size of Q exceeds the bound
+    random_qcqp(1, 1, 1, 1, seed=0)  # numpy.random's lazy import is no temporary
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        inst = random_qcqp(*shape, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d = inst.data
+    returned = sum(arr.nbytes for arr in (d.H, d.c, d.Q, d.a, d.b, d.box_lo, d.box_hi))
+    assert peak - base - returned <= 1.5 * problems._CHUNK_BYTES
 
 
 @settings(max_examples=40, deadline=None)
