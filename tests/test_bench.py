@@ -375,12 +375,12 @@ def test_cli_rejects_out_of_range_run_options(tmp_path, capsys, flags):
     (["solve", "--method", "reference", "--rho", "0.003"], "--rho"),
     (["solve", "--zmax", "5", "--alpha", "0.003", "--rho", "0.003"], "--zmax"),
     (["compare", "--methods", "mirror_prox,reference", "--alpha", "0.003"], "--alpha"),
+    (["compare", "--methods", "pdsg,reference", "--zmax", "5",
+      "--alpha", "0.003", "--rho", "0.003"], "--zmax"),
     (["solve", "--method", "mirror_prox", "--schedule", "anytime"], "--schedule"),
     (["solve", "--method", "reference", "--mu", "5"], "--mu"),
     (["compare", "--methods", "mirror_prox,reference", "--schedule", "strongly_convex",
       "--mu", "5"], "--schedule, --mu"),
-    (["compare", "--methods", "pdsg,reference", "--zmax", "5",
-      "--alpha", "0.003", "--rho", "0.003"], "--zmax"),
 ])
 def test_cli_refuses_options_that_configure_no_run(tmp_path, capsys, flags, named):
     rc = cli.main(flags + ["--n", "3", "--p", "2", "--N", "4", "--m", "4", "--epochs", "1",
