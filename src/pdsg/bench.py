@@ -88,7 +88,11 @@ def reference_for(inst, tol=1e-9, cache_path=None) -> baselines.ReferenceSolutio
     With ``cache_path`` the solution is also persisted as JSON next to the
     instance file, written atomically, and reused by later invocations when
     the payload format, the content hash and the tolerance match; any other
-    payload is stale, and is recomputed and overwritten.
+    payload is stale, and is recomputed and overwritten.  The content hash is
+    ``problems.instance_digest``: an instance saved or loaded as a version-2
+    file carries it from its header, so a warm cache hashes nothing.  A
+    payload edited after saving keeps its header's digest, and so the old
+    reference.
     """
     # the digest is part of the key; without a cache file nothing reads it
     digest = problems.instance_digest(inst) if cache_path else None

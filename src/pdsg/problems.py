@@ -27,9 +27,11 @@ import numpy as np
 from .errors import CapacityError, DimensionError
 
 _MAGIC = b"QCPDINST"
-_VERSION = 1
-# magic, version byte, u64 dims (n, p, N, m); the float64 arrays follow
-_HEADER = struct.Struct("<8sB4Q")
+# the header of each container version, by version byte: magic, version
+# byte, u64 dims (n, p, N, m), and from version 2 the instance digest (the
+# SHA-256 of the version-1 serialization); the float64 arrays follow.
+# save_instance writes version 2; load_instance reads both
+_HEADERS = {1: struct.Struct("<8sB4Q"), 2: struct.Struct("<8sB4Q32s")}
 # bytes of an (m, n, n) array handled at a time, so that a pass over Q
 # allocates no temporary of Q's size
 _CHUNK_BYTES = 1 << 20
@@ -695,22 +697,39 @@ def _array_shapes(n, p, N, m):
 
 
 def _instance_parts(inst: QuadraticInstance):
-    """The file format, part by part: the header bytes, then each array as
-    contiguous little-endian float64 (no copy when it already is)."""
-    yield _HEADER.pack(_MAGIC, _VERSION, inst.n, inst.p, inst.N, inst.m)
+    """The version-1 serialization, part by part: the header bytes, then each
+    array as contiguous little-endian float64 (no copy when it already is)."""
+    yield _HEADERS[1].pack(_MAGIC, 1, inst.n, inst.p, inst.N, inst.m)
     for arr in _arrays(inst.data):
         yield np.ascontiguousarray(arr, dtype="<f8")
 
 
 def save_instance(inst: QuadraticInstance, path) -> None:
-    """Write the single-file container; round-trips bit-exactly via load_instance."""
+    """Write the version-2 container; round-trips bit-exactly via load_instance.
+
+    Each part is hashed as it is written, in one pass over the arrays; the
+    header, digest included, is written last and the digest cached on the
+    instance, so neither this instance nor the file loaded from it is hashed
+    again.  Until then the header is zeros, so a save cut short leaves a
+    file that load_instance refuses.
+    """
+    h = hashlib.sha256()
+    parts = _instance_parts(inst)
+    h.update(next(parts))
+    header = _HEADERS[2]
     with open(path, "wb") as fh:
-        for part in _instance_parts(inst):
+        fh.write(bytes(header.size))
+        for part in parts:
+            h.update(part)
             fh.write(part)
+        fh.seek(0)
+        fh.write(header.pack(_MAGIC, 2, inst.n, inst.p, inst.N, inst.m, h.digest()))
+    inst._digest = h.hexdigest()
 
 
 def instance_bytes(inst: QuadraticInstance) -> bytes:
-    """Serialized form: magic, version byte, u64 dims (n, p, N, m), f64 arrays."""
+    """Version-1 serialization: magic, version byte, u64 dims (n, p, N, m),
+    f64 arrays.  ``instance_digest`` is its SHA-256."""
     return b"".join(_instance_parts(inst))
 
 
@@ -718,25 +737,30 @@ def load_instance(path) -> QuadraticInstance:
     """Read an instance container written by save_instance.
 
     The float payload is read once into one aligned array; the instance's
-    arrays are read-only views of it.  A header that disagrees with the file
-    size, NaN or infinite data, and a Q_j that is not exactly symmetric
-    raise ValueError.
+    arrays are read-only views of it.  A version-2 header's digest becomes
+    the instance's, unchecked; a version-1 file is hashed when its digest is
+    first asked for.  A header that disagrees with the file size, NaN or
+    infinite data, and a Q_j that is not exactly symmetric raise ValueError.
     """
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
+        head = fh.read(_HEADERS[1].size)
         if head[: len(_MAGIC)] != _MAGIC:
             raise ValueError(f"{path}: not an instance file (bad magic)")
-        if len(head) < _HEADER.size:
-            raise ValueError(f"{path}: truncated header ({len(head)} of {_HEADER.size} bytes)")
-        _, version, n, p, N, m = _HEADER.unpack(head)
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported container version {version}")
+        if len(head) < _HEADERS[1].size:
+            raise ValueError(f"{path}: truncated header ({len(head)} of {_HEADERS[1].size} bytes)")
+        header = _HEADERS.get(head[8])
+        if header is None:
+            raise ValueError(f"{path}: unsupported container version {head[8]}")
+        head += fh.read(header.size - len(head))
+        if len(head) < header.size:
+            raise ValueError(f"{path}: truncated header ({len(head)} of {header.size} bytes)")
+        _, _, n, p, N, m, *digest = header.unpack(head)
         if min(n, p, N, m) < 1:
             raise ValueError(f"{path}: dimensions must be >= 1, got n={n} p={p} N={N} m={m}")
         shapes = _array_shapes(n, p, N, m)
         # Python integers: huge header dimensions cannot overflow here
         sizes = [math.prod(shape) for shape in shapes]
-        expected = _HEADER.size + 8 * sum(sizes)
+        expected = header.size + 8 * sum(sizes)
         actual = os.fstat(fh.fileno()).st_size
         if actual != expected:
             raise ValueError(
@@ -752,7 +776,10 @@ def load_instance(path) -> QuadraticInstance:
         arrays.append(payload[off : off + size].reshape(shape))
         off += size
     _check_payload(path, arrays)
-    return QuadraticInstance(QcqpData(*arrays))
+    inst = QuadraticInstance(QcqpData(*arrays))
+    if digest:
+        inst._digest = digest[0].hex()
+    return inst
 
 
 def _check_payload(path, arrays):
@@ -776,10 +803,12 @@ def _check_payload(path, arrays):
 
 
 def instance_digest(inst: QuadraticInstance) -> str:
-    """Content hash of the serialized instance (reference-cache key).
+    """Content hash of the serialized instance (reference-cache key): the
+    SHA-256 of ``instance_bytes(inst)``.
 
     Streamed part by part and computed once per instance, on first use; the
-    instance's arrays are read-only, so the cached value cannot go stale.
+    instance's arrays are read-only, so the cached value cannot go stale.  An
+    instance saved or loaded as version 2 already holds it (save_instance).
     """
     if inst._digest is None:
         h = hashlib.sha256()

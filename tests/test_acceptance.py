@@ -212,8 +212,7 @@ def test_criterion_04_penalty_bounds():
         betas = rng.uniform(1e-3, 10.0, size=samples)
         zs = np.abs(rng.normal(size=(samples, inst.m))) * rng.uniform(0, 20, size=(samples, 1))
         for i in range(samples):
-            vals = inst.constraint_values(xs[i])
-            grads = inst.constraint_grads(xs[i])
+            vals, grads = inst.constraint_values_and_grads(xs[i])
             mult = np.maximum(betas[i] * vals + zs[i], 0.0)
             lhs = float(np.mean(mult**2 * np.sum(grads * grads, axis=1)))
             rhs = 2 * betas[i] ** 2 * F2G2 + 2 * G2 / inst.m * float(zs[i] @ zs[i])

@@ -1,6 +1,7 @@
 """Instance generators, certification, sizing, and serialization tests."""
 
 import hashlib
+import json
 import math
 import struct
 import tracemalloc
@@ -459,20 +460,23 @@ def test_instance_round_trip_bit_exact(tmp_path):
     assert instance_digest(loaded) == instance_digest(inst)
 
 
-def test_instance_byte_layout():
-    import struct
-
+def test_instance_byte_layout(tmp_path):
     inst = random_qcqp(3, 2, 2, 4, seed=1)
-    blob = instance_bytes(inst)
-    assert blob[:8] == b"QCPDINST"
-    assert blob[8] == 1  # version byte
-    n, p, N, m = struct.unpack_from("<4Q", blob, 9)
-    assert (n, p, N, m) == (3, 2, 2, 4)
-    floats = N * p * n + N * p + m * n * n + m * n + m + n + n
-    assert len(blob) == 8 + 1 + 32 + 8 * floats
-    # first array value is H[0, 0, 0] in row-major order
-    first = np.frombuffer(blob, dtype="<f8", count=1, offset=41)[0]
-    assert first == inst.data.H[0, 0, 0]
+    blob = instance_bytes(inst)  # version 1: the digest's input
+    path = tmp_path / "inst.bin"
+    save_instance(inst, path)
+    saved = path.read_bytes()  # version 2: version 1's header, digest, arrays
+    floats = 2 * 2 * 3 + 2 * 2 + 4 * 3 * 3 + 4 * 3 + 4 + 3 + 3
+    for data, version, header in ((blob, 1, 41), (saved, 2, 73)):
+        assert data[:8] == b"QCPDINST"
+        assert data[8] == version
+        assert struct.unpack_from("<4Q", data, 9) == (3, 2, 2, 4)
+        assert len(data) == header + 8 * floats
+        # first array value is H[0, 0, 0] in row-major order
+        first = np.frombuffer(data, dtype="<f8", count=1, offset=header)[0]
+        assert first == inst.data.H[0, 0, 0]
+    assert saved[41:73] == hashlib.sha256(blob).digest()
+    assert saved[73:] == blob[41:]
 
 
 def test_instance_file_rejects_bad_version(tmp_path):
@@ -483,6 +487,22 @@ def test_instance_file_rejects_bad_version(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError):
         load_instance(path)
+
+
+@pytest.mark.parametrize("version", [0, 3, 99])
+def test_cli_refuses_other_versions_of_a_saved_file(tmp_path, capsys, version):
+    blob = bytearray(_saved(tmp_path, random_qcqp(3, 2, 2, 2, seed=0)).read_bytes())
+    blob[8] = version
+    path = tmp_path / "vers.bin"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=f"unsupported container version {version}"):
+        load_instance(path)
+    rc = cli.main(
+        ["solve", "--instance", str(path), "--method", "pdsg", "--alpha", "0.003",
+         "--rho", "0.003", "--epochs", "1", "--seeds", "0", "--out", str(tmp_path)]
+    )
+    assert rc == 2
+    assert "unsupported container version" in capsys.readouterr().err
 
 
 def test_instance_file_rejects_garbage(tmp_path):
@@ -521,6 +541,9 @@ class _CountingHashlib:
                 outer.bytes_hashed += memoryview(chunk).nbytes
                 inner.update(chunk)
 
+            def digest(self):
+                return inner.digest()
+
             def hexdigest(self):
                 return inner.hexdigest()
 
@@ -534,9 +557,32 @@ def counting_hashlib(monkeypatch):
     return proxy
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """One entry per reference solve made through ``bench``."""
+    calls = []
+    solve = bench.baselines.full_batch_reference
+    monkeypatch.setattr(bench.baselines, "full_batch_reference",
+                        lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    return calls
+
+
 def _saved(tmp_path, inst, name="inst.bin"):
     path = tmp_path / name
     save_instance(inst, path)
+    return path
+
+
+def _version_2(blob):
+    """The version-2 file of a version-1 serialization: version byte 2, and
+    the blob's SHA-256 inserted after the dimensions."""
+    return blob[:8] + b"\x02" + blob[9:41] + hashlib.sha256(blob).digest() + blob[41:]
+
+
+def _saved_v1(tmp_path, inst, name="inst.bin"):
+    """A version-1 file, as written before the header carried the digest."""
+    path = tmp_path / name
+    path.write_bytes(instance_bytes(inst))
     return path
 
 
@@ -550,12 +596,86 @@ def test_digest_is_sha256_of_instance_bytes(tmp_path):
 
 def test_save_writes_exactly_instance_bytes(tmp_path):
     for inst in (random_qcqp(5, 3, 4, 6, seed=9), random_scenario_lp(4, 6, 3, seed=0)):
-        assert _saved(tmp_path, inst).read_bytes() == instance_bytes(inst)
+        assert _saved(tmp_path, inst).read_bytes() == _version_2(instance_bytes(inst))
+
+
+def test_version_2_round_trip_carries_the_digest(tmp_path, counting_hashlib):
+    inst = random_qcqp(5, 3, 4, 6, seed=9)
+    path = _saved(tmp_path, inst)
+    saved = counting_hashlib.bytes_hashed
+    want = hashlib.sha256(instance_bytes(inst)).digest()
+    assert path.read_bytes()[41:73] == want
+    loaded = load_instance(path)
+    assert instance_bytes(loaded) == instance_bytes(inst)
+    assert instance_digest(loaded) == instance_digest(inst) == want.hex()
+    assert counting_hashlib.bytes_hashed == saved  # neither loading nor the digests hash
+
+
+def test_save_hashes_instance_bytes_once(tmp_path, counting_hashlib):
+    inst = random_qcqp(5, 3, 4, 6, seed=9)
+    _saved(tmp_path, inst)
+    assert counting_hashlib.bytes_hashed == len(instance_bytes(inst))
+    assert instance_digest(inst) == hashlib.sha256(instance_bytes(inst)).hexdigest()
+    assert counting_hashlib.bytes_hashed == len(instance_bytes(inst))
+
+
+def test_save_cut_short_leaves_a_refused_file(tmp_path, monkeypatch):
+    class Interrupted(Exception):
+        pass
+
+    class _Hash:  # stops the save after the payload, before the header
+        def update(self, data):
+            pass
+
+        def digest(self):
+            raise Interrupted
+
+    inst = random_qcqp(3, 2, 2, 2, seed=0)
+    monkeypatch.setattr(problems, "hashlib", mock.Mock(sha256=_Hash))
+    path = tmp_path / "inst.bin"
+    with pytest.raises(Interrupted):
+        save_instance(inst, path)
+    assert path.stat().st_size == len(instance_bytes(inst)) + 32
+    with pytest.raises(ValueError, match="bad magic"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("keep", range(41, 74))
+def test_version_2_header_cut_short(tmp_path, keep):
+    blob = _saved(tmp_path, random_qcqp(3, 2, 2, 2, seed=0)).read_bytes()
+    path = tmp_path / "cut.bin"
+    path.write_bytes(blob[:keep])
+    with pytest.raises(ValueError):
+        load_instance(path)
+
+
+def test_rewritten_digest_is_trusted_and_misses_the_cache(tmp_path, counting_hashlib, solves):
+    path = _saved(tmp_path, random_qcqp(3, 2, 4, 4, seed=11))
+    ref_path = tmp_path / "inst.bin.ref.json"
+    cfg = bench.ExperimentConfig(**_HASH_CFG, instance_file=str(path))
+    bench.run_experiment(cfg)  # writes the reference cache file
+    bench.run_experiment(cfg)  # reads it back
+    before = json.loads(ref_path.read_text())
+    assert len(solves) == 1
+
+    blob = bytearray(path.read_bytes())
+    blob[41:73] = b"\xab" * 32
+    path.write_bytes(bytes(blob))
+    hashed = counting_hashlib.bytes_hashed
+    assert instance_digest(load_instance(path)) == "ab" * 32
+    bench.run_experiment(cfg)
+    after = json.loads(ref_path.read_text())
+    assert len(solves) == 2
+    assert before["digest"] != after["digest"] == "ab" * 32
+    assert {k: v for k, v in before.items() if k != "digest"} == {
+        k: v for k, v in after.items() if k != "digest"
+    }
+    assert counting_hashlib.bytes_hashed == hashed
 
 
 def test_digest_computed_once_and_lazily(tmp_path, counting_hashlib):
     inst = random_qcqp(5, 3, 4, 6, seed=9)
-    path = _saved(tmp_path, inst)
+    path = _saved_v1(tmp_path, inst)
     loaded = load_instance(path)
     assert counting_hashlib.bytes_hashed == 0  # neither building nor loading hashes
     first = instance_digest(loaded)
@@ -581,13 +701,41 @@ def test_run_experiment_hashes_each_instance_once(counting_hashlib):
 
 
 def test_run_experiment_hashes_file_instance_once(tmp_path, counting_hashlib):
-    path = _saved(tmp_path, random_qcqp(3, 2, 4, 4, seed=11))
+    path = _saved_v1(tmp_path, random_qcqp(3, 2, 4, 4, seed=11))
     cfg = bench.ExperimentConfig(**_HASH_CFG, instance_file=str(path))
     inst = bench.build_instance(cfg)
     bench.run_experiment(cfg, inst=inst)  # writes the reference cache file
     bench.run_experiment(cfg, inst=inst)  # reads it back
     assert (tmp_path / "inst.bin.ref.json").exists()
     assert counting_hashlib.bytes_hashed == path.stat().st_size
+
+
+def test_run_experiment_hashes_nothing_on_saved_file(tmp_path, counting_hashlib):
+    path = _saved(tmp_path, random_qcqp(3, 2, 4, 4, seed=11))
+    hashed = counting_hashlib.bytes_hashed
+    cfg = bench.ExperimentConfig(**_HASH_CFG, instance_file=str(path))
+    inst = bench.build_instance(cfg)
+    bench.run_experiment(cfg, inst=inst)  # writes the reference cache file
+    bench.run_experiment(cfg, inst=inst)  # reads it back
+    assert (tmp_path / "inst.bin.ref.json").exists()
+    assert counting_hashlib.bytes_hashed - hashed == 0
+
+
+def test_cli_solve_twice_on_generated_file_hashes_nothing(tmp_path, counting_hashlib, solves):
+    path = tmp_path / "inst.bin"
+    assert cli.main(["generate", "--n", "3", "--p", "2", "--N", "4", "--m", "4",
+                     "--seed", "5", "--out", str(path)]) == 0
+    generated = counting_hashlib.bytes_hashed
+    assert generated == path.stat().st_size - 32  # one pass, over the version-1 form
+    for name in ("first.csv", "second.csv"):
+        assert cli.main(
+            ["solve", "--instance", str(path), "--method", "pdsg", "--alpha", "0.003",
+             "--rho", "0.003", "--epochs", "2", "--seeds", "0,1", "--out", str(tmp_path),
+             "--csv", name]
+        ) == 0
+    assert len(solves) == 1  # the second call hits the reference cache
+    assert counting_hashlib.bytes_hashed == generated
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
 
 
 def test_instance_arrays_are_read_only():
@@ -696,14 +844,15 @@ def test_cli_corrupt_instance_exits_2(tmp_path, capsys):
     assert "needs" in capsys.readouterr().err
 
 
-_FUZZ_BLOB = instance_bytes(random_qcqp(2, 1, 2, 2, seed=0))
+_FUZZ_INST = random_qcqp(2, 1, 2, 2, seed=0)
+_FUZZ_BLOBS = {1: instance_bytes(_FUZZ_INST), 2: _version_2(instance_bytes(_FUZZ_INST))}
 
 
 @st.composite
 def _corrupted_blobs(draw):
-    blob = bytearray(_FUZZ_BLOB)
+    blob = bytearray(_FUZZ_BLOBS[draw(st.sampled_from([1, 2]))])
     kind = draw(st.sampled_from(["flip", "truncate", "header", "append"]))
-    if kind == "flip":
+    if kind == "flip":  # anywhere, the version byte and the digest field included
         for pos in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4)):
             blob[pos] ^= draw(st.integers(1, 255))
     elif kind == "truncate":
@@ -716,6 +865,14 @@ def _corrupted_blobs(draw):
     return bytes(blob)
 
 
+def _encoded(blob):
+    """The version-1 serialization and the digest that a loadable blob encodes."""
+    if blob[8] == 1:
+        return blob, hashlib.sha256(blob).hexdigest()
+    v1 = blob[:8] + b"\x01" + blob[9:41] + blob[73:]
+    return v1, blob[41:73].hex()
+
+
 @settings(max_examples=300, deadline=None)
 @given(blob=_corrupted_blobs())
 def test_loader_fuzz_loads_bit_exactly_or_raises_value_error(tmp_path_factory, blob):
@@ -725,4 +882,6 @@ def test_loader_fuzz_loads_bit_exactly_or_raises_value_error(tmp_path_factory, b
         loaded = load_instance(path)
     except ValueError:
         return
-    assert instance_bytes(loaded) == blob
+    v1, digest = _encoded(blob)
+    assert instance_bytes(loaded) == v1
+    assert instance_digest(loaded) == digest
