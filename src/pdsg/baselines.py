@@ -50,10 +50,6 @@ class MirrorProxConfig:
         """The fixed-horizon schedule of a K-iteration run (horizon 1 for K = 0)."""
         return fixed_horizon(self.alpha, self.rho, max(K, 1))
 
-    def steps(self, K):
-        """(alpha_k, rho_k, beta = rho_k) actually used for a K-iteration run."""
-        return self.schedule(K).steps(1)
-
 
 def zmax_from_reference(z_ref) -> float:
     """Dual box level max(10, 10 ||z_ref||_inf) from a reference dual vector."""
@@ -106,7 +102,8 @@ def mirror_prox_step(state: SolverState, inst, alpha_k, rho_k, beta, z_max) -> S
 def mirror_prox_run(inst, cfg: MirrorProxConfig, K, seed, recorder=None, cadence=None):
     """Run K mirror-prox iterations; same calling convention as solver.run.
 
-    Equal bit for bit to K calls of ``mirror_prox_step`` with ``cfg.steps(K)``.
+    Equal bit for bit to K calls of ``mirror_prox_step`` with
+    ``cfg.schedule(K).steps(1)``.
     """
     return _run_row(inst, cfg.schedule(K), cfg.z_max, K, seed, recorder, cadence)
 

@@ -71,38 +71,32 @@ class ParamSchedule:
         if self.kind == "strongly_convex" and not self.mu > 0:
             raise ConfigError("strongly_convex requires mu > 0")
 
-    def steps(self, k):
-        """(alpha_k, rho_k, beta_k = rho_k) as floats for one iteration.
-
-        Scalar arithmetic, bit-equal to ``sequences(K)`` at k - 1: sqrt and the
-        IEEE operations round the same in Python and numpy, but ``math.log``
-        may differ from numpy's log in the last ulp, so anytime keeps numpy's.
-        """
+    def _at(self, k):
+        """(alpha_k, rho_k) at k, a float or an array of k values: the one
+        home of each kind's formulas."""
         if self.kind == "fixed_horizon":
             root = math.sqrt(self.K)
-            rho_k = self.rho / root
-            return self.alpha / root, rho_k, rho_k
+            return self.alpha / root, self.rho / root
         if self.kind == "anytime":
-            denom = math.sqrt(k + 1.0) * float(np.log(k + 1.0))
-            rho_k = self.rho / denom
-            return self.alpha / denom, rho_k, rho_k
-        rho_k = self.rho / math.log(self.K + 1.0)
-        return self.alpha / (k + 1.0), rho_k, rho_k
+            denom = np.sqrt(k + 1.0) * np.log(k + 1.0)
+            return self.alpha / denom, self.rho / denom
+        return self.alpha / (k + 1.0), self.rho / math.log(self.K + 1.0)
+
+    def steps(self, k):
+        """(alpha_k, rho_k, beta_k = rho_k) as floats for one iteration."""
+        alpha_k, rho_k = map(float, self._at(float(k)))
+        return alpha_k, rho_k, rho_k
 
     def sequences(self, K):
-        """(alpha_k, rho_k) for k = 1..K as float arrays; rho_k is also the penalty.
+        """(alpha_k, rho_k) for k = 1..K as read-only float arrays; rho_k is
+        also the penalty.
 
-        Element k-1 of each array equals the matching entry of ``steps(k)``.
-        A constant sequence is a read-only broadcast view.
+        Element k-1 of each array equals the matching entry of ``steps(k)``:
+        both evaluate ``_at``.  A constant sequence is a broadcast view.
         """
-        ks = np.arange(1, K + 1, dtype=float)
-        if self.kind == "fixed_horizon":
-            root = math.sqrt(self.K)
-            return np.broadcast_to(self.alpha / root, K), np.broadcast_to(self.rho / root, K)
-        if self.kind == "anytime":
-            denom = np.sqrt(ks + 1.0) * np.log(ks + 1.0)
-            return self.alpha / denom, self.rho / denom
-        return self.alpha / (ks + 1.0), np.broadcast_to(self.rho / math.log(self.K + 1.0), K)
+        # the fixed-horizon steps do not depend on k
+        ks = 1.0 if self.kind == "fixed_horizon" else np.arange(1.0, K + 1.0)
+        return tuple(np.broadcast_to(seq, K) for seq in self._at(ks))
 
 
 def fixed_horizon(alpha, rho, K) -> ParamSchedule:
@@ -346,18 +340,6 @@ def _policy(z_max):
     return True, z_max, math.inf
 
 
-def _diverged(state):
-    """The ``DivergenceError`` of a row stopped at iteration ``state.k``."""
-    return DivergenceError(f"divergence at iteration {state.k}", iteration=state.k, state=state)
-
-
-def _rewind(rng, before, bounds, iterations):
-    """Put ``rng``, last in state ``before``, where the scalar draws of
-    ``iterations`` index triples would leave it."""
-    rng.bit_generator.state = before
-    rng.integers(bounds[: 3 * iterations])
-
-
 def _iterate(rows, inst, K, on_tick=None, cadence=None):
     """Advance R runs on ``inst`` by K iterations each: the one run loop.
 
@@ -365,16 +347,17 @@ def _iterate(rows, inst, K, on_tick=None, cadence=None):
     is both the dual step and the penalty of iteration k.  With ``z_max``
     None a row equals K calls of ``pdsg_step``; with a dual box level, K calls
     of ``baselines.mirror_prox_step`` (dual update at the old iterate, clipped
-    to [0, z_max], own divergence test).  Equal bit for bit in every field of
-    the state, the generator included: a row draws the index triples of a
-    block with one ``rng.integers`` call over the tiled bounds, which draws
-    what the scalar calls draw.  Returns one entry per row: None, or the
-    ``DivergenceError`` its steps would have raised, with its state left as
-    they leave it; the other rows keep running.  ``on_tick`` is called every
-    ``cadence`` iterations (and at the end) with the indices of the live
-    rows, after their states are written back.  Whenever the number of live
-    rows changes the kernel is chosen again: ``_stacked_block`` from
-    ``GRID_MIN_RUNS`` live rows, ``_row_block`` below.
+    to [0, z_max], own divergence test); equal bit for bit in every field of
+    the state, the generator included.  The loop owns the generators: it
+    draws a row's index triples of a block with one ``rng.integers`` call
+    over the tiled bounds, which draws what the scalar calls draw, and puts
+    a row that took fewer steps where their scalar draws would leave it.
+    Returns one entry per row: None, or the ``DivergenceError`` its steps
+    would have raised, with its state left as they leave it; the other rows
+    keep running.  ``on_tick`` is called every ``cadence`` iterations (and at
+    the end) with the indices of the live rows, after their states are
+    written back.  The kernel is chosen whenever the live count changes:
+    ``_stacked_block`` from ``GRID_MIN_RUNS`` live rows, ``_row_block`` below.
     """
     lo, hi = inst.box_lo, inst.box_hi
     for state, *_ in rows:
@@ -397,9 +380,18 @@ def _iterate(rows, inst, K, on_tick=None, cadence=None):
             else:
                 kernel = _row_block
                 oracles = (inst.stoch_objective_grad, inst.constraint, inst.constraint_value)
-        steps, failed = kernel([rows[r] for r in live], oracles, bounds, lo, hi, done, end)
-        for pos, exc in failed.items():
-            errors[live[pos]] = exc
+        block = [rows[r] for r in live]
+        before = [state.rng.bit_generator.state for state, *_ in block]
+        draws = [state.rng.integers(bounds[: 3 * (end - done)]) for state, *_ in block]
+        steps, stopped = kernel(block, draws, oracles, lo, hi, done, end)
+        for pos, (state, *_) in enumerate(block):
+            drawn = stopped[pos] + 1 if pos in stopped else steps
+            if drawn < end - done:
+                state.rng.bit_generator.state = before[pos]
+                state.rng.integers(bounds[: 3 * drawn])
+            if pos in stopped:
+                msg = f"divergence at iteration {state.k}"
+                errors[live[pos]] = DivergenceError(msg, iteration=state.k, state=state)
         live = [r for r in live if errors[r] is None]
         done += steps
         if done == tick and on_tick is not None and live:
@@ -407,31 +399,27 @@ def _iterate(rows, inst, K, on_tick=None, cadence=None):
     return errors
 
 
-def _row_block(rows, oracles, bounds, lo, hi, done, end):
-    """Iterations done+1..end of each row in turn, through the per-row
-    oracles; returns (end - done, failures).
+def _row_block(rows, draws, oracles, lo, hi, done, end):
+    """Iterations done+1..end of each row in turn, on the rows' index
+    triples ``draws`` and the per-row oracles; returns (end - done, stopped).
 
     A row that diverges stops at that iteration, left as its step calls
-    leave it; the others run the whole block.  ``failures`` maps a row's
-    position to its DivergenceError.
+    leave it; the others run the whole block.  ``stopped`` maps a row's
+    position to the block iteration (from 0) at which it stopped.
     """
     stoch_grad, constraint, constraint_value = oracles
-    failed = {}
+    stopped = {}
     for pos, (state, alphas, rhos, z_max) in enumerate(rows):
-        x, z, rng = state.x, state.z, state.rng
+        x, z, steps = state.x, state.z, end - done
         sum_plain, sum_weighted, weight_sum = state.sum_plain, state.sum_weighted, state.weight_sum
         mirror, cap, limit = _policy(z_max)
-        rng_before = rng.bit_generator.state
-        draws = iter(rng.integers(bounds[: 3 * (end - done)]).tolist())
-        block = zip(draws, draws, draws, alphas[done:end].tolist(), rhos[done:end].tolist())
+        triples = iter(draws[pos].tolist())
+        block = zip(triples, triples, triples, alphas[done:end].tolist(), rhos[done:end].tolist())
         for t, (i, xi, j, a_k, r_k) in enumerate(block):
             g0 = stoch_grad(xi, x)
             fval, grad = constraint(i, x)
             mult = r_k * fval + z.item(i)
-            if mirror:
-                d = g0 + mult * grad if mult > 0.0 else g0
-            else:
-                d = g0 if mult <= 0.0 else g0 + mult * grad
+            d = g0 + mult * grad if (mult > 0.0 if mirror else not mult <= 0.0) else g0
             x_new = np.minimum(np.maximum(x - a_k * d, lo), hi)
             # a finite sum of squares means every entry is finite; an overflow
             # falls through to the entrywise test
@@ -442,9 +430,7 @@ def _row_block(rows, oracles, bounds, lo, hi, done, end):
             zj_new = zj + r_k * max(-zj / r_k, fj)
             zj_new = 0.0 if zj_new < 0.0 else cap if zj_new > cap else zj_new
             if diverged or not zj_new <= limit:
-                _rewind(rng, rng_before, bounds, t + 1)
-                _advance(state, x, weight_sum, t, t + 1)
-                failed[pos] = _diverged(state)
+                stopped[pos] = steps = t
                 break
 
             z[j] = zj_new
@@ -452,30 +438,28 @@ def _row_block(rows, oracles, bounds, lo, hi, done, end):
             sum_plain += x_new
             sum_weighted += a_k * x_new
             weight_sum += a_k
-        else:
-            _advance(state, x, weight_sum, end - done, end - done)
-    return end - done, failed
+        # a stopped row made its iteration's queries
+        _advance(state, x, weight_sum, steps, steps + (pos in stopped))
+    return end - done, stopped
 
 
-def _stacked_block(rows, oracles, bounds, lo, hi, done, end):
-    """Iterations done+1..end of every row in lockstep, through the stacked
-    oracles; returns (steps taken, failures).
+def _stacked_block(rows, draws, oracles, lo, hi, done, end):
+    """Iterations done+1..end of every row in lockstep, on the rows' index
+    triples ``draws`` and the stacked oracles; returns (steps, stopped).
 
     The vector work of all rows is batched; the per-row scalars (the
     multiplier and the dual coordinate) stay Python floats.
     The block ends early after an iteration in which a row diverges: the
     failed rows are left as their step calls leave them, and the others are
-    written back after that iteration, their generators rewound to where
-    its draws end.  ``failures`` maps a row's position to its DivergenceError.
+    written back after that iteration.  ``stopped`` maps a failed row's
+    position to the block iteration (from 0) at which it stopped.
     """
     stoch_grads, constraints, constraint_values = oracles
     R, nb = len(rows), end - done
     states = [row[0] for row in rows]
     rules = [_policy(row[3]) for row in rows]
-    rng_before = [s.rng.bit_generator.state for s in states]
     # (nb, 3, R): the index triple of every row, iteration by iteration
-    draws = np.stack([s.rng.integers(bounds[: 3 * nb]) for s in states])
-    draws = np.ascontiguousarray(draws.reshape(R, nb, 3).transpose(1, 2, 0))
+    draws = np.ascontiguousarray(np.stack(draws).reshape(R, nb, 3).transpose(1, 2, 0))
     alphas = np.stack([row[1][done:end] for row in rows], axis=1)  # (nb, R)
     rhos = np.stack([row[2][done:end] for row in rows], axis=1)
 
@@ -491,7 +475,7 @@ def _stacked_block(rows, oracles, bounds, lo, hi, done, end):
     # the dual update of pdsg reads the new iterate, mirror-prox's the old one
     at_new = None if all(mirror) or not any(mirror) else np.array(mirror)[:, None] == 0
 
-    failed = {}
+    stopped = {}
     for t, ((I, xis, J), a_col, r_ks) in enumerate(zip(draws, alphas[:, :, None], rhos)):
         # Python ints and floats for the per-row scalars, made per iteration
         # so that a block holds no lists of them
@@ -533,11 +517,9 @@ def _stacked_block(rows, oracles, bounds, lo, hi, done, end):
             else:
                 z[j] = zj_new
         for pos in bad:
-            state = states[pos]
-            _write_back(state, X[pos], sum_plain[pos], sum_weighted[pos], zs[pos],
+            _write_back(states[pos], X[pos], sum_plain[pos], sum_weighted[pos], zs[pos],
                         weights[pos], t, t + 1)
-            _rewind(state.rng, rng_before[pos], bounds, t + 1)
-            failed[pos] = _diverged(state)
+            stopped[pos] = t
 
         sum_plain += Xn
         np.multiply(Xn, a_col, out=tmp)
@@ -548,12 +530,10 @@ def _stacked_block(rows, oracles, bounds, lo, hi, done, end):
             break
     steps = t + 1
     for pos, state in enumerate(states):
-        if pos not in failed:
+        if pos not in stopped:
             _write_back(state, X[pos], sum_plain[pos], sum_weighted[pos], zs[pos],
                         weights[pos], steps, steps)
-            if steps < nb:
-                _rewind(state.rng, rng_before[pos], bounds, steps)
-    return steps, failed
+    return steps, stopped
 
 
 def _write_back(state, x, sum_plain, sum_weighted, z, weight_sum, steps, queries):

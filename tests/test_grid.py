@@ -147,7 +147,8 @@ def _rows(inst, K, specs):
         if z_max is None:
             alphas, rhos = make_schedule(policy, alpha, rho, K).sequences(max(K, 1))
         else:
-            a_k, r_k, _ = MirrorProxConfig(z_max=z_max, alpha=alpha, rho=rho).steps(max(K, 1))
+            cfg = MirrorProxConfig(z_max=z_max, alpha=alpha, rho=rho)
+            a_k, r_k, _ = cfg.schedule(max(K, 1)).steps(1)
             alphas, rhos = np.full(K, a_k), np.full(K, r_k)
         rows.append((init_state(inst, seed), alphas, rhos, z_max))
     return rows
@@ -281,6 +282,49 @@ def test_grid_nan_multiplier_follows_each_policy():
     assert [g[0] for g in got] == ["diverged"] * 3 + ["done"] * 3
 
 
+class _CountingGenerator(np.random.Generator):
+    """``default_rng(seed)`` that counts its ``integers`` calls."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return super().integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("min_runs", [1, 4])  # the stacked kernel, then the per-row one
+def test_run_loop_draws_once_per_live_row_and_block(min_runs):
+    # the big pdsg row diverges mid-block (as above); the other two finish
+    inst = _Blowup(2**40, 40)
+    K, cadence = 400, 7
+    big, small = 0.5 * np.sqrt(K), 0.01 * np.sqrt(K)
+    specs = [("fixed_horizon", big, big, None, 0), ("fixed_horizon", small, small, None, 1),
+             ("mirror_prox", big, big, 5.0, 2)]
+    rows = _rows(inst, K, specs)
+    for (state, *_), spec in zip(rows, specs):
+        state.rng = _CountingGenerator(spec[-1])
+    with mock.patch.object(solver, "GRID_MIN_RUNS", min_runs):
+        errors = _iterate(rows, inst, K, on_tick=lambda live: None, cadence=cadence)
+    assert [exc is not None for exc in errors] == [True, False, False]
+    stop = errors[0].iteration  # the iteration at which row 0 stopped
+    assert stop % cadence not in (0, 1)  # neither end of a block
+    blocks = -(-K // cadence)
+    # row 0: one draw per block up to its divergence, and one rewind to it
+    want = [stop // cadence + 2]
+    # the others draw once per block; on the stacked kernel the divergence
+    # ends their block early, so they are rewound and draw one block more
+    want += [blocks + 2 if min_runs == 1 else blocks] * 2
+    assert [row[0].rng.calls for row in rows] == want
+    for (state, *_), spec in zip(rows, specs):
+        try:
+            alone = _one_row_run(inst, K, spec, None, None)
+        except DivergenceError as exc:
+            alone = exc.state
+        assert state.rng.bit_generator.state == alone.rng.bit_generator.state
+
+
 # -- kernel selection -------------------------------------------------------------
 
 
@@ -376,7 +420,7 @@ def assert_records_match(got, want, inst):
 
 @pytest.mark.parametrize("kw", [
     {},
-    dict(schedule="anytime", cadence=0.3, seeds=(4, 1, 1)),
+    dict(schedule="anytime", cadence=0.3, seeds=(4, 1, 3)),
     dict(methods=("mirror_prox",), seeds=(0, 1, 2, 3)),
     dict(alpha=1e12, rho=1e12),  # every pdsg run diverges
 ])

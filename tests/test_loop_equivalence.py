@@ -117,7 +117,7 @@ def compare_pdsg(inst, sched, K, cadence, block, seed):
 
 def compare_mirror_prox(inst, cfg, K, cadence, block, seed):
     fused, scalar = Snapshots(), Snapshots()
-    a_k, r_k, beta = cfg.steps(max(K, 1))
+    a_k, r_k, beta = cfg.schedule(max(K, 1)).steps(1)
     with mock.patch.object(solver, "_DRAW_BLOCK", block):
         got = outcome(lambda: mirror_prox_run(inst, cfg, K, seed, fused, cadence)[0])
     want = outcome(
@@ -239,7 +239,7 @@ def test_steps_equal_sequences_over_a_long_horizon(kind):
 def test_mirror_prox_steps_are_the_fixed_horizon_schedule(K):
     cfg = MirrorProxConfig(z_max=5.0, alpha=0.37, rho=0.91)
     a_k, r_k = 0.37 / np.sqrt(K), 0.91 / np.sqrt(K)
-    assert cfg.steps(K) == (a_k, r_k, r_k)
+    assert cfg.schedule(K).steps(1) == (a_k, r_k, r_k)
     alphas, rhos = cfg.schedule(K).sequences(K)
     assert alphas.tolist() == [a_k] * K and rhos.tolist() == [r_k] * K
 
@@ -306,7 +306,7 @@ def test_ergodic_means_follow_k_after_steps_and_runs():
     cfg = MirrorProxConfig(z_max=5.0, alpha=0.5, rho=0.5)
     grab = Iterates()
     state, _ = mirror_prox_run(inst, cfg, K, 2, grab, cadence=1)
-    assert_ergodic_means(state, start, grab.ticks, [cfg.steps(K)[0]] * K)
+    assert_ergodic_means(state, start, grab.ticks, [cfg.schedule(K).steps(1)[0]] * K)
 
 
 def test_ergodic_means_follow_k_on_divergence_mid_block():
@@ -316,8 +316,8 @@ def test_ergodic_means_follow_k_on_divergence_mid_block():
     cfg = MirrorProxConfig(z_max=5.0, alpha=0.5 * np.sqrt(K), rho=0.5 * np.sqrt(K))
     policies = (  # (fused run, one step's arguments after the instance, the step)
         (lambda: run(inst, sched, K, 0), sched.steps, pdsg_step),
-        (lambda: mirror_prox_run(inst, cfg, K, 0), lambda k: (*cfg.steps(K), cfg.z_max),
-         mirror_prox_step),
+        (lambda: mirror_prox_run(inst, cfg, K, 0),
+         lambda k: (*cfg.schedule(K).steps(1), cfg.z_max), mirror_prox_step),
     )
     for go, step_args, step in policies:
         with pytest.raises(DivergenceError) as info:

@@ -1,5 +1,7 @@
 """Schedules, validation, the PDSG step, and run-loop behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,26 @@ def test_schedule_alpha_nonincreasing():
     for s in (fixed_horizon(1, 1, 2000), anytime(1, 1), strongly_convex(1, 1, 2000, mu=1.0)):
         a = s.sequences(1999)[0]
         assert np.all(np.diff(a) <= 1e-15)
+
+
+@pytest.mark.parametrize("kind", ["fixed_horizon", "anytime", "strongly_convex"])
+def test_sequences_are_read_only(kind):
+    for seq in make_schedule(kind, 0.5, 0.5, 50).sequences(50):
+        assert not seq.flags.writeable
+        with pytest.raises(ValueError):
+            seq[0] = 1.0
+
+
+def test_fixed_horizon_sequences_allocate_no_k_values():
+    sched = fixed_horizon(0.5, 0.5, 10**6)
+    tracemalloc.start()
+    try:
+        sequences = sched.sequences(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert [seq.shape for seq in sequences] == [(10**6,)] * 2
 
 
 def test_schedule_constructor_validation():
