@@ -67,6 +67,11 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ConfigError(f"unknown methods {bad}; choose from {METHODS}")
+        for name in ("methods", "seeds"):
+            values = getattr(self, name)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{name} repeat {repeated}; each runs once")
 
 
 def build_instance(cfg: ExperimentConfig) -> problems.QuadraticInstance:

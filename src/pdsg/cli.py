@@ -114,15 +114,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 # options whose ExperimentConfig field has another name
 _FIELDS = {"seed": "instance_seed", "instance": "instance_file", "zmax": "mp_zmax"}
+# the instance options that configure nothing with an instance file, or in a family
+_IDLE = {
+    "instance": ("family", "n", "p", "N", "m", "second_stage_dim", "seed"),
+    "qcqp": ("second_stage_dim",),
+    "scenario_lp": ("p", "N"),
+}
 
 
 def _config(args, **fixed) -> bench.ExperimentConfig:
     """The ``ExperimentConfig`` of the options given, with ``fixed`` on top.
 
-    An option not given is None and leaves its field at the default.
+    An option not given is None and leaves its field at the default.  An
+    instance option that configures nothing is refused.
     """
+    options = {k: v for k, v in vars(args).items() if v is not None}
+    family = options.get("family", bench.ExperimentConfig.family)
+    source = "instance" if "instance" in options else family
+    idle = [f"--{k.replace('_', '-')}" for k in _IDLE[source] if k in options]
+    if idle:
+        why = ("the instance is read from --instance" if source == "instance"
+               else f"the {source} family takes no such size")
+        raise ConfigError(f"{', '.join(idle)}: {why}; an option that configures nothing "
+                          "is refused")
     names = {f.name for f in dataclasses.fields(bench.ExperimentConfig)}
-    given = {_FIELDS.get(k, k): v for k, v in vars(args).items() if v is not None}
+    given = {_FIELDS.get(k, k): v for k, v in options.items()}
     given = {k: v for k, v in given.items() if k in names}
     if "seeds" in given:
         given["seeds"] = _parse_seeds(given["seeds"])

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,16 @@ def test_invalid_schedule_refused_without_force():
         bench.run_experiment(cfg)
     records, _, _ = bench.run_experiment(_tiny_cfg(alpha=10.0, rho=10.0, force=True))
     assert records
+
+
+@pytest.mark.parametrize("kw, named", [
+    (dict(seeds=(3, 3)), "seeds repeat [3]"),
+    (dict(seeds=(0, 1, 0, 1)), "seeds repeat [0, 1]"),
+    (dict(methods=("pdsg", "mirror_prox", "pdsg")), "methods repeat ['pdsg']"),
+])
+def test_experiment_config_refuses_repeated_methods_and_seeds(kw, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        _tiny_cfg(**kw)
 
 
 def test_reference_file_cache(tmp_path):
@@ -306,6 +317,15 @@ def test_cli_compare_requires_two_methods(tmp_path):
          "--epochs", "1", "--out", str(tmp_path)]
     )
     assert rc == 2
+    # a repeated method used to write its rows twice and count them twice
+    rc = cli.main(
+        ["compare", "--methods", "pdsg,pdsg,mirror_prox",
+         "--n", "3", "--p", "2", "--N", "4", "--m", "4",
+         "--alpha", "0.003", "--rho", "0.003",
+         "--epochs", "1", "--out", str(tmp_path)]
+    )
+    assert rc == 2
+    assert not (tmp_path / "runs.csv").exists()
 
 
 def test_cli_compare_writes_summary(tmp_path, capsys):
@@ -354,6 +374,8 @@ def test_cli_divergence_exit_code(tmp_path):
     ["--alpha", "inf", "--force"],  # used to exit 3 as a divergence
     ["--rho", "inf", "--force"],
     ["--method", "mirror_prox", "--zmax", "inf"],  # used to exit 0 with no dual box
+    ["--seeds", "3,3"],  # used to write and average one run twice
+    ["--seeds", "0,1,0"],
 ])
 def test_cli_rejects_out_of_range_run_options(tmp_path, capsys, flags):
     # pdsg's steps are valid unless the case sets them; mirror-prox takes none
@@ -381,6 +403,14 @@ def test_cli_rejects_out_of_range_run_options(tmp_path, capsys, flags):
     (["solve", "--method", "reference", "--mu", "5"], "--mu"),
     (["compare", "--methods", "mirror_prox,reference", "--schedule", "strongly_convex",
       "--mu", "5"], "--schedule, --mu"),
+    # instance options beside an instance file, or of the other family
+    (["solve", "--instance", "absent.bin", "--alpha", "0.003", "--rho", "0.003"],
+     "--n, --p, --N, --m"),
+    (["solve", "--family", "scenario_lp", "--alpha", "0.003", "--rho", "0.003"], "--p, --N"),
+    (["solve", "--second-stage-dim", "2", "--alpha", "0.003", "--rho", "0.003"],
+     "--second-stage-dim"),
+    (["compare", "--family", "qcqp", "--second-stage-dim", "2", "--alpha", "0.003",
+      "--rho", "0.003"], "--second-stage-dim"),
 ])
 def test_cli_refuses_options_that_configure_no_run(tmp_path, capsys, flags, named):
     rc = cli.main(flags + ["--n", "3", "--p", "2", "--N", "4", "--m", "4", "--epochs", "1",
@@ -578,6 +608,8 @@ def test_cli_config_file_equals_form(tmp_path):
         ("epohcs = 2", "epohcs"),  # misspelled
         ("epoch = 2", "epoch"),  # an abbreviation argparse alone would take
         ("tau = 0.5", "tau"),  # an option of another subcommand
+        ("second_stage_dim = 2", "--second-stage-dim"),  # a size qcqp does not take
+        ("family = scenario_lp", "--p, --N"),  # the file's p and N size no scenario LP
     ],
 )
 def test_cli_config_file_rejects_bad_lines(tmp_path, capsys, line, named):
