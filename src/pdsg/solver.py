@@ -507,26 +507,24 @@ def _stacked_block(rows, draws, oracles, lo, hi, done, end):
         if at_new is not None:
             Y = np.where(at_new, Xn, X)
         fjs = constraint_values(J, Y)
-        bad = []
         for pos, (z, j, r_k, fj, (_, cap, lim)) in enumerate(zip(zs, j_list, r_row, fjs, rules)):
             zj = z[j]
             zj_new = zj + r_k * max(-zj / r_k, fj)
             zj_new = 0.0 if zj_new < 0.0 else cap if zj_new > cap else zj_new
             if not zj_new <= lim or (x_bad is not None and x_bad[pos]):
-                bad.append(pos)
+                stopped[pos] = t
             else:
                 z[j] = zj_new
-        for pos in bad:
+        for pos in stopped:  # the rows of this iteration: the block ends with it
             _write_back(states[pos], X[pos], sum_plain[pos], sum_weighted[pos], zs[pos],
                         weights[pos], t, t + 1)
-            stopped[pos] = t
 
         sum_plain += Xn
         np.multiply(Xn, a_col, out=tmp)
         sum_weighted += tmp
         weights = [w + a_k for w, a_k in zip(weights, a_row)]
         X, Xn, flat, flat_n = Xn, X, flat_n, flat
-        if bad:
+        if stopped:
             break
     steps = t + 1
     for pos, state in enumerate(states):

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import os
-import re
 
 import numpy as np
 import pytest
@@ -83,16 +82,6 @@ def test_invalid_schedule_refused_without_force():
         bench.run_experiment(cfg)
     records, _, _ = bench.run_experiment(_tiny_cfg(alpha=10.0, rho=10.0, force=True))
     assert records
-
-
-@pytest.mark.parametrize("kw, named", [
-    (dict(seeds=(3, 3)), "seeds repeat [3]"),
-    (dict(seeds=(0, 1, 0, 1)), "seeds repeat [0, 1]"),
-    (dict(methods=("pdsg", "mirror_prox", "pdsg")), "methods repeat ['pdsg']"),
-])
-def test_experiment_config_refuses_repeated_methods_and_seeds(kw, named):
-    with pytest.raises(ConfigError, match=re.escape(named)):
-        _tiny_cfg(**kw)
 
 
 def test_reference_file_cache(tmp_path):

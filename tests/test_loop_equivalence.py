@@ -216,10 +216,11 @@ def test_sequences_equal_steps(kind, alpha, rho, K):
         K = max(K, 1)
     sched = make_schedule(kind, alpha, rho, K)
     seqs = sched.sequences(K)
-    # the constant sequences are read-only views of one value
+    assert not any(seq.flags.writeable for seq in seqs)
+    # the constant sequences are views of one value
     constant = {"fixed_horizon": seqs, "anytime": (), "strongly_convex": seqs[1:]}[kind]
     for seq in constant:
-        assert seq.strides == (0,) and not seq.flags.writeable
+        assert seq.strides == (0,)
     alphas, rhos = (seq.tolist() for seq in seqs)
     assert len(alphas) == len(rhos) == K
     for k in range(1, K + 1):

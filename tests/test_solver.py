@@ -77,14 +77,6 @@ def test_schedule_alpha_nonincreasing():
         assert np.all(np.diff(a) <= 1e-15)
 
 
-@pytest.mark.parametrize("kind", ["fixed_horizon", "anytime", "strongly_convex"])
-def test_sequences_are_read_only(kind):
-    for seq in make_schedule(kind, 0.5, 0.5, 50).sequences(50):
-        assert not seq.flags.writeable
-        with pytest.raises(ValueError):
-            seq[0] = 1.0
-
-
 def test_fixed_horizon_sequences_allocate_no_k_values():
     sched = fixed_horizon(0.5, 0.5, 10**6)
     tracemalloc.start()
