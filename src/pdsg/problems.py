@@ -158,30 +158,33 @@ class ProblemInstance:
 
     # -- stacked sampled oracles ---------------------------------------------
 
-    def stacked_oracles(self, R):
-        """The three sampled oracles of a run for a stack X (R, n) of points.
+    def stacked_oracles(self, G, U):
+        """The three sampled oracles of a run for a stack X (G*U, n) of points.
 
         Returns ``(stoch_objective_grads, constraints, constraint_values)``.
-        Each takes an integer array of R indices, one per row of X:
-        ``stoch_objective_grads(xis, X)`` is the (R, n) stack of
-        ``stoch_objective_grad(xis[r], X[r])``; ``constraints(I, X)`` returns
-        the list of values and the (R, n) stack of subgradients of
-        ``constraint(I[r], X[r])``; ``constraint_values(J, X)`` is the list of
-        ``constraint_value(J[r], X[r])``.  Every row is bit-equal to its
-        per-row call.  A returned array may be a buffer that the next call
-        of the same oracle overwrites.  This generic form makes the per-row
-        calls; subclasses evaluate the stack at once.
+        The stack holds G copies of U distinct index draws, copy-major: row
+        ``g*U + u`` is copy g of draw u, and each oracle takes the U indices
+        of one draw.  ``stoch_objective_grads(xis, X)`` is the stack of
+        ``stoch_objective_grad(xis[u], X[g*U + u])``; ``constraints(I, X)``
+        returns the list of values and the stack of subgradients of
+        ``constraint(I[u], X[g*U + u])``; ``constraint_values(J, X)`` is the
+        list of ``constraint_value(J[u], X[g*U + u])``.  Every row is
+        bit-equal to its per-row call.  A returned array may be a buffer that
+        the next call of the same oracle overwrites.  This generic form makes
+        the per-row calls; subclasses evaluate the stack at once.
         """
 
         def stoch_objective_grads(xis, X):
-            return np.stack([self.stoch_objective_grad(i, x) for i, x in zip(xis.tolist(), X)])
+            return np.stack(
+                [self.stoch_objective_grad(i, x) for i, x in zip(xis.tolist() * G, X)]
+            )
 
         def constraints(I, X):
-            vals, grads = zip(*map(self.constraint, I.tolist(), X))
+            vals, grads = zip(*map(self.constraint, I.tolist() * G, X))
             return list(vals), np.stack(grads)
 
         def constraint_values(J, X):
-            return [self.constraint_value(j, x) for j, x in zip(J.tolist(), X)]
+            return [self.constraint_value(j, x) for j, x in zip(J.tolist() * G, X)]
 
         return stoch_objective_grads, constraints, constraint_values
 
@@ -315,6 +318,45 @@ class QuadraticInstance(ProblemInstance):
         eigs = self._hessian_eigenvalues()
         return float(np.linalg.norm(self.hessian(), "fro") if eigs is None else eigs[-1])
 
+    def statistics(self):
+        """The quadratic statistics, keyed as ``adopt_statistics`` takes them:
+        ``P = hessian()``, ``(q, r) = linear_terms()``, the constraint
+        curvatures and the Hessian eigenvalues (None when n > 512)."""
+        q, r = self.linear_terms()
+        return {"P": self.hessian(), "q": q, "r": r,
+                "curvatures": self.constraint_curvatures(),
+                "eigenvalues": self._hessian_eigenvalues()}
+
+    def adopt_statistics(self, P, q, r, curvatures, eigenvalues):
+        """Take ``statistics()`` computed elsewhere, such as a reference cache,
+        as the lazy caches (read-only copies), so that nothing here computes
+        them.
+
+        They are checked, not recomputed: P must be (n, n), finite and
+        exactly symmetric, q (n,) and finite, r finite, the curvatures (m,),
+        finite and >= 0, and the eigenvalues (n,), finite and ascending, or
+        None.  Anything else raises ValueError and adopts nothing.
+        """
+        n, m = self.n, self.m
+        P, q, curvatures = (np.array(v, dtype=float) for v in (P, q, curvatures))
+        r = float(r)
+        ok = (P.shape == (n, n) and np.isfinite(P).all() and (P == P.T).all()
+              and q.shape == (n,) and np.isfinite(q).all() and math.isfinite(r)
+              and curvatures.shape == (m,) and np.isfinite(curvatures).all()
+              and (curvatures >= 0.0).all())
+        arrays = [P, q, curvatures]
+        if eigenvalues is not None:
+            eigenvalues = np.array(eigenvalues, dtype=float)
+            arrays.append(eigenvalues)
+            ok = ok and (eigenvalues.shape == (n,) and np.isfinite(eigenvalues).all()
+                         and (np.diff(eigenvalues) >= 0.0).all())
+        if not ok:
+            raise ValueError("statistics do not fit the instance")
+        for arr in arrays:
+            arr.flags.writeable = False
+        self._hessian, self._linear, self._qnorms = P, (q, r), curvatures
+        self._eigenvalues = eigenvalues
+
     # -- constraints ----------------------------------------------------------
 
     def constraint(self, j, x):
@@ -351,33 +393,35 @@ class QuadraticInstance(ProblemInstance):
             fvals[:, part] = 0.5 * xQx + aX[:, part] - b[part]
         return self._objective_values(X), fvals
 
-    def stacked_oracles(self, R):
-        """Stacked oracles from gathered slices and stacked ``np.matmul`` calls.
+    def stacked_oracles(self, G, U):
+        """Stacked oracles from gathered slices and broadcast ``np.matmul`` calls.
 
-        Each call gathers the R sampled slices of H and c, or of Q and a, into
-        buffers allocated here once, then evaluates all rows with stacked
-        ``np.matmul`` calls.  numpy runs the same BLAS kernel on each slice of
-        a stack as on a single product (gemv for a matrix times a point, dot
-        for two points), so every row is bit-equal to the per-row oracle; an
-        ``einsum`` contraction is not.  b is looked up per row from a list.
-        The indices are not range-checked.
+        Each call gathers the U sampled slices of H and c, or of Q and a, once
+        into buffers allocated here, and evaluates the G copies of each with
+        stacked ``np.matmul`` calls that broadcast the (U, ...) slices over
+        the (G, U, ...) points.  numpy runs the same BLAS kernel on each item
+        of a broadcast stack as on a single product (gemv for a matrix times
+        a point, dot for two points), so every row is bit-equal to the
+        per-row oracle; an ``einsum`` contraction is not.  b is looked up per
+        row from a list.  The indices are not range-checked.
         """
-        d, n, p = self.data, self.n, self.p
+        d, n, p, R = self.data, self.n, self.p, G * U
         H, c, Q, a = d.H, d.c, d.Q, d.a
         b = d.b.tolist()
-        Hs, cs = np.empty((R, p, n)), np.empty((R, p))
+        Hs, cs = np.empty((U, p, n)), np.empty((U, p))
         HsT, cs3 = Hs.transpose(0, 2, 1), cs[:, :, None]
-        res, g = np.empty((R, p, 1)), np.empty((R, n, 1))
-        Qs, As = np.empty((R, n, n)), np.empty((R, 1, n))
-        As2 = As.reshape(R, n)
-        Qx, xQx, ax = np.empty((R, n, 1)), np.empty((R, 1, 1)), np.empty((R, 1, 1))
-        g2, Qx2, xQx1, ax1 = g.reshape(R, n), Qx.reshape(R, n), xQx.reshape(R), ax.reshape(R)
-        grads = np.empty((R, n))
+        res, g = np.empty((G, U, p, 1)), np.empty((G, U, n, 1))
+        Qs, As = np.empty((U, n, n)), np.empty((U, 1, n))
+        As2 = As.reshape(U, n)
+        Qx, xQx, ax = np.empty((G, U, n, 1)), np.empty((G, U, 1, 1)), np.empty((G, U, 1, 1))
+        g2, Qx3, xQx1, ax1 = g.reshape(R, n), Qx.reshape(G, U, n), xQx.reshape(R), ax.reshape(R)
+        grads = np.empty((G, U, n))
+        grads2 = grads.reshape(R, n)
 
         def stoch_objective_grads(xis, X):
             H.take(xis, 0, Hs, "clip")
             c.take(xis, 0, cs, "clip")
-            np.matmul(Hs, X[:, :, None], out=res)
+            np.matmul(Hs, X.reshape(G, U, n, 1), out=res)
             np.subtract(res, cs3, out=res)
             np.matmul(HsT, res, out=g)
             return g2
@@ -386,16 +430,17 @@ class QuadraticInstance(ProblemInstance):
             """f_j(x) per row, as a list of floats; Q_j x is left in Qx."""
             Q.take(J, 0, Qs, "clip")
             a.take(J, 0, As2, "clip")
-            Xc = X[:, :, None]
+            Xc = X.reshape(G, U, n, 1)
             np.matmul(Qs, Xc, out=Qx)
-            np.matmul(X[:, None, :], Qx, out=xQx)
+            np.matmul(X.reshape(G, U, 1, n), Qx, out=xQx)
             np.matmul(As, Xc, out=ax)
             return [0.5 * q + v - b[j]
-                    for q, v, j in zip(xQx1.tolist(), ax1.tolist(), J.tolist())]
+                    for q, v, j in zip(xQx1.tolist(), ax1.tolist(), J.tolist() * G)]
 
         def constraints(I, X):
             fvals = values(I, X)
-            return fvals, np.add(Qx2, As2, out=grads)
+            np.add(Qx3, As2, out=grads)
+            return fvals, grads2
 
         return stoch_objective_grads, constraints, values
 

@@ -340,6 +340,27 @@ def _policy(z_max):
     return True, z_max, math.inf
 
 
+def _copies(states):
+    """The copy-major order of R rows by their generator states, and G.
+
+    Rows whose generators are in equal states draw equal index blocks.  When
+    they fall into U groups of one size G, position ``g*U + u`` of the order
+    is copy g of group u; otherwise G is 1 and the order is unchanged.
+    """
+    groups = []
+    for pos, state in enumerate(states):
+        for group in groups:
+            if states[group[0]] == state:
+                group.append(pos)
+                break
+        else:
+            groups.append([pos])
+    G = len(groups[0])
+    if any(len(group) != G for group in groups):
+        return list(range(len(states))), 1
+    return [group[g] for g in range(G) for group in groups], G
+
+
 def _iterate(rows, inst, K, on_tick=None, cadence=None):
     """Advance R runs on ``inst`` by K iterations each: the one run loop.
 
@@ -352,12 +373,17 @@ def _iterate(rows, inst, K, on_tick=None, cadence=None):
     draws a row's index triples of a block with one ``rng.integers`` call
     over the tiled bounds, which draws what the scalar calls draw, and puts
     a row that took fewer steps where their scalar draws would leave it.
+    Rows whose generators start a block in equal states draw equal triples;
+    when the live rows form U such groups of G copies each, the kernel gets
+    them copy-major with the U distinct draws (``_copies``), so the stacked
+    oracles gather each sampled slice once.
     Returns one entry per row: None, or the ``DivergenceError`` its steps
     would have raised, with its state left as they leave it; the other rows
     keep running.  ``on_tick`` is called every ``cadence`` iterations (and at
     the end) with the indices of the live rows, after their states are
-    written back.  The kernel is chosen whenever the live count changes:
-    ``_stacked_block`` from ``GRID_MIN_RUNS`` live rows, ``_row_block`` below.
+    written back.  The kernel is chosen whenever the live count or G
+    changes: ``_stacked_block`` from ``GRID_MIN_RUNS`` live rows,
+    ``_row_block`` below.
     """
     lo, hi = inst.box_lo, inst.box_hi
     for state, *_ in rows:
@@ -369,21 +395,28 @@ def _iterate(rows, inst, K, on_tick=None, cadence=None):
     every = cadence if cadence and on_tick is not None else K
     errors = [None] * len(rows)
     live = list(range(len(rows)))
-    R = done = 0
+    layout = None
+    done = 0
     while done < K and live:
         tick = min((done // every + 1) * every, K)
         end = min(tick, done + _DRAW_BLOCK)
-        if len(live) != R:
-            R = len(live)
+        before = [rows[r][0].rng.bit_generator.state for r in live]
+        order, G = _copies(before)
+        R, U = len(live), len(live) // G
+        if (R, G) != layout:
+            layout = (R, G)
             if R >= GRID_MIN_RUNS:
-                kernel, oracles = _stacked_block, inst.stacked_oracles(R)
+                kernel, oracles = _stacked_block, inst.stacked_oracles(G, U)
             else:
                 kernel = _row_block
                 oracles = (inst.stoch_objective_grad, inst.constraint, inst.constraint_value)
-        block = [rows[r] for r in live]
-        before = [state.rng.bit_generator.state for state, *_ in block]
+        members = [live[pos] for pos in order]
+        before = [before[pos] for pos in order]
+        block = [rows[r] for r in members]
+        # every generator advances by its own draw; copy g of a group draws
+        # what copy 0 does, so the kernel takes the first U
         draws = [state.rng.integers(bounds[: 3 * (end - done)]) for state, *_ in block]
-        steps, stopped = kernel(block, draws, oracles, lo, hi, done, end)
+        steps, stopped = kernel(block, draws[:U], oracles, lo, hi, done, end)
         for pos, (state, *_) in enumerate(block):
             drawn = stopped[pos] + 1 if pos in stopped else steps
             if drawn < end - done:
@@ -391,7 +424,7 @@ def _iterate(rows, inst, K, on_tick=None, cadence=None):
                 state.rng.integers(bounds[: 3 * drawn])
             if pos in stopped:
                 msg = f"divergence at iteration {state.k}"
-                errors[live[pos]] = DivergenceError(msg, iteration=state.k, state=state)
+                errors[members[pos]] = DivergenceError(msg, iteration=state.k, state=state)
         live = [r for r in live if errors[r] is None]
         done += steps
         if done == tick and on_tick is not None and live:
@@ -400,8 +433,9 @@ def _iterate(rows, inst, K, on_tick=None, cadence=None):
 
 
 def _row_block(rows, draws, oracles, lo, hi, done, end):
-    """Iterations done+1..end of each row in turn, on the rows' index
-    triples ``draws`` and the per-row oracles; returns (end - done, stopped).
+    """Iterations done+1..end of each row in turn, on the per-row oracles;
+    returns (end - done, stopped).  Row ``pos`` steps on the index triples
+    ``draws[pos % U]`` of its group, U = ``len(draws)`` (``_iterate``).
 
     A row that diverges stops at that iteration, left as its step calls
     leave it; the others run the whole block.  ``stopped`` maps a row's
@@ -413,7 +447,7 @@ def _row_block(rows, draws, oracles, lo, hi, done, end):
         x, z, steps = state.x, state.z, end - done
         sum_plain, sum_weighted, weight_sum = state.sum_plain, state.sum_weighted, state.weight_sum
         mirror, cap, limit = _policy(z_max)
-        triples = iter(draws[pos].tolist())
+        triples = iter(draws[pos % len(draws)].tolist())
         block = zip(triples, triples, triples, alphas[done:end].tolist(), rhos[done:end].tolist())
         for t, (i, xi, j, a_k, r_k) in enumerate(block):
             g0 = stoch_grad(xi, x)
@@ -444,22 +478,26 @@ def _row_block(rows, draws, oracles, lo, hi, done, end):
 
 
 def _stacked_block(rows, draws, oracles, lo, hi, done, end):
-    """Iterations done+1..end of every row in lockstep, on the rows' index
-    triples ``draws`` and the stacked oracles; returns (steps, stopped).
+    """Iterations done+1..end of every row in lockstep, on the stacked
+    oracles; returns (steps, stopped).  The R rows are G copies of the U
+    distinct index draws ``draws``, copy-major: row ``g*U + u`` steps on
+    ``draws[u]`` (``_iterate``).
 
-    The vector work of all rows is batched; the per-row scalars (the
-    multiplier and the dual coordinate) stay Python floats.
+    The vector work of all rows is batched, each sampled slice gathered once
+    per draw; the per-row scalars (the multiplier and the dual coordinate)
+    stay Python floats.
     The block ends early after an iteration in which a row diverges: the
     failed rows are left as their step calls leave them, and the others are
     written back after that iteration.  ``stopped`` maps a failed row's
     position to the block iteration (from 0) at which it stopped.
     """
     stoch_grads, constraints, constraint_values = oracles
-    R, nb = len(rows), end - done
+    R, U, nb = len(rows), len(draws), end - done
+    copies = R // U
     states = [row[0] for row in rows]
     rules = [_policy(row[3]) for row in rows]
-    # (nb, 3, R): the index triple of every row, iteration by iteration
-    draws = np.ascontiguousarray(np.stack(draws).reshape(R, nb, 3).transpose(1, 2, 0))
+    # (nb, 3, U): the index triple of every draw, iteration by iteration
+    draws = np.ascontiguousarray(np.stack(draws).reshape(U, nb, 3).transpose(1, 2, 0))
     alphas = np.stack([row[1][done:end] for row in rows], axis=1)  # (nb, R)
     rhos = np.stack([row[2][done:end] for row in rows], axis=1)
 
@@ -479,7 +517,8 @@ def _stacked_block(rows, draws, oracles, lo, hi, done, end):
     for t, ((I, xis, J), a_col, r_ks) in enumerate(zip(draws, alphas[:, :, None], rhos)):
         # Python ints and floats for the per-row scalars, made per iteration
         # so that a block holds no lists of them
-        i_list, j_list, a_row, r_row = I.tolist(), J.tolist(), alphas[t].tolist(), r_ks.tolist()
+        i_list, j_list = I.tolist() * copies, J.tolist() * copies
+        a_row, r_row = alphas[t].tolist(), r_ks.tolist()
         G = stoch_grads(xis, X)
         fvals, grads = constraints(I, X)
         mults = [r_k * f + z[i] for r_k, f, z, i in zip(r_row, fvals, zs, i_list)]

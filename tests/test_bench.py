@@ -119,7 +119,7 @@ def test_reference_cache_write_failure_leaves_no_partial_file(tmp_path, monkeypa
     assert np.array_equal(again.x, ref.x) and again.f0 == ref.f0
 
 
-@pytest.mark.parametrize("stale", [None, 1, bench.REF_FORMAT + 1])
+@pytest.mark.parametrize("stale", [None, 1, 2, bench.REF_FORMAT + 1])
 def test_reference_cache_of_another_format_is_recomputed(tmp_path, monkeypatch, stale):
     inst = random_qcqp(3, 2, 4, 4, seed=1)
     cache = tmp_path / "inst.bin.ref.json"
@@ -127,6 +127,7 @@ def test_reference_cache_of_another_format_is_recomputed(tmp_path, monkeypatch, 
     payload = json.loads(cache.read_text())
     assert payload["format"] == bench.REF_FORMAT
     # digest and tol still match; only the format marks the payload stale
+    # (format 2 carried no statistics)
     del payload["format"]
     if stale is not None:
         payload["format"] = stale
@@ -141,6 +142,237 @@ def test_reference_cache_of_another_format_is_recomputed(tmp_path, monkeypatch, 
     # recomputed once: the rewritten payload is a hit
     monkeypatch.setattr(baselines, "full_batch_reference", None)
     assert bench.reference_for(inst, cache_path=str(cache)).f0 == ref.f0
+
+
+def _eigs_descending(stats):
+    stats["eigenvalues"] = bench._encode(bench._decode(stats["eigenvalues"], (3,))[::-1])
+
+
+def _p_asymmetric(stats):
+    P = bench._decode(stats["P"], (3, 3)).copy()
+    P[0, 1] = np.nextafter(P[0, 1], np.inf)
+    stats["P"] = bench._encode(P)
+
+
+def _curvature_negative(stats):
+    curv = bench._decode(stats["curvatures"], (4,)).copy()
+    curv[2] = -curv[2]
+    stats["curvatures"] = bench._encode(curv)
+
+
+def _nan_at(name, shape, index):
+    def tamper(stats):
+        arr = bench._decode(stats[name], shape).copy()
+        arr[index] = np.nan
+        stats[name] = bench._encode(arr)
+    return tamper
+
+
+# each edit of a cached payload for random_qcqp(3, 2, 4, 4, seed=1): n = 3, m = 4
+_TAMPERINGS = {
+    "x_nan": lambda p: p["x"].__setitem__(1, float("nan")),
+    "x_short": lambda p: p["x"].pop(),
+    "x_strings": lambda p: p.update(x=[str(v) for v in p["x"]]),
+    "z_nested": lambda p: p.update(z=[[v] for v in p["z"]]),
+    "z_long": lambda p: p["z"].append(0.0),
+    "z_infinite": lambda p: p["z"].__setitem__(0, float("inf")),
+    "f0_nan": lambda p: p.update(f0=float("nan")),
+    "f0_string": lambda p: p.update(f0=str(p["f0"])),
+    "f0_missing": lambda p: p.pop("f0"),
+    "statistics_missing": lambda p: p.pop("statistics"),
+    "p_asymmetric": lambda p: _p_asymmetric(p["statistics"]),
+    "p_nan": lambda p: _nan_at("P", (3, 3), (1, 1))(p["statistics"]),
+    "p_wrong_shape": lambda p: p["statistics"].update(P=bench._encode(np.eye(2))),
+    "p_not_base64": lambda p: p["statistics"].update(P="not base64!"),
+    "q_wrong_shape": lambda p: p["statistics"].update(q=bench._encode(np.zeros(4))),
+    "q_nan": lambda p: _nan_at("q", (3,), 0)(p["statistics"]),
+    "r_nan": lambda p: p["statistics"].update(r=float("nan")),
+    "r_list": lambda p: p["statistics"].update(r=[p["statistics"]["r"]]),
+    "curvatures_negative": lambda p: _curvature_negative(p["statistics"]),
+    "curvatures_nan": lambda p: _nan_at("curvatures", (4,), 3)(p["statistics"]),
+    "curvatures_wrong_shape": lambda p: p["statistics"].update(
+        curvatures=bench._encode(np.ones(3))),
+    "eigenvalues_descending": lambda p: _eigs_descending(p["statistics"]),
+    "eigenvalues_wrong_shape": lambda p: p["statistics"].update(
+        eigenvalues=bench._encode(np.arange(4.0))),
+    "eigenvalues_as_list": lambda p: p["statistics"].update(eigenvalues=[0.0, 1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("tampering", sorted(_TAMPERINGS))
+def test_reference_cache_with_a_bad_value_is_recomputed(tmp_path, monkeypatch, tampering):
+    inst = random_qcqp(3, 2, 4, 4, seed=1)
+    cache = tmp_path / "inst.bin.ref.json"
+    ref = bench.reference_for(inst, cache_path=str(cache))
+    good = cache.read_text()
+    payload = json.loads(good)
+    _TAMPERINGS[tampering](payload)
+    cache.write_text(json.dumps(payload))
+
+    calls = _counting_reference(monkeypatch)
+    fresh = random_qcqp(3, 2, 4, 4, seed=1)
+    again = bench.reference_for(fresh, cache_path=str(cache))
+    assert calls == [None]  # stale: solved again
+    assert _fields(again) == _fields(ref)
+    assert cache.read_text() == good  # and overwritten with the good payload
+    assert os.listdir(tmp_path) == [cache.name]
+    # nothing of the bad payload was adopted
+    assert _statistics(fresh) == _statistics(random_qcqp(3, 2, 4, 4, seed=1))
+
+
+def test_reference_cache_without_eigenvalues_is_a_hit(tmp_path, monkeypatch):
+    # the eigenvalues are null when n > 512; the instance factors P itself then
+    inst = random_qcqp(3, 2, 4, 4, seed=1)
+    cache = tmp_path / "inst.bin.ref.json"
+    ref = bench.reference_for(inst, cache_path=str(cache))
+    payload = json.loads(cache.read_text())
+    payload["statistics"]["eigenvalues"] = None
+    cache.write_text(json.dumps(payload))
+    monkeypatch.setattr(baselines, "full_batch_reference", None)
+    fresh = random_qcqp(3, 2, 4, 4, seed=1)
+    assert _fields(bench.reference_for(fresh, cache_path=str(cache))) == _fields(ref)
+    assert fresh._eigenvalues is None and fresh._hessian is not None
+    assert _statistics(fresh) == _statistics(inst)
+
+
+def test_cached_nan_objective_is_not_believed(tmp_path):
+    path = tmp_path / "inst.bin"
+    assert cli.main(["generate", "--n", "6", "--p", "4", "--N", "10", "--m", "12",
+                     "--seed", "3", "--out", str(path)]) == 0
+    compare = ["compare", "--instance", str(path), "--methods", "pdsg,mirror_prox",
+               "--alpha", "0.003", "--rho", "0.003", "--epochs", "2", "--seeds", "0,1",
+               "--out", str(tmp_path)]
+    assert cli.main(compare + ["--csv", "first.csv"]) == 0
+    cache = tmp_path / "inst.bin.ref.json"
+    good = json.loads(cache.read_text())
+    cache.write_text(json.dumps(dict(good, f0=float("nan"))))
+    assert cli.main(compare + ["--csv", "second.csv"]) == 0
+    text = (tmp_path / "second.csv").read_text()
+    assert "nan" not in text and text == (tmp_path / "first.csv").read_text()
+    assert json.loads(cache.read_text()) == good
+
+
+def _statistics(inst):
+    """Every quadratic statistic of an instance as raw bytes (r as a float)."""
+    return {name: value.tobytes() if isinstance(value, np.ndarray) else value
+            for name, value in inst.statistics().items()}
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 4, 4, 1), (6, 4, 10, 12, 3)])
+def test_cached_statistics_equal_recomputed_ones(tmp_path, shape):
+    inst = random_qcqp(*shape)
+    cache = tmp_path / "inst.bin.ref.json"
+    bench.reference_for(inst, cache_path=str(cache))
+    warm = random_qcqp(*shape)
+    bench.reference_for(warm, cache_path=str(cache))
+    for name in ("_hessian", "_linear", "_qnorms", "_eigenvalues"):
+        assert getattr(warm, name) is not None, name  # adopted, not computed
+    assert _statistics(warm) == _statistics(random_qcqp(*shape))
+    for arr in (warm.hessian(), warm.linear_terms()[0], warm.constraint_curvatures(),
+                warm._hessian_eigenvalues()):
+        assert not arr.flags.writeable
+    fresh = random_qcqp(*shape)
+    for samples in (0, 4):
+        cached, computed = certify_constants(warm, samples), certify_constants(fresh, samples)
+        assert (cached.F, cached.G, cached.mu, cached.mu_exact, cached.sigma) == (
+            computed.F, computed.G, computed.mu, computed.mu_exact, computed.sigma)
+
+
+class _Spied(np.ndarray):
+    """H of a loaded instance, recording the shape of every whole-array
+    operand of a ufunc (matmul included) that involves it and does work:
+    certification with no samples multiplies H by an empty stack."""
+
+    log = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if all(np.size(x) for x in inputs):
+            type(self).log.extend(x.shape for x in inputs if isinstance(x, _Spied))
+        inputs = [x.view(np.ndarray) if isinstance(x, _Spied) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_warm_solve_reads_no_statistic_and_writes_the_same_bytes(tmp_path, monkeypatch):
+    path = tmp_path / "inst.bin"
+    assert cli.main(["generate", "--n", "6", "--p", "4", "--N", "10", "--m", "12",
+                     "--seed", "3", "--out", str(path)]) == 0
+    load = bench.problems.load_instance
+
+    def spied_load(file):
+        inst = load(file)
+        data = dataclasses.replace(inst.data, H=inst.data.H.view(_Spied))
+        spied = type(inst)(data)
+        spied._digest = inst._digest
+        return spied
+
+    eigvalsh, norm = np.linalg.eigvalsh, np.linalg.norm
+    factored, normed = [], []
+    monkeypatch.setattr(bench.problems, "load_instance", spied_load)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: factored.append(1) or eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "norm",
+                        lambda x, *a, **kw: normed.append(np.ndim(x)) or norm(x, *a, **kw))
+    monkeypatch.setattr(_Spied, "log", [])
+    solve = ["solve", "--instance", str(path), "--method", "pdsg", "--alpha", "0.003",
+             "--rho", "0.003", "--epochs", "2", "--seeds", "0,1,2", "--out", str(tmp_path)]
+    assert cli.main(solve + ["--csv", "first.csv"]) == 0
+    # the cold run computes P (one product of the stacked rows of H), q (a
+    # product with all of H), the curvatures (norms of stacks of Q_j) and
+    # the eigenvalues
+    assert (40, 6) in _Spied.log and (10, 4, 6) in _Spied.log
+    assert 3 in normed and factored
+    del _Spied.log[:], normed[:], factored[:]
+    assert cli.main(solve + ["--csv", "second.csv"]) == 0
+    # warm: no product over H, no curvature pass and no factorization
+    assert _Spied.log == [] and 3 not in normed and not factored
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+
+
+def test_experiment_reads_its_cache_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "inst.bin"
+    save_instance(random_qcqp(3, 2, 4, 4, seed=1), path)
+    cache = str(path) + ".ref.json"
+    cfg = _tiny_cfg(instance_file=str(path), methods=("pdsg", "mirror_prox"), seeds=(0, 1))
+    opened, calls = [], []
+
+    def counted_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if "r" in mode:
+            opened.append(os.fspath(file))
+        return fh
+
+    reference_for = bench.reference_for
+    monkeypatch.setattr(bench, "open", counted_open, raising=False)
+    monkeypatch.setattr(bench, "reference_for",
+                        lambda *a, **kw: calls.append(1) or reference_for(*a, **kw))
+    for warm in (False, True):  # no file, then a hit
+        del opened[:], calls[:]
+        bench.run_experiment(cfg)
+        assert opened == ([cache] if warm else []) and len(calls) == 1
+    # a stale payload is read once too, then solved and rewritten
+    ref_path = tmp_path / "inst.bin.ref.json"
+    payload = json.loads(ref_path.read_text())
+    ref_path.write_text(json.dumps(dict(payload, f0=None)))
+    del opened[:], calls[:]
+    bench.run_experiment(cfg)
+    assert opened == [cache] and len(calls) == 1
+    assert json.loads(ref_path.read_text()) == payload
+
+
+@pytest.mark.parametrize("cache", ["absent", "stale", "warm"])
+def test_invalid_schedule_raises_before_any_reference_solve(tmp_path, monkeypatch, cache):
+    path = tmp_path / "inst.bin"
+    save_instance(random_qcqp(3, 2, 4, 4, seed=1), path)
+    ref_path = tmp_path / "inst.bin.ref.json"
+    if cache != "absent":
+        bench.run_experiment(_tiny_cfg(instance_file=str(path)))
+    if cache == "stale":
+        ref_path.write_text(ref_path.read_text().replace('"format": 3', '"format": 2'))
+    before = ref_path.read_bytes() if cache != "absent" else None
+    calls = _counting_reference(monkeypatch)
+    with pytest.raises(ConfigError, match="schedule fails validation"):
+        bench.run_experiment(_tiny_cfg(instance_file=str(path), alpha=10.0, rho=10.0))
+    assert calls == []
+    assert (ref_path.read_bytes() if ref_path.exists() else None) == before
 
 
 def test_reference_cache_that_is_not_an_object_is_recomputed(tmp_path):

@@ -57,20 +57,25 @@ def _stack_inputs(inst, R, seed):
 
 
 def assert_stacked_equal_per_row(inst, X, xis, I, J):
-    """Every stacked oracle row against the per-row oracle at a fresh copy of its point."""
-    stoch_grads, constraints, constraint_values = inst.stacked_oracles(len(X))
+    """Every stacked oracle row against the per-row oracle at a fresh copy of
+    its point.  X holds G copies of the U draws of the index arrays,
+    copy-major: row g*U + u takes index u."""
+    U = len(xis)
+    G = len(X) // U
+    stoch_grads, constraints, constraint_values = inst.stacked_oracles(G, U)
     rows = [x.copy() for x in X]
-    want = np.stack([inst.stoch_objective_grad(i, x) for i, x in zip(xis.tolist(), rows)])
+    xis_r, I_r, J_r = (idx.tolist() * G for idx in (xis, I, J))
+    want = np.stack([inst.stoch_objective_grad(i, x) for i, x in zip(xis_r, rows)])
     assert stoch_grads(xis, X).tobytes() == want.tobytes()
 
     vals, grads = constraints(I, X)
-    want = [inst.constraint(i, x) for i, x in zip(I.tolist(), rows)]
+    want = [inst.constraint(i, x) for i, x in zip(I_r, rows)]
     assert list(vals) == [v for v, _ in want]
 
     want_grads = np.stack([g for _, g in want]).tobytes()
     assert grads.tobytes() == want_grads
 
-    want = [inst.constraint_value(j, x) for j, x in zip(J.tolist(), rows)]
+    want = [inst.constraint_value(j, x) for j, x in zip(J_r, rows)]
     assert list(constraint_values(J, X)) == want
     assert grads.tobytes() == want_grads  # the value call left the subgradients intact
 
@@ -79,6 +84,14 @@ def assert_stacked_equal_per_row(inst, X, xis, I, J):
 @given(qcqps(), st.integers(1, 12), st.integers(0, 2**32))
 def test_stacked_oracles_equal_per_row_on_generated(inst, R, seed):
     assert_stacked_equal_per_row(inst, *_stack_inputs(inst, R, seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(qcqps(), st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32))
+def test_stacked_oracles_over_copies_equal_per_row(inst, G, U, seed):
+    # G copies of U distinct draws: each slice gathered once, broadcast over its copies
+    X = _stack_inputs(inst, G * U, seed)[0]
+    assert_stacked_equal_per_row(inst, X, *_stack_inputs(inst, U, seed + 1)[1:])
 
 
 @pytest.mark.parametrize("N", [1, 2, 7])
@@ -125,6 +138,13 @@ class _Wavy(ProblemInstance):
 def test_generic_stacked_oracles_make_the_per_row_calls(R):
     inst = _Wavy()
     assert_stacked_equal_per_row(inst, *_stack_inputs(inst, R, R))
+
+
+@pytest.mark.parametrize("G, U", [(2, 1), (3, 2), (2, 5)])
+def test_generic_stacked_oracles_over_copies_make_the_per_row_calls(G, U):
+    inst = _Wavy()
+    X = _stack_inputs(inst, G * U, G)[0]
+    assert_stacked_equal_per_row(inst, X, *_stack_inputs(inst, U, U)[1:])
 
 
 # -- several runs against one-row runs ----------------------------------------------
@@ -221,6 +241,64 @@ def test_grid_divergence_equals_independent_runs(N, m, step, kinds, plan):
     specs = [("fixed_horizon", scale, scale, None, seed) if pdsg
              else ("mirror_prox", step, step, 5.0, seed) for pdsg, seed in kinds]
     compare_grid(inst, K, specs, cadence, block)
+
+
+@PROPERTY
+@given(qcqps(), st.lists(row_specs(), min_size=1, max_size=6),
+       st.lists(st.integers(0, 2), min_size=6, max_size=6), run_plans())
+def test_grid_with_shared_seeds_equals_independent_runs(inst, specs, seeds, plan):
+    # rows of one seed draw equal blocks and share their gathered slices
+    specs = [(*spec[:4], seed) for spec, seed in zip(specs, seeds)]
+    K, cadence, block = plan
+    if any(policy in ("fixed_horizon", "strongly_convex") for policy, *_ in specs):
+        K = max(K, 1)  # these schedules need a horizon
+    compare_grid(inst, K, specs, cadence, block)
+
+
+def test_grid_copies_that_part_run_one_copy_per_row():
+    # two pdsg and mirror-prox pairs of one seed each; the big pdsg row
+    # diverges mid-run, leaving groups of one and two rows
+    inst = _Blowup(2**40, 40)
+    K = 400
+    big, small = 0.5 * np.sqrt(K), 0.01 * np.sqrt(K)
+    specs = [("fixed_horizon", big, big, None, 0), ("fixed_horizon", small, small, None, 1),
+             ("mirror_prox", 0.5, 0.5, 5.0, 0), ("mirror_prox", 0.5, 0.5, 5.0, 1)]
+    layouts = []
+    stacked_oracles = inst.stacked_oracles
+
+    def counted_oracles(G, U):
+        layouts.append((G, U))
+        return stacked_oracles(G, U)
+
+    inst.stacked_oracles = counted_oracles
+    got = compare_grid(inst, K, specs, cadence=7, min_runs=solver.GRID_MIN_RUNS)
+    assert [g[0] for g in got] == ["diverged", "done", "done", "done"]
+    assert layouts == [(2, 2), (1, 3)]
+
+
+class _CountingTake(np.ndarray):
+    """An instance array that records the rows of each ``take`` gather."""
+
+    gathered = []
+
+    def take(self, indices, *args, **kwargs):
+        self.gathered.append(len(indices))
+        return super().take(indices, *args, **kwargs)
+
+
+def test_grid_of_two_methods_and_two_seeds_gathers_each_slice_once(monkeypatch):
+    inst = random_qcqp(6, 4, 30, 25, seed=2)
+    counted = type(inst.data)(*(getattr(inst.data, f).view(_CountingTake)
+                                for f in ("H", "c", "Q", "a", "b", "box_lo", "box_hi")))
+    inst = type(inst)(counted)
+    monkeypatch.setattr(_CountingTake, "gathered", [])
+    specs = [("fixed_horizon", 0.05, 0.05, None, seed) for seed in (0, 1)] + [
+        ("mirror_prox", 0.05, 0.05, 5.0, seed) for seed in (0, 1)]
+    K = 50
+    compare_grid(inst, K, specs, cadence=K, min_runs=solver.GRID_MIN_RUNS)
+    # six gathers per iteration (H and c, Q and a, Q and a), each of two
+    # slices, one per seed; the one-row runs index single slices
+    assert _CountingTake.gathered == [2] * (6 * K)
 
 
 def test_grid_row_diverges_mid_block_while_the_others_finish():
@@ -342,9 +420,9 @@ def test_survivors_below_the_crossover_switch_to_the_per_row_kernel():
     built, kernel_rows = [], []
     stacked_oracles, row_block = inst.stacked_oracles, solver._row_block
 
-    def counted_oracles(R):
-        built.append(R)
-        return stacked_oracles(R)
+    def counted_oracles(G, U):
+        built.append(G * U)
+        return stacked_oracles(G, U)
 
     def counted_block(rows, *args):
         kernel_rows.append(len(rows))
