@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -28,10 +29,13 @@ from .errors import CapacityError, DimensionError
 
 _MAGIC = b"QCPDINST"
 # the header of each container version, by version byte: magic, version
-# byte, u64 dims (n, p, N, m), and from version 2 the instance digest (the
-# SHA-256 of the version-1 serialization); the float64 arrays follow.
-# save_instance writes version 2; load_instance reads both
-_HEADERS = {1: struct.Struct("<8sB4Q"), 2: struct.Struct("<8sB4Q32s")}
+# byte, u64 dims (n, p, N, m), from version 2 the instance digest (the
+# SHA-256 of the version-1 serialization), and in version 3 seven zero
+# bytes, so that the float64 arrays that follow start at byte 80, 8-byte
+# aligned in a mapping.  save_instance writes version 3; load_instance reads
+# all three
+_HEADERS = {1: struct.Struct("<8sB4Q"), 2: struct.Struct("<8sB4Q32s"),
+            3: struct.Struct("<8sB4Q32s7s")}
 # bytes of an (m, n, n) array handled at a time, so that a pass over Q
 # allocates no temporary of Q's size
 _CHUNK_BYTES = 1 << 20
@@ -569,8 +573,8 @@ def random_qcqp(n, p, N, m, seed) -> QuadraticInstance:
                 np.einsum("mik,mjk->mij", M[:, I], M[:, J], out=Qc[:, I, J])
                 if J is not I:
                     Qc[:, J, I] = Qc[:, I, J].transpose(0, 2, 1)
+        Qc /= n  # while the chunk is still in cache
         del M  # before the next draw, which would otherwise overlap it
-    Q /= n
     a = rng.standard_normal((m, n))
     b = rng.uniform(0.1, 1.1, m)
     box = 10.0 * np.ones(n)
@@ -615,9 +619,9 @@ def certify_constants(inst: QuadraticInstance, samples=16, rng_seed=0) -> Theory
     and ``G_j = ||Q_j|| R + ||a_j||`` with R the box radius; ``||Q_j||`` is
     upper-bounded by the Frobenius norm.  sigma is the largest sample
     standard deviation of the stochastic gradient over ``samples`` uniform
-    points of the box (an estimate, not a certificate; 0 when ``samples`` is
-    0).  mu is the exact smallest Hessian eigenvalue on
-    instances small enough to factor, else 0 with ``mu_exact=False``.
+    points of the box (an estimate, not a certificate; 0, reading nothing of
+    H, when ``samples`` is 0).  mu is the exact smallest Hessian eigenvalue
+    on instances small enough to factor, else 0 with ``mu_exact=False``.
 
     The sample points are handled together: H is read twice for sigma
     (residuals, then per-sample gradients) and once for the Hessian.
@@ -634,21 +638,24 @@ def certify_constants(inst: QuadraticInstance, samples=16, rng_seed=0) -> Theory
     G = float(np.max(qnorm * R + anorm))
     F = float(np.max(0.5 * qnorm * R * R + anorm * R + np.abs(data.b)))
 
-    # one draw gives the same points as `samples` successive draws
-    X = np.random.default_rng(rng_seed).uniform(
-        inst.box_lo, inst.box_hi, size=(samples, inst.n)
-    )
-    # residuals H_i x - c_i for every sample point: (N, p, S).  One small GEMM
-    # per H_i, not one over the stacked rows: a GEMM that large wakes the
-    # BLAS worker threads, which then spin beside the single-threaded run loop.
-    resid = data.H @ X.T
-    resid -= data.c[:, :, None]
-    # per-sample gradients H_i'(H_i x - c_i): (N, n, S); deviation taken in place
-    grads = data.H.transpose(0, 2, 1) @ resid
-    grads -= grads.mean(axis=0)
-    np.square(grads, out=grads)
-    msd = grads.sum(axis=(0, 1)) / inst.N
-    sigma = math.sqrt(float(msd.max(initial=0.0)))
+    sigma = 0.0
+    if samples:
+        # one draw gives the same points as `samples` successive draws
+        X = np.random.default_rng(rng_seed).uniform(
+            inst.box_lo, inst.box_hi, size=(samples, inst.n)
+        )
+        # residuals H_i x - c_i for every sample point: (N, p, S).  One small
+        # GEMM per H_i, not one over the stacked rows: a GEMM that large wakes
+        # the BLAS worker threads, which then spin beside the single-threaded
+        # run loop.
+        resid = data.H @ X.T
+        resid -= data.c[:, :, None]
+        # per-sample gradients H_i'(H_i x - c_i): (N, n, S); deviation taken in place
+        grads = data.H.transpose(0, 2, 1) @ resid
+        grads -= grads.mean(axis=0)
+        np.square(grads, out=grads)
+        msd = grads.sum(axis=(0, 1)) / inst.N
+        sigma = math.sqrt(float(msd.max(initial=0.0)))
 
     eigs = inst._hessian_eigenvalues()
     mu_exact = eigs is not None
@@ -750,25 +757,33 @@ def _instance_parts(inst: QuadraticInstance):
 
 
 def save_instance(inst: QuadraticInstance, path) -> None:
-    """Write the version-2 container; round-trips bit-exactly via load_instance.
+    """Write the version-3 container; round-trips bit-exactly via load_instance.
 
     Each part is hashed as it is written, in one pass over the arrays; the
     header, digest included, is written last and the digest cached on the
     instance, so neither this instance nor the file loaded from it is hashed
-    again.  Until then the header is zeros, so a save cut short leaves a
-    file that load_instance refuses.
+    again.  Until then the header is zeros, so a file cut short is one that
+    load_instance refuses.  The file is written beside ``path`` and renamed
+    over it: a file already there, which a loaded instance may map, is
+    replaced, never truncated, and a save that fails leaves it as it was.
     """
     h = hashlib.sha256()
     parts = _instance_parts(inst)
     h.update(next(parts))
-    header = _HEADERS[2]
-    with open(path, "wb") as fh:
-        fh.write(bytes(header.size))
-        for part in parts:
-            h.update(part)
-            fh.write(part)
-        fh.seek(0)
-        fh.write(header.pack(_MAGIC, 2, inst.n, inst.p, inst.N, inst.m, h.digest()))
+    header = _HEADERS[3]
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(bytes(header.size))
+            for part in parts:
+                h.update(part)
+                fh.write(part)
+            fh.seek(0)
+            fh.write(header.pack(_MAGIC, 3, inst.n, inst.p, inst.N, inst.m, h.digest(), b""))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     inst._digest = h.hexdigest()
 
 
@@ -781,11 +796,17 @@ def instance_bytes(inst: QuadraticInstance) -> bytes:
 def load_instance(path) -> QuadraticInstance:
     """Read an instance container written by save_instance.
 
-    The float payload is read once into one aligned array; the instance's
-    arrays are read-only views of it.  A version-2 header's digest becomes
-    the instance's, unchecked; a version-1 file is hashed when its digest is
-    first asked for.  A header that disagrees with the file size, NaN or
-    infinite data, and a Q_j that is not exactly symmetric raise ValueError.
+    The file is mapped read-only, not read: a version-3 payload starts at
+    byte 80, and the instance's arrays are read-only views of the mapping,
+    so loading copies nothing.  The unaligned payload of a version-1 or
+    version-2 file is read once into aligned memory.  A version-2 or -3
+    header's digest becomes the instance's, unchecked; a version-1 file is
+    hashed when its digest is first asked for.  A header that disagrees with
+    the file size, non-zero padding, NaN or infinite data, and a Q_j that is
+    not exactly symmetric raise ValueError.
+
+    A mapped file must be replaced, not rewritten in place: reading a page
+    that was cut off under the mapping ends the process with SIGBUS.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADERS[1].size)
@@ -800,6 +821,8 @@ def load_instance(path) -> QuadraticInstance:
         if len(head) < header.size:
             raise ValueError(f"{path}: truncated header ({len(head)} of {header.size} bytes)")
         _, _, n, p, N, m, *digest = header.unpack(head)
+        if any(head[_HEADERS[2].size :]):
+            raise ValueError(f"{path}: non-zero padding in the version-{head[8]} header")
         if min(n, p, N, m) < 1:
             raise ValueError(f"{path}: dimensions must be >= 1, got n={n} p={p} N={N} m={m}")
         shapes = _array_shapes(n, p, N, m)
@@ -812,10 +835,16 @@ def load_instance(path) -> QuadraticInstance:
                 f"{path}: header n={n} p={p} N={N} m={m} needs {expected} bytes, "
                 f"file has {actual}"
             )
-        payload = np.empty(sum(sizes), dtype="<f8")
-        got = fh.readinto(payload)
-        if got != payload.nbytes:
-            raise ValueError(f"{path}: read {got} of {payload.nbytes} payload bytes")
+        if header.size % 8:
+            # versions 1 and 2: an unaligned payload, read into aligned
+            # memory (a copy of a mapping would hold the file's pages too)
+            payload = np.empty(sum(sizes), dtype="<f8")
+            got = fh.readinto(payload)
+            if got != payload.nbytes:
+                raise ValueError(f"{path}: read {got} of {payload.nbytes} payload bytes")
+        else:
+            mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            payload = np.frombuffer(mapping, "<f8", sum(sizes), header.size)
     arrays, off = [], 0
     for shape, size in zip(shapes, sizes):
         arrays.append(payload[off : off + size].reshape(shape))
@@ -853,7 +882,7 @@ def instance_digest(inst: QuadraticInstance) -> str:
 
     Streamed part by part and computed once per instance, on first use; the
     instance's arrays are read-only, so the cached value cannot go stale.  An
-    instance saved or loaded as version 2 already holds it (save_instance).
+    instance saved, or loaded from a version-2 or -3 file, already holds it.
     """
     if inst._digest is None:
         h = hashlib.sha256()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import mmap
 import struct
 import tracemalloc
 from unittest import mock
@@ -465,9 +466,9 @@ def test_instance_byte_layout(tmp_path):
     blob = instance_bytes(inst)  # version 1: the digest's input
     path = tmp_path / "inst.bin"
     save_instance(inst, path)
-    saved = path.read_bytes()  # version 2: version 1's header, digest, arrays
+    saved = path.read_bytes()  # version 3: version 1's header, digest, 7 zeros, arrays
     floats = 2 * 2 * 3 + 2 * 2 + 4 * 3 * 3 + 4 * 3 + 4 + 3 + 3
-    for data, version, header in ((blob, 1, 41), (saved, 2, 73)):
+    for data, version, header in ((blob, 1, 41), (saved, 3, 80)):
         assert data[:8] == b"QCPDINST"
         assert data[8] == version
         assert struct.unpack_from("<4Q", data, 9) == (3, 2, 2, 4)
@@ -476,7 +477,8 @@ def test_instance_byte_layout(tmp_path):
         first = np.frombuffer(data, dtype="<f8", count=1, offset=header)[0]
         assert first == inst.data.H[0, 0, 0]
     assert saved[41:73] == hashlib.sha256(blob).digest()
-    assert saved[73:] == blob[41:]
+    assert saved[73:80] == bytes(7)
+    assert saved[80:] == blob[41:]
 
 
 def test_instance_file_rejects_bad_version(tmp_path):
@@ -489,7 +491,7 @@ def test_instance_file_rejects_bad_version(tmp_path):
         load_instance(path)
 
 
-@pytest.mark.parametrize("version", [0, 3, 99])
+@pytest.mark.parametrize("version", [0, 4, 99])
 def test_cli_refuses_other_versions_of_a_saved_file(tmp_path, capsys, version):
     blob = bytearray(_saved(tmp_path, random_qcqp(3, 2, 2, 2, seed=0)).read_bytes())
     blob[8] = version
@@ -579,6 +581,13 @@ def _version_2(blob):
     return blob[:8] + b"\x02" + blob[9:41] + hashlib.sha256(blob).digest() + blob[41:]
 
 
+def _version_3(blob):
+    """The version-3 file of a version-1 serialization: version byte 3, the
+    blob's SHA-256 and 7 zero bytes after the dimensions."""
+    return (blob[:8] + b"\x03" + blob[9:41] + hashlib.sha256(blob).digest() + bytes(7)
+            + blob[41:])
+
+
 def _saved_v1(tmp_path, inst, name="inst.bin"):
     """A version-1 file, as written before the header carried the digest."""
     path = tmp_path / name
@@ -596,19 +605,20 @@ def test_digest_is_sha256_of_instance_bytes(tmp_path):
 
 def test_save_writes_exactly_instance_bytes(tmp_path):
     for inst in (random_qcqp(5, 3, 4, 6, seed=9), random_scenario_lp(4, 6, 3, seed=0)):
-        assert _saved(tmp_path, inst).read_bytes() == _version_2(instance_bytes(inst))
+        assert _saved(tmp_path, inst).read_bytes() == _version_3(instance_bytes(inst))
 
 
 def test_version_2_round_trip_carries_the_digest(tmp_path, counting_hashlib):
     inst = random_qcqp(5, 3, 4, 6, seed=9)
-    path = _saved(tmp_path, inst)
-    saved = counting_hashlib.bytes_hashed
+    path = tmp_path / "inst.bin"
+    path.write_bytes(_version_2(instance_bytes(inst)))
     want = hashlib.sha256(instance_bytes(inst)).digest()
     assert path.read_bytes()[41:73] == want
     loaded = load_instance(path)
     assert instance_bytes(loaded) == instance_bytes(inst)
-    assert instance_digest(loaded) == instance_digest(inst) == want.hex()
-    assert counting_hashlib.bytes_hashed == saved  # neither loading nor the digests hash
+    assert instance_digest(loaded) == want.hex()
+    assert counting_hashlib.bytes_hashed == 0  # neither loading nor the digest hashes
+    assert instance_digest(inst) == want.hex()
 
 
 def test_save_hashes_instance_bytes_once(tmp_path, counting_hashlib):
@@ -623,25 +633,42 @@ def test_save_cut_short_leaves_a_refused_file(tmp_path, monkeypatch):
     class Interrupted(Exception):
         pass
 
+    partial = []
+
     class _Hash:  # stops the save after the payload, before the header
         def update(self, data):
             pass
 
         def digest(self):
+            # the file being written, as a kill at this point would leave it
+            partial.extend(tmp_path.glob("*.tmp"))
+            with pytest.raises(ValueError, match="bad magic"):
+                load_instance(partial[-1])
             raise Interrupted
 
     inst = random_qcqp(3, 2, 2, 2, seed=0)
+    kept = _saved(tmp_path, random_qcqp(3, 2, 2, 2, seed=1), "old.bin").read_bytes()
     monkeypatch.setattr(problems, "hashlib", mock.Mock(sha256=_Hash))
-    path = tmp_path / "inst.bin"
-    with pytest.raises(Interrupted):
-        save_instance(inst, path)
-    assert path.stat().st_size == len(instance_bytes(inst)) + 32
-    with pytest.raises(ValueError, match="bad magic"):
-        load_instance(path)
+    for name in ("new.bin", "old.bin"):
+        with pytest.raises(Interrupted):
+            save_instance(inst, tmp_path / name)
+    assert len(partial) == 2
+    # no file at the new path, the old file as it was, and no temporary file
+    assert [p.name for p in tmp_path.iterdir()] == ["old.bin"]
+    assert (tmp_path / "old.bin").read_bytes() == kept
 
 
 @pytest.mark.parametrize("keep", range(41, 74))
 def test_version_2_header_cut_short(tmp_path, keep):
+    blob = _version_2(instance_bytes(random_qcqp(3, 2, 2, 2, seed=0)))
+    path = tmp_path / "cut.bin"
+    path.write_bytes(blob[:keep])
+    with pytest.raises(ValueError):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("keep", [41, 60, 73, 74, 79, 80, 81])
+def test_version_3_header_cut_short(tmp_path, keep):
     blob = _saved(tmp_path, random_qcqp(3, 2, 2, 2, seed=0)).read_bytes()
     path = tmp_path / "cut.bin"
     path.write_bytes(blob[:keep])
@@ -726,7 +753,8 @@ def test_cli_solve_twice_on_generated_file_hashes_nothing(tmp_path, counting_has
     assert cli.main(["generate", "--n", "3", "--p", "2", "--N", "4", "--m", "4",
                      "--seed", "5", "--out", str(path)]) == 0
     generated = counting_hashlib.bytes_hashed
-    assert generated == path.stat().st_size - 32  # one pass, over the version-1 form
+    # one pass, over the version-1 form (loading hashes nothing)
+    assert generated == len(instance_bytes(load_instance(path)))
     for name in ("first.csv", "second.csv"):
         assert cli.main(
             ["solve", "--instance", str(path), "--method", "pdsg", "--alpha", "0.003",
@@ -756,6 +784,91 @@ def test_loaded_arrays_aligned_read_only_and_bit_equal(tmp_path):
         assert arr.dtype == np.float64 and arr.shape == ref.shape
         assert arr.tobytes() == ref.tobytes()
     assert loaded.origin_feasible == inst.origin_feasible
+
+
+def _mapped(arr):
+    """Whether the base chain of ``arr`` reaches an ``mmap.mmap``."""
+    while isinstance(arr, (np.ndarray, memoryview)):
+        arr = arr.obj if isinstance(arr, memoryview) else arr.base
+    return isinstance(arr, mmap.mmap)
+
+
+def test_version_3_round_trip_maps_the_file(tmp_path, counting_hashlib):
+    inst = random_qcqp(5, 3, 4, 6, seed=9)
+    path = _saved(tmp_path, inst)
+    assert path.read_bytes()[8] == 3
+    saved = counting_hashlib.bytes_hashed
+    loaded = load_instance(path)
+    for name in ARRAY_NAMES:
+        arr, ref = getattr(loaded.data, name), getattr(inst.data, name)
+        assert arr.flags.aligned and arr.flags.c_contiguous and not arr.flags.writeable
+        assert _mapped(arr)
+        assert arr.tobytes() == ref.tobytes()
+    assert instance_digest(loaded) == hashlib.sha256(instance_bytes(inst)).hexdigest()
+    assert counting_hashlib.bytes_hashed == saved  # neither loading nor the digest hashes
+
+
+@pytest.mark.parametrize("writer", [bytes, _version_2])
+def test_versions_1_and_2_load_into_aligned_copies(tmp_path, writer):
+    inst = random_qcqp(5, 3, 4, 6, seed=9)
+    path = tmp_path / "old.bin"
+    path.write_bytes(writer(instance_bytes(inst)))
+    loaded = load_instance(path)
+    for name in ARRAY_NAMES:
+        arr, ref = getattr(loaded.data, name), getattr(inst.data, name)
+        assert arr.flags.aligned and arr.flags.c_contiguous and not arr.flags.writeable
+        assert not _mapped(arr)
+        assert arr.tobytes() == ref.tobytes()
+    assert instance_bytes(loaded) == instance_bytes(inst)
+    assert instance_digest(loaded) == instance_digest(inst)
+
+
+def test_saving_over_a_loaded_file_leaves_its_arrays(tmp_path):
+    a, b = random_qcqp(5, 3, 4, 6, seed=1), random_qcqp(5, 3, 4, 6, seed=2)
+    path = _saved(tmp_path, a)
+    loaded = load_instance(path)
+    save_instance(b, path)
+    assert instance_bytes(loaded) == instance_bytes(a)
+    assert instance_bytes(load_instance(path)) == instance_bytes(b)
+    assert [p.name for p in tmp_path.iterdir()] == ["inst.bin"]
+
+
+@pytest.mark.parametrize("pos", range(73, 80))
+def test_version_3_refuses_non_zero_padding(tmp_path, capsys, pos):
+    blob = bytearray(_saved(tmp_path, random_qcqp(3, 2, 2, 2, seed=0)).read_bytes())
+    blob[pos] = 1
+    path = tmp_path / "pad.bin"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="non-zero padding"):
+        load_instance(path)
+    rc = cli.main(
+        ["solve", "--instance", str(path), "--method", "pdsg", "--alpha", "0.003",
+         "--rho", "0.003", "--epochs", "1", "--seeds", "0", "--out", str(tmp_path)]
+    )
+    assert rc == 2
+    assert "non-zero padding" in capsys.readouterr().err
+
+
+def _load_peak(path):
+    """Peak traced allocation, in bytes, while loading ``path``."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        load_instance(path)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_loading_version_3_copies_no_payload(tmp_path):
+    inst = random_qcqp(64, 2, 4, 100, seed=0)  # a payload of 3.3 MB, mostly Q
+    payload = len(instance_bytes(inst)) - 41
+    v3 = _saved(tmp_path, inst)
+    v2 = tmp_path / "v2.bin"
+    v2.write_bytes(_version_2(instance_bytes(inst)))
+    load_instance(v3)  # first calls' lazy imports are no part of a load
+    assert _load_peak(v3) < payload / 4
+    assert _load_peak(v2) >= payload
 
 
 def test_loaded_oracles_bit_equal_to_generated(tmp_path):
@@ -845,12 +958,13 @@ def test_cli_corrupt_instance_exits_2(tmp_path, capsys):
 
 
 _FUZZ_INST = random_qcqp(2, 1, 2, 2, seed=0)
-_FUZZ_BLOBS = {1: instance_bytes(_FUZZ_INST), 2: _version_2(instance_bytes(_FUZZ_INST))}
+_FUZZ_BLOBS = {1: instance_bytes(_FUZZ_INST), 2: _version_2(instance_bytes(_FUZZ_INST)),
+               3: _version_3(instance_bytes(_FUZZ_INST))}
 
 
 @st.composite
 def _corrupted_blobs(draw):
-    blob = bytearray(_FUZZ_BLOBS[draw(st.sampled_from([1, 2]))])
+    blob = bytearray(_FUZZ_BLOBS[draw(st.sampled_from([1, 2, 3]))])
     kind = draw(st.sampled_from(["flip", "truncate", "header", "append"]))
     if kind == "flip":  # anywhere, the version byte and the digest field included
         for pos in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4)):
@@ -869,7 +983,7 @@ def _encoded(blob):
     """The version-1 serialization and the digest that a loadable blob encodes."""
     if blob[8] == 1:
         return blob, hashlib.sha256(blob).hexdigest()
-    v1 = blob[:8] + b"\x01" + blob[9:41] + blob[73:]
+    v1 = blob[:8] + b"\x01" + blob[9:41] + blob[{2: 73, 3: 80}[blob[8]]:]
     return v1, blob[41:73].hex()
 
 
