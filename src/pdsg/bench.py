@@ -9,7 +9,6 @@ fixed row order (method, seed, k, point), floats at 17 significant digits.
 
 from __future__ import annotations
 
-import base64
 import io
 import json
 import math
@@ -26,8 +25,8 @@ METHODS = ("pdsg", "mirror_prox", "reference")
 # format of the reference cache payload; raised whenever the reference's
 # numerics or the payload's fields change, so a cached f0* and a fresh one
 # never meet in one CSV (2: objective from cached quadratic statistics;
-# 3: the payload carries those statistics)
-REF_FORMAT = 3
+# 3: the payload carried those statistics; 4: they moved to the instance file)
+REF_FORMAT = 4
 
 
 @dataclass(frozen=True)
@@ -89,23 +88,6 @@ def build_instance(cfg: ExperimentConfig) -> problems.QuadraticInstance:
     raise ConfigError(f"unknown problem family {cfg.family!r}")
 
 
-def _cache_key(inst, tol, cache_path):
-    """The fields a cache payload must match; the digest is read only with a
-    cache file."""
-    digest = problems.instance_digest(inst) if cache_path else None
-    return {"format": REF_FORMAT, "digest": digest, "tol": tol}
-
-
-def _encode(arr) -> str:
-    """An array exactly, as base64 of its little-endian float64 bytes."""
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode(text, shape):
-    """The array ``_encode`` wrote, of the given shape (ValueError otherwise)."""
-    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").reshape(shape)
-
-
 def _finite(value, shape):
     """A finite float (shape None) or a finite float64 array of ``shape``
     decoded from JSON; ValueError otherwise."""
@@ -123,25 +105,16 @@ def _read_cache(inst, key, cache_path):
     """The reference the payload at ``cache_path`` holds for ``key``, or None.
 
     A hit needs the key to match, x and z to be finite float arrays of
-    shapes (n,) and (m,), f0 and r to be finite floats, and the statistics
-    to pass ``adopt_statistics``, which then makes them the instance's.
+    shapes (n,) and (m,), and f0 to be a finite float.
     """
-    n, m = inst.n, inst.m
     try:
         with open(cache_path) as fh:
             payload = json.load(fh)
         if any(payload.get(k) != v for k, v in key.items()):
             return None
         values = {f.name: payload[f.name] for f in fields(baselines.ReferenceSolution)}
-        values.update(x=_finite(values["x"], (n,)), z=_finite(values["z"], (m,)),
+        values.update(x=_finite(values["x"], (inst.n,)), z=_finite(values["z"], (inst.m,)),
                       f0=_finite(values["f0"], None))
-        stats = payload["statistics"]
-        eigs = stats["eigenvalues"]
-        inst.adopt_statistics(
-            P=_decode(stats["P"], (n, n)), q=_decode(stats["q"], (n,)),
-            r=_finite(stats["r"], None), curvatures=_decode(stats["curvatures"], (m,)),
-            eigenvalues=None if eigs is None else _decode(eigs, (n,)),
-        )
     except (ValueError, KeyError, TypeError, AttributeError, OSError):
         return None  # stale or unreadable
     return baselines.ReferenceSolution(**values)
@@ -154,22 +127,16 @@ def reference_for(inst, tol=1e-9, cache_path=None) -> baselines.ReferenceSolutio
     instance file, written atomically, and reused by later invocations when
     the payload format, the content hash and the tolerance match and every
     value passes its check (``_read_cache``); any other payload is stale,
-    and is recomputed and overwritten.  The payload also carries the
-    instance's quadratic statistics (``QuadraticInstance.statistics``),
-    exactly, and a hit adopts them, so that nothing computes them again.
-    The content hash is ``problems.instance_digest``: an instance saved or
-    loaded as a version-2 file carries it from its header, so a warm cache
-    hashes nothing.  A payload edited after saving keeps its header's
-    digest, and so the old reference and statistics.
+    and is recomputed and overwritten.  The content hash is
+    ``problems.instance_digest``: an instance saved or loaded as a version-2
+    or later file carries it from its header, so a warm cache hashes
+    nothing.  A payload edited after saving keeps its header's digest, and
+    so the old reference.
     """
-    # run_experiment reads the cache before certification and hands the key
-    # and the outcome of that one read to its call here
-    read = inst.__dict__.pop("_cache_read", None) if cache_path else None
-    if read is not None and read[0] == cache_path and read[1]["tol"] == tol:
-        key, ref = read[1:]
-    else:
-        key = _cache_key(inst, tol, cache_path)
-        ref = _read_cache(inst, key, cache_path) if cache_path else None
+    # the digest is part of the key; without a cache file nothing reads it
+    digest = problems.instance_digest(inst) if cache_path else None
+    key = {"format": REF_FORMAT, "digest": digest, "tol": tol}
+    ref = _read_cache(inst, key, cache_path) if cache_path else None
     if ref is not None:
         return ref
 
@@ -179,10 +146,6 @@ def reference_for(inst, tol=1e-9, cache_path=None) -> baselines.ReferenceSolutio
         for f in fields(baselines.ReferenceSolution):
             value = getattr(ref, f.name)
             payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
-        payload["statistics"] = {
-            name: _encode(value) if isinstance(value, np.ndarray) else value
-            for name, value in inst.statistics().items()
-        }
         # write beside the target and rename, so readers never see a partial file
         tmp = f"{cache_path}.{os.getpid()}.tmp"
         try:
@@ -308,13 +271,6 @@ def run_experiment(cfg: ExperimentConfig, inst=None):
         inst = build_instance(cfg)
     K = cfg.epochs * inst.m
 
-    cache_path = cfg.instance_file + ".ref.json" if cfg.instance_file else None
-    if cache_path:
-        # the one read of the cache: a hit brings the statistics that
-        # certification reads, and a miss is solved only after the schedule passes
-        key = _cache_key(inst, cfg.ref_tol, cache_path)
-        read = (cache_path, key, _read_cache(inst, key, cache_path))
-
     sched = report = None
     if "pdsg" in cfg.methods:
         # the schedule reads G and mu only: no sigma estimate, whose samples read H twice
@@ -326,8 +282,7 @@ def run_experiment(cfg: ExperimentConfig, inst=None):
                 "schedule fails validation (pass force=True to run anyway):\n" + str(report)
             )
 
-    if cache_path:
-        inst._cache_read = read  # taken by the reference_for call
+    cache_path = cfg.instance_file + ".ref.json" if cfg.instance_file else None
     ref = reference_for(inst, tol=cfg.ref_tol, cache_path=cache_path)
     reference_solve = None
     if "reference" in cfg.methods:

@@ -30,12 +30,16 @@ from .errors import CapacityError, DimensionError
 _MAGIC = b"QCPDINST"
 # the header of each container version, by version byte: magic, version
 # byte, u64 dims (n, p, N, m), from version 2 the instance digest (the
-# SHA-256 of the version-1 serialization), and in version 3 seven zero
+# SHA-256 of the version-1 serialization), and from version 3 seven zero
 # bytes, so that the float64 arrays that follow start at byte 80, 8-byte
-# aligned in a mapping.  save_instance writes version 3; load_instance reads
-# all three
+# aligned in a mapping.  A version-4 file has version 3's header and
+# arrays, then the statistics section (_statistics_shapes).  save_instance
+# writes version 4; load_instance reads all four
 _HEADERS = {1: struct.Struct("<8sB4Q"), 2: struct.Struct("<8sB4Q32s"),
-            3: struct.Struct("<8sB4Q32s7s")}
+            3: struct.Struct("<8sB4Q32s7s"), 4: struct.Struct("<8sB4Q32s7s")}
+# largest n whose Hessian is factored for its eigenvalues (mu and the
+# objective curvature); a version-4 file stores the eigenvalues only up to it
+_FACTOR_MAX_N = 512
 # bytes of an (m, n, n) array handled at a time, so that a pass over Q
 # allocates no temporary of Q's size
 _CHUNK_BYTES = 1 << 20
@@ -312,8 +316,8 @@ class QuadraticInstance(ProblemInstance):
 
     def _hessian_eigenvalues(self):
         """Ascending eigenvalues of the Hessian (read-only, cached), or None
-        when n > 512 and the Hessian is not factored."""
-        if self._eigenvalues is None and self.n <= 512:
+        when n > _FACTOR_MAX_N and the Hessian is not factored."""
+        if self._eigenvalues is None and self.n <= _FACTOR_MAX_N:
             self._eigenvalues = np.linalg.eigvalsh(self.hessian())
             self._eigenvalues.flags.writeable = False
         return self._eigenvalues
@@ -323,43 +327,14 @@ class QuadraticInstance(ProblemInstance):
         return float(np.linalg.norm(self.hessian(), "fro") if eigs is None else eigs[-1])
 
     def statistics(self):
-        """The quadratic statistics, keyed as ``adopt_statistics`` takes them:
-        ``P = hessian()``, ``(q, r) = linear_terms()``, the constraint
-        curvatures and the Hessian eigenvalues (None when n > 512)."""
+        """The quadratic statistics, in the order of a version-4 file's
+        statistics section: ``P = hessian()``, ``(q, r) = linear_terms()``,
+        the constraint curvatures and the Hessian eigenvalues (None when
+        n > _FACTOR_MAX_N).  Each is computed here unless already cached."""
         q, r = self.linear_terms()
         return {"P": self.hessian(), "q": q, "r": r,
                 "curvatures": self.constraint_curvatures(),
                 "eigenvalues": self._hessian_eigenvalues()}
-
-    def adopt_statistics(self, P, q, r, curvatures, eigenvalues):
-        """Take ``statistics()`` computed elsewhere, such as a reference cache,
-        as the lazy caches (read-only copies), so that nothing here computes
-        them.
-
-        They are checked, not recomputed: P must be (n, n), finite and
-        exactly symmetric, q (n,) and finite, r finite, the curvatures (m,),
-        finite and >= 0, and the eigenvalues (n,), finite and ascending, or
-        None.  Anything else raises ValueError and adopts nothing.
-        """
-        n, m = self.n, self.m
-        P, q, curvatures = (np.array(v, dtype=float) for v in (P, q, curvatures))
-        r = float(r)
-        ok = (P.shape == (n, n) and np.isfinite(P).all() and (P == P.T).all()
-              and q.shape == (n,) and np.isfinite(q).all() and math.isfinite(r)
-              and curvatures.shape == (m,) and np.isfinite(curvatures).all()
-              and (curvatures >= 0.0).all())
-        arrays = [P, q, curvatures]
-        if eigenvalues is not None:
-            eigenvalues = np.array(eigenvalues, dtype=float)
-            arrays.append(eigenvalues)
-            ok = ok and (eigenvalues.shape == (n,) and np.isfinite(eigenvalues).all()
-                         and (np.diff(eigenvalues) >= 0.0).all())
-        if not ok:
-            raise ValueError("statistics do not fit the instance")
-        for arr in arrays:
-            arr.flags.writeable = False
-        self._hessian, self._linear, self._qnorms = P, (q, r), curvatures
-        self._eigenvalues = eigenvalues
 
     # -- constraints ----------------------------------------------------------
 
@@ -623,8 +598,11 @@ def certify_constants(inst: QuadraticInstance, samples=16, rng_seed=0) -> Theory
     H, when ``samples`` is 0).  mu is the exact smallest Hessian eigenvalue
     on instances small enough to factor, else 0 with ``mu_exact=False``.
 
-    The sample points are handled together: H is read twice for sigma
-    (residuals, then per-sample gradients) and once for the Hessian.
+    The curvatures and the eigenvalues are the instance's cached statistics:
+    loaded from a version-4 file, they read neither H nor Q, and otherwise
+    each is computed once, on first use (the eigenvalues from ``hessian()``,
+    one product over H).  The sample points are handled together: H is read
+    twice for sigma (residuals, then per-sample gradients).
     """
     if not isinstance(inst, QuadraticInstance):
         raise TypeError("certification requires a QuadraticInstance")
@@ -748,6 +726,13 @@ def _array_shapes(n, p, N, m):
     return ((N, p, n), (N, p), (m, n, n), (m, n), (m,), (n,), (n,))
 
 
+def _statistics_shapes(n, m):
+    """The arrays of a version-4 statistics section, after the seven: P, q,
+    r, the constraint curvatures and, only when n <= _FACTOR_MAX_N, the
+    Hessian eigenvalues (``QuadraticInstance.statistics``)."""
+    return ((n, n), (n,), (), (m,)) + (((n,),) if n <= _FACTOR_MAX_N else ())
+
+
 def _instance_parts(inst: QuadraticInstance):
     """The version-1 serialization, part by part: the header bytes, then each
     array as contiguous little-endian float64 (no copy when it already is)."""
@@ -757,20 +742,25 @@ def _instance_parts(inst: QuadraticInstance):
 
 
 def save_instance(inst: QuadraticInstance, path) -> None:
-    """Write the version-3 container; round-trips bit-exactly via load_instance.
+    """Write the version-4 container; round-trips bit-exactly via load_instance.
 
-    Each part is hashed as it is written, in one pass over the arrays; the
-    header, digest included, is written last and the digest cached on the
-    instance, so neither this instance nor the file loaded from it is hashed
-    again.  Until then the header is zeros, so a file cut short is one that
-    load_instance refuses.  The file is written beside ``path`` and renamed
-    over it: a file already there, which a loaded instance may map, is
-    replaced, never truncated, and a save that fails leaves it as it was.
+    After the arrays comes the statistics section, the values of
+    ``inst.statistics()`` as little-endian float64: those already cached, and
+    the others computed here.  Each part of the arrays is hashed as it is
+    written, in one pass; the section is not hashed, so the digest stays the
+    SHA-256 of ``instance_bytes``.  The header, digest included, is written
+    last and the digest cached on the instance, so neither this instance nor
+    the file loaded from it is hashed again.  Until then the header is zeros,
+    so a file cut short is one that load_instance refuses.  The file is
+    written beside ``path`` and renamed over it: a file already there, which
+    a loaded instance may map, is replaced, never truncated, and a save that
+    fails leaves it as it was.
     """
+    stats = [v for v in inst.statistics().values() if v is not None]
     h = hashlib.sha256()
     parts = _instance_parts(inst)
     h.update(next(parts))
-    header = _HEADERS[3]
+    header = _HEADERS[4]
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -778,8 +768,10 @@ def save_instance(inst: QuadraticInstance, path) -> None:
             for part in parts:
                 h.update(part)
                 fh.write(part)
+            for value in stats:
+                fh.write(np.ascontiguousarray(value, dtype="<f8"))
             fh.seek(0)
-            fh.write(header.pack(_MAGIC, 3, inst.n, inst.p, inst.N, inst.m, h.digest(), b""))
+            fh.write(header.pack(_MAGIC, 4, inst.n, inst.p, inst.N, inst.m, h.digest(), b""))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -794,16 +786,19 @@ def instance_bytes(inst: QuadraticInstance) -> bytes:
 
 
 def load_instance(path) -> QuadraticInstance:
-    """Read an instance container written by save_instance.
+    """Read an instance container written by save_instance (versions 1 to 4).
 
-    The file is mapped read-only, not read: a version-3 payload starts at
-    byte 80, and the instance's arrays are read-only views of the mapping,
-    so loading copies nothing.  The unaligned payload of a version-1 or
-    version-2 file is read once into aligned memory.  A version-2 or -3
-    header's digest becomes the instance's, unchecked; a version-1 file is
-    hashed when its digest is first asked for.  A header that disagrees with
-    the file size, non-zero padding, NaN or infinite data, and a Q_j that is
-    not exactly symmetric raise ValueError.
+    The file is mapped read-only, not read: a version-3 or -4 payload starts
+    at byte 80, and the instance's arrays are read-only views of the
+    mapping, so loading copies nothing.  The unaligned payload of a version-1
+    or version-2 file is read once into aligned memory.  A version-2, -3 or
+    -4 header's digest becomes the instance's, unchecked; a version-1 file
+    is hashed when its digest is first asked for.  A version-4 file's
+    statistics section becomes the instance's lazy caches, checked but not
+    recomputed (``_adopt_statistics``); the statistics of an older file are
+    computed when first used.  A header that disagrees with the file size,
+    non-zero padding, NaN or infinite data, a Q_j that is not exactly
+    symmetric and statistics that fail their checks raise ValueError.
 
     A mapped file must be replaced, not rewritten in place: reading a page
     that was cut off under the mapping ends the process with SIGBUS.
@@ -820,12 +815,14 @@ def load_instance(path) -> QuadraticInstance:
         head += fh.read(header.size - len(head))
         if len(head) < header.size:
             raise ValueError(f"{path}: truncated header ({len(head)} of {header.size} bytes)")
-        _, _, n, p, N, m, *digest = header.unpack(head)
+        _, version, n, p, N, m, *digest = header.unpack(head)
         if any(head[_HEADERS[2].size :]):
-            raise ValueError(f"{path}: non-zero padding in the version-{head[8]} header")
+            raise ValueError(f"{path}: non-zero padding in the version-{version} header")
         if min(n, p, N, m) < 1:
             raise ValueError(f"{path}: dimensions must be >= 1, got n={n} p={p} N={N} m={m}")
         shapes = _array_shapes(n, p, N, m)
+        if version == 4:
+            shapes += _statistics_shapes(n, m)
         # Python integers: huge header dimensions cannot overflow here
         sizes = [math.prod(shape) for shape in shapes]
         expected = header.size + 8 * sum(sizes)
@@ -849,8 +846,10 @@ def load_instance(path) -> QuadraticInstance:
     for shape, size in zip(shapes, sizes):
         arrays.append(payload[off : off + size].reshape(shape))
         off += size
-    _check_payload(path, arrays)
-    inst = QuadraticInstance(QcqpData(*arrays))
+    _check_payload(path, arrays[:7])
+    inst = QuadraticInstance(QcqpData(*arrays[:7]))
+    if version == 4:
+        _adopt_statistics(path, inst, *arrays[7:])
     if digest:
         inst._digest = digest[0].hex()
     return inst
@@ -876,13 +875,37 @@ def _check_payload(path, arrays):
                     raise ValueError(f"{path}: constraint matrix Q_{j} is not symmetric")
 
 
+def _adopt_statistics(path, inst, P, q, r, curvatures, eigenvalues=None):
+    """Make a version-4 statistics section the lazy caches of ``inst``.
+
+    The values are checked, not recomputed: P must be finite and exactly
+    symmetric, q and r finite, the curvatures finite and >= 0, and the
+    eigenvalues finite and ascending.  Anything else raises ValueError.
+    They are read-only views of the mapped file.
+    """
+    r = float(r)
+    checks = {
+        "P": np.isfinite(P).all() and (P == P.T).all(),
+        "q": np.isfinite(q).all(),
+        "r": math.isfinite(r),
+        "curvatures": np.isfinite(curvatures).all() and (curvatures >= 0.0).all(),
+        "eigenvalues": eigenvalues is None or (
+            np.isfinite(eigenvalues).all() and (np.diff(eigenvalues) >= 0.0).all()),
+    }
+    bad = [name for name, ok in checks.items() if not ok]
+    if bad:
+        raise ValueError(f"{path}: invalid statistics in the version-4 section: {', '.join(bad)}")
+    inst._hessian, inst._linear, inst._qnorms = P, (q, r), curvatures
+    inst._eigenvalues = eigenvalues
+
+
 def instance_digest(inst: QuadraticInstance) -> str:
     """Content hash of the serialized instance (reference-cache key): the
     SHA-256 of ``instance_bytes(inst)``.
 
     Streamed part by part and computed once per instance, on first use; the
     instance's arrays are read-only, so the cached value cannot go stale.  An
-    instance saved, or loaded from a version-2 or -3 file, already holds it.
+    instance saved, or loaded from a version-2, -3 or -4 file, already holds it.
     """
     if inst._digest is None:
         h = hashlib.sha256()

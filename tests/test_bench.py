@@ -3,13 +3,21 @@
 import dataclasses
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from pdsg import baselines, bench, cli
 from pdsg.errors import ConfigError, DivergenceError
-from pdsg.problems import certify_constants, load_instance, random_qcqp, save_instance
+from pdsg.problems import (
+    certify_constants,
+    instance_bytes,
+    instance_digest,
+    load_instance,
+    random_qcqp,
+    save_instance,
+)
 
 TINY = dict(family="qcqp", n=3, p=2, N=4, m=4, instance_seed=0)
 
@@ -119,7 +127,7 @@ def test_reference_cache_write_failure_leaves_no_partial_file(tmp_path, monkeypa
     assert np.array_equal(again.x, ref.x) and again.f0 == ref.f0
 
 
-@pytest.mark.parametrize("stale", [None, 1, 2, bench.REF_FORMAT + 1])
+@pytest.mark.parametrize("stale", [None, 1, 2, 3, bench.REF_FORMAT + 1])
 def test_reference_cache_of_another_format_is_recomputed(tmp_path, monkeypatch, stale):
     inst = random_qcqp(3, 2, 4, 4, seed=1)
     cache = tmp_path / "inst.bin.ref.json"
@@ -127,7 +135,7 @@ def test_reference_cache_of_another_format_is_recomputed(tmp_path, monkeypatch, 
     payload = json.loads(cache.read_text())
     assert payload["format"] == bench.REF_FORMAT
     # digest and tol still match; only the format marks the payload stale
-    # (format 2 carried no statistics)
+    # (format 3 also carried the quadratic statistics)
     del payload["format"]
     if stale is not None:
         payload["format"] = stale
@@ -144,30 +152,6 @@ def test_reference_cache_of_another_format_is_recomputed(tmp_path, monkeypatch, 
     assert bench.reference_for(inst, cache_path=str(cache)).f0 == ref.f0
 
 
-def _eigs_descending(stats):
-    stats["eigenvalues"] = bench._encode(bench._decode(stats["eigenvalues"], (3,))[::-1])
-
-
-def _p_asymmetric(stats):
-    P = bench._decode(stats["P"], (3, 3)).copy()
-    P[0, 1] = np.nextafter(P[0, 1], np.inf)
-    stats["P"] = bench._encode(P)
-
-
-def _curvature_negative(stats):
-    curv = bench._decode(stats["curvatures"], (4,)).copy()
-    curv[2] = -curv[2]
-    stats["curvatures"] = bench._encode(curv)
-
-
-def _nan_at(name, shape, index):
-    def tamper(stats):
-        arr = bench._decode(stats[name], shape).copy()
-        arr[index] = np.nan
-        stats[name] = bench._encode(arr)
-    return tamper
-
-
 # each edit of a cached payload for random_qcqp(3, 2, 4, 4, seed=1): n = 3, m = 4
 _TAMPERINGS = {
     "x_nan": lambda p: p["x"].__setitem__(1, float("nan")),
@@ -179,23 +163,6 @@ _TAMPERINGS = {
     "f0_nan": lambda p: p.update(f0=float("nan")),
     "f0_string": lambda p: p.update(f0=str(p["f0"])),
     "f0_missing": lambda p: p.pop("f0"),
-    "statistics_missing": lambda p: p.pop("statistics"),
-    "p_asymmetric": lambda p: _p_asymmetric(p["statistics"]),
-    "p_nan": lambda p: _nan_at("P", (3, 3), (1, 1))(p["statistics"]),
-    "p_wrong_shape": lambda p: p["statistics"].update(P=bench._encode(np.eye(2))),
-    "p_not_base64": lambda p: p["statistics"].update(P="not base64!"),
-    "q_wrong_shape": lambda p: p["statistics"].update(q=bench._encode(np.zeros(4))),
-    "q_nan": lambda p: _nan_at("q", (3,), 0)(p["statistics"]),
-    "r_nan": lambda p: p["statistics"].update(r=float("nan")),
-    "r_list": lambda p: p["statistics"].update(r=[p["statistics"]["r"]]),
-    "curvatures_negative": lambda p: _curvature_negative(p["statistics"]),
-    "curvatures_nan": lambda p: _nan_at("curvatures", (4,), 3)(p["statistics"]),
-    "curvatures_wrong_shape": lambda p: p["statistics"].update(
-        curvatures=bench._encode(np.ones(3))),
-    "eigenvalues_descending": lambda p: _eigs_descending(p["statistics"]),
-    "eigenvalues_wrong_shape": lambda p: p["statistics"].update(
-        eigenvalues=bench._encode(np.arange(4.0))),
-    "eigenvalues_as_list": lambda p: p["statistics"].update(eigenvalues=[0.0, 1.0, 2.0]),
 }
 
 
@@ -216,23 +183,6 @@ def test_reference_cache_with_a_bad_value_is_recomputed(tmp_path, monkeypatch, t
     assert _fields(again) == _fields(ref)
     assert cache.read_text() == good  # and overwritten with the good payload
     assert os.listdir(tmp_path) == [cache.name]
-    # nothing of the bad payload was adopted
-    assert _statistics(fresh) == _statistics(random_qcqp(3, 2, 4, 4, seed=1))
-
-
-def test_reference_cache_without_eigenvalues_is_a_hit(tmp_path, monkeypatch):
-    # the eigenvalues are null when n > 512; the instance factors P itself then
-    inst = random_qcqp(3, 2, 4, 4, seed=1)
-    cache = tmp_path / "inst.bin.ref.json"
-    ref = bench.reference_for(inst, cache_path=str(cache))
-    payload = json.loads(cache.read_text())
-    payload["statistics"]["eigenvalues"] = None
-    cache.write_text(json.dumps(payload))
-    monkeypatch.setattr(baselines, "full_batch_reference", None)
-    fresh = random_qcqp(3, 2, 4, 4, seed=1)
-    assert _fields(bench.reference_for(fresh, cache_path=str(cache))) == _fields(ref)
-    assert fresh._eigenvalues is None and fresh._hessian is not None
-    assert _statistics(fresh) == _statistics(inst)
 
 
 def test_cached_nan_objective_is_not_believed(tmp_path):
@@ -258,24 +208,51 @@ def _statistics(inst):
             for name, value in inst.statistics().items()}
 
 
-@pytest.mark.parametrize("shape", [(3, 2, 4, 4, 1), (6, 4, 10, 12, 3)])
-def test_cached_statistics_equal_recomputed_ones(tmp_path, shape):
-    inst = random_qcqp(*shape)
-    cache = tmp_path / "inst.bin.ref.json"
-    bench.reference_for(inst, cache_path=str(cache))
-    warm = random_qcqp(*shape)
-    bench.reference_for(warm, cache_path=str(cache))
-    for name in ("_hessian", "_linear", "_qnorms", "_eigenvalues"):
-        assert getattr(warm, name) is not None, name  # adopted, not computed
-    assert _statistics(warm) == _statistics(random_qcqp(*shape))
-    for arr in (warm.hessian(), warm.linear_terms()[0], warm.constraint_curvatures(),
-                warm._hessian_eigenvalues()):
-        assert not arr.flags.writeable
-    fresh = random_qcqp(*shape)
+_STATISTICS = ("_hessian", "_linear", "_qnorms", "_eigenvalues")
+
+
+def _assert_certified_alike(inst, fresh):
     for samples in (0, 4):
-        cached, computed = certify_constants(warm, samples), certify_constants(fresh, samples)
-        assert (cached.F, cached.G, cached.mu, cached.mu_exact, cached.sigma) == (
+        got, computed = certify_constants(inst, samples), certify_constants(fresh, samples)
+        assert (got.F, got.G, got.mu, got.mu_exact, got.sigma) == (
             computed.F, computed.G, computed.mu, computed.mu_exact, computed.sigma)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 4, 4, 1), (6, 4, 10, 12, 3)])
+def test_loaded_statistics_equal_recomputed_ones(tmp_path, shape):
+    path = tmp_path / "inst.bin"
+    save_instance(random_qcqp(*shape), path)
+    loaded = load_instance(path)
+    for name in _STATISTICS:
+        assert getattr(loaded, name) is not None, name  # loaded, not computed
+    assert _statistics(loaded) == _statistics(random_qcqp(*shape))
+    for arr in (loaded.hessian(), loaded.linear_terms()[0], loaded.constraint_curvatures(),
+                loaded._hessian_eigenvalues()):
+        assert not arr.flags.writeable
+    _assert_certified_alike(loaded, random_qcqp(*shape))
+
+
+def _version_3(path):
+    """A version-3 copy of the version-4 file at ``path``: version byte 3 and
+    no statistics section (P, q, r, the curvatures and the eigenvalues)."""
+    blob = path.read_bytes()
+    n, _, _, m = struct.unpack_from("<4Q", blob, 9)
+    v3 = path.with_name("v3-" + path.name)
+    v3.write_bytes(blob[:8] + b"\x03" + blob[9 : len(blob) - 8 * (n * n + 2 * n + 1 + m)])
+    return v3
+
+
+def test_version_3_file_computes_its_statistics_lazily(tmp_path):
+    shape = (6, 4, 10, 12, 3)
+    path = tmp_path / "inst.bin"
+    save_instance(random_qcqp(*shape), path)
+    old, new = load_instance(_version_3(path)), load_instance(path)
+    assert instance_bytes(old) == instance_bytes(new)
+    assert instance_digest(old) == instance_digest(new)
+    assert all(getattr(old, name) is None for name in _STATISTICS)
+    # computed on first use, bit-equal to the version-4 section
+    _assert_certified_alike(old, new)
+    assert _statistics(old) == _statistics(new)
 
 
 class _Spied(np.ndarray):
@@ -300,7 +277,8 @@ def test_warm_solve_reads_no_statistic_and_writes_the_same_bytes(tmp_path, monke
         inst = load(file)
         data = dataclasses.replace(inst.data, H=inst.data.H.view(_Spied))
         spied = type(inst)(data)
-        spied._digest = inst._digest
+        for name in ("_digest", *_STATISTICS):
+            setattr(spied, name, getattr(inst, name))
         return spied
 
     eigvalsh, norm = np.linalg.eigvalsh, np.linalg.norm
@@ -312,17 +290,21 @@ def test_warm_solve_reads_no_statistic_and_writes_the_same_bytes(tmp_path, monke
     monkeypatch.setattr(_Spied, "log", [])
     solve = ["solve", "--instance", str(path), "--method", "pdsg", "--alpha", "0.003",
              "--rho", "0.003", "--epochs", "2", "--seeds", "0,1,2", "--out", str(tmp_path)]
-    assert cli.main(solve + ["--csv", "first.csv"]) == 0
-    # the cold run computes P (one product of the stacked rows of H), q (a
-    # product with all of H), the curvatures (norms of stacks of Q_j) and
-    # the eigenvalues
+    # the statistics come with the file: from the first run on (its reference
+    # cold, then warm), no product over H, no curvature pass and no factorization
+    for name in ("first.csv", "second.csv"):
+        assert cli.main(solve + ["--csv", name]) == 0
+        assert _Spied.log == [] and 3 not in normed and not factored
+    # the version-3 form of the file computes P (one product of the stacked
+    # rows of H), q (a product with all of H), the curvatures (norms of
+    # stacks of Q_j) and the eigenvalues
+    solve[2] = str(_version_3(path))
+    assert cli.main(solve + ["--csv", "third.csv"]) == 0
     assert (40, 6) in _Spied.log and (10, 4, 6) in _Spied.log
     assert 3 in normed and factored
-    del _Spied.log[:], normed[:], factored[:]
-    assert cli.main(solve + ["--csv", "second.csv"]) == 0
-    # warm: no product over H, no curvature pass and no factorization
-    assert _Spied.log == [] and 3 not in normed and not factored
-    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+    first = (tmp_path / "first.csv").read_bytes()
+    assert (tmp_path / "second.csv").read_bytes() == first
+    assert (tmp_path / "third.csv").read_bytes() == first
 
 
 def test_experiment_reads_its_cache_file_once(tmp_path, monkeypatch):
@@ -364,7 +346,8 @@ def test_invalid_schedule_raises_before_any_reference_solve(tmp_path, monkeypatc
     if cache != "absent":
         bench.run_experiment(_tiny_cfg(instance_file=str(path)))
     if cache == "stale":
-        ref_path.write_text(ref_path.read_text().replace('"format": 3', '"format": 2'))
+        ref_path.write_text(ref_path.read_text().replace(
+            f'"format": {bench.REF_FORMAT}', f'"format": {bench.REF_FORMAT - 1}'))
     before = ref_path.read_bytes() if cache != "absent" else None
     calls = _counting_reference(monkeypatch)
     with pytest.raises(ConfigError, match="schedule fails validation"):

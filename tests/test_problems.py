@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import mmap
+import re
 import struct
 import tracemalloc
 from unittest import mock
@@ -466,19 +467,28 @@ def test_instance_byte_layout(tmp_path):
     blob = instance_bytes(inst)  # version 1: the digest's input
     path = tmp_path / "inst.bin"
     save_instance(inst, path)
-    saved = path.read_bytes()  # version 3: version 1's header, digest, 7 zeros, arrays
+    # version 4: version 1's header, digest, 7 zeros, arrays, statistics
+    saved = path.read_bytes()
     floats = 2 * 2 * 3 + 2 * 2 + 4 * 3 * 3 + 4 * 3 + 4 + 3 + 3
-    for data, version, header in ((blob, 1, 41), (saved, 3, 80)):
+    statistics = 3 * 3 + 3 + 1 + 4 + 3  # P, q, r, curvatures, eigenvalues
+    for data, version, header, extra in ((blob, 1, 41, 0), (saved, 4, 80, statistics)):
         assert data[:8] == b"QCPDINST"
         assert data[8] == version
         assert struct.unpack_from("<4Q", data, 9) == (3, 2, 2, 4)
-        assert len(data) == header + 8 * floats
+        assert len(data) == header + 8 * (floats + extra)
         # first array value is H[0, 0, 0] in row-major order
         first = np.frombuffer(data, dtype="<f8", count=1, offset=header)[0]
         assert first == inst.data.H[0, 0, 0]
     assert saved[41:73] == hashlib.sha256(blob).digest()
     assert saved[73:80] == bytes(7)
-    assert saved[80:] == blob[41:]
+    end = 80 + 8 * floats
+    assert saved[80:end] == blob[41:]
+    q, r = inst.linear_terms()
+    section = np.frombuffer(saved, dtype="<f8", offset=end)
+    assert section[:9].tobytes() == inst.hessian().tobytes()
+    assert section[9:12].tobytes() == q.tobytes() and section[12] == r
+    assert section[13:17].tobytes() == inst.constraint_curvatures().tobytes()
+    assert section[17:].tobytes() == np.linalg.eigvalsh(inst.hessian()).tobytes()
 
 
 def test_instance_file_rejects_bad_version(tmp_path):
@@ -491,7 +501,7 @@ def test_instance_file_rejects_bad_version(tmp_path):
         load_instance(path)
 
 
-@pytest.mark.parametrize("version", [0, 4, 99])
+@pytest.mark.parametrize("version", [0, 5, 99])
 def test_cli_refuses_other_versions_of_a_saved_file(tmp_path, capsys, version):
     blob = bytearray(_saved(tmp_path, random_qcqp(3, 2, 2, 2, seed=0)).read_bytes())
     blob[8] = version
@@ -588,6 +598,20 @@ def _version_3(blob):
             + blob[41:])
 
 
+def _section(inst):
+    """The statistics section of a version-4 file of ``inst``: the bytes of
+    ``inst.statistics()``, from its caches or computed."""
+    return b"".join(np.asarray(v, dtype="<f8").tobytes()
+                    for v in inst.statistics().values() if v is not None)
+
+
+def _version_4(inst):
+    """The version-4 file of an instance: its version-3 form with version
+    byte 4, then the statistics section."""
+    v3 = _version_3(instance_bytes(inst))
+    return v3[:8] + b"\x04" + v3[9:] + _section(inst)
+
+
 def _saved_v1(tmp_path, inst, name="inst.bin"):
     """A version-1 file, as written before the header carried the digest."""
     path = tmp_path / name
@@ -605,7 +629,7 @@ def test_digest_is_sha256_of_instance_bytes(tmp_path):
 
 def test_save_writes_exactly_instance_bytes(tmp_path):
     for inst in (random_qcqp(5, 3, 4, 6, seed=9), random_scenario_lp(4, 6, 3, seed=0)):
-        assert _saved(tmp_path, inst).read_bytes() == _version_3(instance_bytes(inst))
+        assert _saved(tmp_path, inst).read_bytes() == _version_4(inst)
 
 
 def test_version_2_round_trip_carries_the_digest(tmp_path, counting_hashlib):
@@ -669,11 +693,12 @@ def test_version_2_header_cut_short(tmp_path, keep):
 
 @pytest.mark.parametrize("keep", [41, 60, 73, 74, 79, 80, 81])
 def test_version_3_header_cut_short(tmp_path, keep):
-    blob = _saved(tmp_path, random_qcqp(3, 2, 2, 2, seed=0)).read_bytes()
-    path = tmp_path / "cut.bin"
-    path.write_bytes(blob[:keep])
-    with pytest.raises(ValueError):
-        load_instance(path)
+    inst = random_qcqp(3, 2, 2, 2, seed=0)
+    for blob in (_version_3(instance_bytes(inst)), _version_4(inst)):
+        path = tmp_path / "cut.bin"
+        path.write_bytes(blob[:keep])
+        with pytest.raises(ValueError):
+            load_instance(path)
 
 
 def test_rewritten_digest_is_trusted_and_misses_the_cache(tmp_path, counting_hashlib, solves):
@@ -795,9 +820,8 @@ def _mapped(arr):
 
 def test_version_3_round_trip_maps_the_file(tmp_path, counting_hashlib):
     inst = random_qcqp(5, 3, 4, 6, seed=9)
-    path = _saved(tmp_path, inst)
-    assert path.read_bytes()[8] == 3
-    saved = counting_hashlib.bytes_hashed
+    path = tmp_path / "inst.bin"
+    path.write_bytes(_version_3(instance_bytes(inst)))
     loaded = load_instance(path)
     for name in ARRAY_NAMES:
         arr, ref = getattr(loaded.data, name), getattr(inst.data, name)
@@ -805,7 +829,42 @@ def test_version_3_round_trip_maps_the_file(tmp_path, counting_hashlib):
         assert _mapped(arr)
         assert arr.tobytes() == ref.tobytes()
     assert instance_digest(loaded) == hashlib.sha256(instance_bytes(inst)).hexdigest()
+    assert counting_hashlib.bytes_hashed == 0  # neither loading nor the digest hashes
+
+
+def test_version_4_round_trip_maps_the_statistics(tmp_path, counting_hashlib):
+    inst = random_qcqp(5, 3, 4, 6, seed=9)
+    path = _saved(tmp_path, inst)
+    assert path.read_bytes()[8] == 4
+    saved = counting_hashlib.bytes_hashed
+    loaded = load_instance(path)
+    for name in ARRAY_NAMES:
+        arr = getattr(loaded.data, name)
+        assert _mapped(arr) and arr.tobytes() == getattr(inst.data, name).tobytes()
+    (q, r), fresh = loaded._linear, random_qcqp(5, 3, 4, 6, seed=9)
+    for arr in (loaded._hessian, q, loaded._qnorms, loaded._eigenvalues):
+        assert arr.flags.aligned and not arr.flags.writeable and _mapped(arr)
+    assert _section(loaded) == _section(fresh)
+    assert isinstance(r, float) and r == fresh.linear_terms()[1]
+    assert instance_digest(loaded) == hashlib.sha256(instance_bytes(inst)).hexdigest()
     assert counting_hashlib.bytes_hashed == saved  # neither loading nor the digest hashes
+
+
+def test_version_4_without_eigenvalue_slots_round_trips(tmp_path, monkeypatch):
+    # past _FACTOR_MAX_N the Hessian is not factored, and the file has no eigenvalues
+    inst = random_qcqp(513, 1, 2, 2, seed=0)
+    path = _saved(tmp_path, inst)
+    floats = 2 * 513 + 2 + 2 * 513 * 513 + 2 * 513 + 2 + 2 * 513
+    assert path.stat().st_size == 80 + 8 * (floats + 513 * 513 + 513 + 1 + 2)
+    factored = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: factored.append(1))
+    loaded = load_instance(path)
+    assert loaded._eigenvalues is None and loaded._hessian is not None
+    assert _section(loaded) == _section(inst)
+    consts = certify_constants(loaded, samples=0)
+    assert not consts.mu_exact and consts.mu == 0.0
+    assert loaded.objective_curvature() == inst.objective_curvature()
+    assert factored == []
 
 
 @pytest.mark.parametrize("writer", [bytes, _version_2])
@@ -835,18 +894,62 @@ def test_saving_over_a_loaded_file_leaves_its_arrays(tmp_path):
 
 @pytest.mark.parametrize("pos", range(73, 80))
 def test_version_3_refuses_non_zero_padding(tmp_path, capsys, pos):
-    blob = bytearray(_saved(tmp_path, random_qcqp(3, 2, 2, 2, seed=0)).read_bytes())
-    blob[pos] = 1
-    path = tmp_path / "pad.bin"
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="non-zero padding"):
-        load_instance(path)
-    rc = cli.main(
+    inst = random_qcqp(3, 2, 2, 2, seed=0)
+    for blob in (_version_3(instance_bytes(inst)), _version_4(inst)):
+        blob = bytearray(blob)
+        blob[pos] = 1
+        path = tmp_path / "pad.bin"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="non-zero padding"):
+            load_instance(path)
+        assert _solve_exit(path, tmp_path) == 2
+        assert "non-zero padding" in capsys.readouterr().err
+
+
+def _solve_exit(path, out):
+    """The exit code of a one-epoch ``solve --instance`` on ``path``."""
+    return cli.main(
         ["solve", "--instance", str(path), "--method", "pdsg", "--alpha", "0.003",
-         "--rho", "0.003", "--epochs", "1", "--seeds", "0", "--out", str(tmp_path)]
+         "--rho", "0.003", "--epochs", "1", "--seeds", "0", "--out", str(out)]
     )
-    assert rc == 2
-    assert "non-zero padding" in capsys.readouterr().err
+
+
+def _put(section, index, value):
+    section = section.copy()
+    section[index] = value
+    return section
+
+
+# each edit of the statistics section of random_qcqp(3, 2, 4, 4, seed=1)'s
+# version-4 file (P at 0..8, q at 9..11, r at 12, the curvatures at 13..16,
+# the eigenvalues at 17..19), and the message that refuses it
+_BAD_SECTIONS = {
+    "p_asymmetric": (lambda s: _put(s, 1, np.nextafter(s[1], np.inf)), "statistics.*: P"),
+    "p_nan": (lambda s: _put(s, 4, np.nan), "statistics.*: P"),
+    "q_nan": (lambda s: _put(s, 9, np.nan), "statistics.*: q"),
+    "r_nan": (lambda s: _put(s, 12, np.nan), "statistics.*: r"),
+    "curvatures_negative": (lambda s: _put(s, 15, -s[15]), "statistics.*: curvatures"),
+    "curvatures_nan": (lambda s: _put(s, 16, np.nan), "statistics.*: curvatures"),
+    "eigenvalues_descending": (lambda s: _put(s, slice(17, 20), s[17:20][::-1]),
+                               "statistics.*: eigenvalues"),
+    "section_cut_short": (lambda s: s[:-1], "needs"),
+    "section_one_value_too_long": (lambda s: np.append(s, 0.0), "needs"),
+}
+
+
+@pytest.mark.parametrize("tampering", sorted(_BAD_SECTIONS))
+def test_version_4_refuses_bad_statistics(tmp_path, capsys, tampering):
+    edit, message = _BAD_SECTIONS[tampering]
+    blob = _saved(tmp_path, random_qcqp(3, 2, 4, 4, seed=1)).read_bytes()
+    start = len(blob) - 8 * 20
+    section = edit(np.frombuffer(blob, dtype="<f8", offset=start))
+    path = tmp_path / "bad.bin"
+    path.write_bytes(blob[:start] + section.tobytes())
+    with pytest.raises(ValueError, match=message):
+        load_instance(path)
+    assert _solve_exit(path, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and re.search(message, err)
 
 
 def _load_peak(path):
@@ -863,11 +966,13 @@ def _load_peak(path):
 def test_loading_version_3_copies_no_payload(tmp_path):
     inst = random_qcqp(64, 2, 4, 100, seed=0)  # a payload of 3.3 MB, mostly Q
     payload = len(instance_bytes(inst)) - 41
-    v3 = _saved(tmp_path, inst)
-    v2 = tmp_path / "v2.bin"
+    v4 = _saved(tmp_path, inst)
+    v3, v2 = tmp_path / "v3.bin", tmp_path / "v2.bin"
+    v3.write_bytes(_version_3(instance_bytes(inst)))
     v2.write_bytes(_version_2(instance_bytes(inst)))
-    load_instance(v3)  # first calls' lazy imports are no part of a load
+    load_instance(v4)  # first calls' lazy imports are no part of a load
     assert _load_peak(v3) < payload / 4
+    assert _load_peak(v4) < payload / 4  # the statistics section is mapped too
     assert _load_peak(v2) >= payload
 
 
@@ -959,12 +1064,12 @@ def test_cli_corrupt_instance_exits_2(tmp_path, capsys):
 
 _FUZZ_INST = random_qcqp(2, 1, 2, 2, seed=0)
 _FUZZ_BLOBS = {1: instance_bytes(_FUZZ_INST), 2: _version_2(instance_bytes(_FUZZ_INST)),
-               3: _version_3(instance_bytes(_FUZZ_INST))}
+               3: _version_3(instance_bytes(_FUZZ_INST)), 4: _version_4(_FUZZ_INST)}
 
 
 @st.composite
 def _corrupted_blobs(draw):
-    blob = bytearray(_FUZZ_BLOBS[draw(st.sampled_from([1, 2, 3]))])
+    blob = bytearray(_FUZZ_BLOBS[draw(st.sampled_from([1, 2, 3, 4]))])
     kind = draw(st.sampled_from(["flip", "truncate", "header", "append"]))
     if kind == "flip":  # anywhere, the version byte and the digest field included
         for pos in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4)):
@@ -980,11 +1085,14 @@ def _corrupted_blobs(draw):
 
 
 def _encoded(blob):
-    """The version-1 serialization and the digest that a loadable blob encodes."""
+    """The version-1 serialization, the digest and the statistics section
+    (empty before version 4) that a loadable blob encodes."""
     if blob[8] == 1:
-        return blob, hashlib.sha256(blob).hexdigest()
-    v1 = blob[:8] + b"\x01" + blob[9:41] + blob[{2: 73, 3: 80}[blob[8]]:]
-    return v1, blob[41:73].hex()
+        return blob, hashlib.sha256(blob).hexdigest(), b""
+    start = {2: 73, 3: 80, 4: 80}[blob[8]]
+    n, p, N, m = struct.unpack_from("<4Q", blob, 9)
+    end = start + 8 * (N * p * n + N * p + m * n * n + m * n + m + 2 * n)
+    return blob[:8] + b"\x01" + blob[9:41] + blob[start:end], blob[41:73].hex(), blob[end:]
 
 
 @settings(max_examples=300, deadline=None)
@@ -996,6 +1104,8 @@ def test_loader_fuzz_loads_bit_exactly_or_raises_value_error(tmp_path_factory, b
         loaded = load_instance(path)
     except ValueError:
         return
-    v1, digest = _encoded(blob)
+    v1, digest, section = _encoded(blob)
     assert instance_bytes(loaded) == v1
     assert instance_digest(loaded) == digest
+    if section:
+        assert _section(loaded) == section
