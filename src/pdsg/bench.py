@@ -273,7 +273,7 @@ def run_experiment(cfg: ExperimentConfig, inst=None):
 
     sched = report = None
     if "pdsg" in cfg.methods:
-        # the schedule reads G and mu only: no sigma estimate, whose samples read H twice
+        # the schedule reads G and mu only: no sigma estimate, whose two passes read all of H
         constants = problems.certify_constants(inst, samples=0)
         sched = build_schedule(cfg, K, constants)
         report = solver.validate_schedule(sched, inst.m, constants.G, K)

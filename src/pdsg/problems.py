@@ -63,6 +63,32 @@ def _chunks(m, n):
     return [slice(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
 
 
+def _leading_sum(N, shape, axes, rows, fill):
+    """``np.add.reduce(stack, axis=tuple(range(axes)))`` of an (N, *shape)
+    stack that is never formed whole: ``fill(part, out)`` forms the rows
+    ``part``, a slice of at most ``rows`` of them, into ``out``.
+
+    Bit-equal to the one-pass sum.  numpy reduces leading axes by adding
+    their items (the trailing ``shape[axes - 1:]`` blocks) one by one, in
+    order, to a running sum when an item holds more than one number, so each
+    chunk is formed in a buffer right after the running sum and the two are
+    reduced together.  A stack of single numbers numpy sums pairwise, in one
+    call over all of it: then the whole stack (N numbers per entry of
+    ``shape[:axes - 1]``) is formed and summed at once.
+    """
+    per, item = math.prod(shape[: axes - 1]), shape[axes - 1 :]
+    gather = math.prod(item) == 1
+    buf = np.zeros((N * per if gather else min(rows, N) * per + 1, *item))
+    for lo in range(0, N, rows):
+        part = slice(lo, min(lo + rows, N))
+        # gathered in place, or right after the running sum buf[0]
+        at, k = (lo * per if gather else 1), (part.stop - lo) * per
+        fill(part, buf[at : at + k].reshape(-1, *shape))
+        if not gather:
+            buf[0] = np.add.reduce(buf[: 1 + k], axis=0)
+    return np.add.reduce(buf, axis=0) if gather else buf[0]
+
+
 class ProblemInstance:
     """Oracle interface: stochastic objective plus m constraint oracles on a box.
 
@@ -300,11 +326,19 @@ class QuadraticInstance(ProblemInstance):
 
         q is one pass over H as N small products c_i'H_i: one product over
         the stacked rows would wake the BLAS worker threads, which then spin
-        beside the single-threaded run loop.  r is f0 at the origin.
+        beside the single-threaded run loop.  The products are formed and
+        summed at most _CHUNK_BYTES of H at a time, in sample order
+        (``_leading_sum``), bit-equal to summing all N at once.  r is f0 at
+        the origin.
         """
         if self._linear is None:
-            c = self.data.c
-            q = (c[:, None, :] @ self.data.H).sum(axis=0)[0] / self.N
+            H, c, n = self.data.H, self.data.c, self.n
+
+            def products(part, out):
+                np.matmul(c[part, None, :], H[part], out=out)
+
+            rows = max(1, _CHUNK_BYTES // (8 * self.p * n))
+            q = _leading_sum(self.N, (1, n), 1, rows, products)[0] / self.N
             q.flags.writeable = False
             self._linear = (q, float(0.5 * np.mean(np.sum(c * c, axis=1))))
         return self._linear
@@ -479,12 +513,12 @@ class QuadraticInstance(ProblemInstance):
         qs, an, ab = slack * qn, slack * np.linalg.norm(a, axis=1), slack * np.abs(b)
         rows = max(1, _CHUNK_BYTES // (8 * n * n))
         Qs = np.empty((min(rows, m), n, n))
-        xa = F = G = None  # the anchor and the full pass there
+        xa = xa_norm = F = G = None  # the anchor, its norm and the full pass there
         limit = 0.0  # candidate count past which the screen re-anchors
 
         def candidates(x, keep):
             D = x - xa
-            s = math.sqrt(float(x @ x)) + math.sqrt(float(xa @ xa))
+            s = math.sqrt(float(x @ x)) + xa_norm
             upper = F + np.einsum("jn,n->j", G, D)
             upper += (0.5 * float(D @ D)) * qn + (qs * (s * s) + an * s + ab)
             return np.flatnonzero(keep | (upper >= 0.0))
@@ -498,7 +532,7 @@ class QuadraticInstance(ProblemInstance):
             return 0.5 * (Qx @ x) + ai @ x - b[idx], Qx + ai
 
         def screen(x, keep):
-            nonlocal xa, F, G, limit
+            nonlocal xa, xa_norm, F, G, limit
             grad_sq = max(float(x @ (S2 @ x)) + 2.0 * float(v @ x) + c0, 0.0)
             if xa is not None:
                 idx = candidates(x, keep)
@@ -506,6 +540,7 @@ class QuadraticInstance(ProblemInstance):
                     return (idx, *evaluate(idx, x), grad_sq)
             F, G = self.constraint_values_and_grads(x)
             xa = x.copy()
+            xa_norm = math.sqrt(float(xa @ xa))
             idx = candidates(x, keep)
             limit = min(len(idx) + _SCREEN_SHARE * m, 0.5 * m)
             return idx, F[idx], G[idx], grad_sq
@@ -601,8 +636,8 @@ def certify_constants(inst: QuadraticInstance, samples=16, rng_seed=0) -> Theory
     The curvatures and the eigenvalues are the instance's cached statistics:
     loaded from a version-4 file, they read neither H nor Q, and otherwise
     each is computed once, on first use (the eigenvalues from ``hessian()``,
-    one product over H).  The sample points are handled together: H is read
-    twice for sigma (residuals, then per-sample gradients).
+    one product over H).  sigma comes from two passes over H that handle the
+    sample points together, at most _CHUNK_BYTES at a time (``_sigma``).
     """
     if not isinstance(inst, QuadraticInstance):
         raise TypeError("certification requires a QuadraticInstance")
@@ -622,23 +657,50 @@ def certify_constants(inst: QuadraticInstance, samples=16, rng_seed=0) -> Theory
         X = np.random.default_rng(rng_seed).uniform(
             inst.box_lo, inst.box_hi, size=(samples, inst.n)
         )
-        # residuals H_i x - c_i for every sample point: (N, p, S).  One small
-        # GEMM per H_i, not one over the stacked rows: a GEMM that large wakes
-        # the BLAS worker threads, which then spin beside the single-threaded
-        # run loop.
-        resid = data.H @ X.T
-        resid -= data.c[:, :, None]
-        # per-sample gradients H_i'(H_i x - c_i): (N, n, S); deviation taken in place
-        grads = data.H.transpose(0, 2, 1) @ resid
-        grads -= grads.mean(axis=0)
-        np.square(grads, out=grads)
-        msd = grads.sum(axis=(0, 1)) / inst.N
-        sigma = math.sqrt(float(msd.max(initial=0.0)))
+        sigma = _sigma(inst, X)
 
     eigs = inst._hessian_eigenvalues()
     mu_exact = eigs is not None
     mu = max(float(eigs[0]), 0.0) if mu_exact else 0.0
     return TheoryConstants(F=F, G=G, sigma=sigma, mu=mu, mu_exact=mu_exact)
+
+
+def _sigma(inst, X):
+    """The largest sample standard deviation of the stochastic gradient over
+    the points X (S, n), from two passes over H.
+
+    The per-sample gradients H_i'(H_i x - c_i) at all S points, an (N, n, S)
+    stack, are never held whole: the first pass sums them for their mean,
+    the second sums their squared deviations from it, each chunk of samples
+    formed and folded in order (``_leading_sum``), so sigma is bit-equal to
+    the one-pass form.  A chunk reads at most _CHUNK_BYTES of H and forms at
+    most that much of residuals and gradients.  The mean is not taken from
+    ``hessian() x - q``, whose rounding differs from the samples' own mean:
+    at N = 1 the deviation must be exactly 0.
+    """
+    N, n, p, S = inst.N, inst.n, inst.p, len(X)
+    H, c, XT = inst.data.H, inst.data.c, X.T
+    rows = max(1, _CHUNK_BYTES // (8 * max(p * n, (p + n) * S)))
+    resid = np.empty((min(rows, N), p, S))
+
+    def grads(part, out):
+        # one small GEMM per H_i, not one over the stacked rows: a GEMM that
+        # large wakes the BLAS worker threads, which then spin beside the
+        # single-threaded run loop
+        r = resid[: part.stop - part.start]
+        np.matmul(H[part], XT, out=r)
+        r -= c[part, :, None]
+        np.matmul(H[part].transpose(0, 2, 1), r, out=out)
+
+    mean = _leading_sum(N, (n, S), 1, rows, grads) / N
+
+    def squared_deviations(part, out):
+        grads(part, out)
+        out -= mean
+        np.square(out, out=out)
+
+    msd = _leading_sum(N, (n, S), 2, rows, squared_deviations) / N
+    return math.sqrt(float(msd.max(initial=0.0)))
 
 
 # -- scenario sizing ---------------------------------------------------------

@@ -2,11 +2,11 @@
 
 The library evaluates several quantities in a faster form than the obvious
 one: the objective from cached statistics (P, q, r), the constraint values of
-a stack of points from one pass over Q, sigma from batched sample points, the
-Hessian as one Gram product, the reference solve from a constraint screen,
-a random QCQP's Q from chunks of M and upper Gram blocks.  The obvious
-per-sample, per-point and one-draw forms live here, and tests hold the
-library to them.
+a stack of points from one pass over Q, sigma from batched sample points and
+chunked passes over H, q from a chunked pass over H, the Hessian as one Gram
+product, the reference solve from a constraint screen, a random QCQP's Q from
+chunks of M and upper Gram blocks.  The obvious per-sample, per-point,
+one-pass and one-draw forms live here, and tests hold the library to them.
 
 Tolerance contract.  A faster form that reorders floating-point arithmetic
 must agree with its reference form elementwise,
@@ -101,6 +101,29 @@ def sigma_per_sample(inst, samples, rng_seed):
         dev = grads - grads.mean(axis=0)
         sigma = max(sigma, math.sqrt(float(np.mean(np.sum(dev * dev, axis=1)))))
     return sigma
+
+
+def sigma_stacked(inst, samples, rng_seed):
+    """sigma from the whole (N, n, samples) stack of per-sample gradients at
+    once, as ``certify_constants`` computed it before its passes were chunked."""
+    data = inst.data
+    X = np.random.default_rng(rng_seed).uniform(
+        inst.box_lo, inst.box_hi, size=(samples, inst.n)
+    )
+    resid = data.H @ X.T
+    resid -= data.c[:, :, None]
+    grads = data.H.transpose(0, 2, 1) @ resid
+    grads -= grads.mean(axis=0)
+    np.square(grads, out=grads)
+    msd = grads.sum(axis=(0, 1)) / inst.N
+    return math.sqrt(float(msd.max(initial=0.0)))
+
+
+def linear_terms_stacked(inst):
+    """q = (1/N) sum_i H_i'c_i from the whole (N, 1, n) stack of products, as
+    ``linear_terms`` computed it before its pass was chunked."""
+    c = inst.data.c
+    return (c[:, None, :] @ inst.data.H).sum(axis=0)[0] / inst.N
 
 
 def hessian(inst):

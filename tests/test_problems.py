@@ -123,22 +123,28 @@ def test_q_build_is_one_product_per_chunk_when_n_fits_a_block(shape):
     _assert_q_build_equals_one_draw(shape, chunks=1, blocks=1)
 
 
+def _extra_peak(call):
+    """``(peak, value)``: the peak of traced allocations during ``call()``
+    above those before it, and what it returned."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = call()
+        return tracemalloc.get_traced_memory()[1] - base, value
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("shape", [(100, 95, 200, 300), (30, 5, 10, 500)])
 def test_q_build_holds_one_chunk_at_a_time(shape):
     # one chunk of M at a time, plus block-sized mirror copies: a second
     # chunk-sized temporary (the next chunk of M drawn while the last is
     # alive, a copy of a chunk of Q) or one the size of Q exceeds the bound
     random_qcqp(1, 1, 1, 1, seed=0)  # numpy.random's lazy import is no temporary
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        inst = random_qcqp(*shape, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, inst = _extra_peak(lambda: random_qcqp(*shape, seed=0))
     d = inst.data
     returned = sum(arr.nbytes for arr in (d.H, d.c, d.Q, d.a, d.b, d.box_lo, d.box_hi))
-    assert peak - base - returned <= 1.5 * problems._CHUNK_BYTES
+    assert peak - returned <= 1.5 * problems._CHUNK_BYTES
 
 
 @settings(max_examples=40, deadline=None)
@@ -147,6 +153,93 @@ def test_chunked_q_norms_equal_one_pass(inst, rows):
     with mock.patch.object(problems, "_CHUNK_BYTES", 8 * inst.n * inst.n * rows):
         qnorms = inst.constraint_curvatures()
     assert qnorms.tobytes() == np.linalg.norm(inst.data.Q, axis=(1, 2)).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(qcqps(), st.integers(1, 5))
+def test_chunked_q_equals_one_pass(inst, rows):
+    with mock.patch.object(problems, "_CHUNK_BYTES", 8 * inst.p * inst.n * rows):
+        q, _ = inst.linear_terms()
+    assert q.tobytes() == reference_forms.linear_terms_stacked(inst).tobytes()
+
+
+def _sigma_chunk_bytes(inst, samples, rows):
+    """The _CHUNK_BYTES at which sigma's passes take ``rows`` samples at a time."""
+    n, p = inst.n, inst.p
+    return 8 * max(p * n, (p + n) * samples) * rows
+
+
+def _assert_chunked_sigma_equals_one_pass(inst, samples, rows, rng_seed):
+    with mock.patch.object(problems, "_CHUNK_BYTES", _sigma_chunk_bytes(inst, samples, rows)):
+        sigma = certify_constants(inst, samples, rng_seed).sigma
+    want = reference_forms.sigma_stacked(inst, samples, rng_seed)
+    assert np.float64(sigma).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(qcqps(), st.integers(1, 16), st.integers(1, 5), st.integers(0, 2**32))
+def test_chunked_sigma_equals_one_pass(inst, samples, rows, rng_seed):
+    _assert_chunked_sigma_equals_one_pass(inst, samples, rows, rng_seed)
+
+
+@pytest.mark.parametrize("n, p, N, samples", [(1, 2, 300, 1), (3, 2, 300, 1), (1, 3, 200, 4)])
+def test_chunked_sigma_and_q_equal_one_pass_where_numpy_sums_pairwise(n, p, N, samples):
+    # a one-pass stack of single numbers long enough that numpy's pairwise
+    # sum of it is not an in-order sum: q at n = 1, sigma's mean at
+    # n = samples = 1 and its deviations at samples = 1
+    inst = random_qcqp(n, p, N, 2, seed=N + n)
+    for rows in (1, 2, 5):
+        _assert_chunked_sigma_equals_one_pass(inst, samples, rows, rows)
+        with mock.patch.object(problems, "_CHUNK_BYTES", 8 * p * n * rows):
+            inst._linear = None
+            q, _ = inst.linear_terms()
+        assert q.tobytes() == reference_forms.linear_terms_stacked(inst).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("N", [1, 2, 7])
+def test_chunked_sigma_and_q_equal_one_pass_on_scenario_lp(N, rows):
+    inst = random_scenario_lp(5, 8, N, seed=N)
+    _assert_chunked_sigma_equals_one_pass(inst, 16, rows, 3)
+    with mock.patch.object(problems, "_CHUNK_BYTES", 8 * inst.p * inst.n * rows):
+        q, _ = inst.linear_terms()
+    assert q.tobytes() == reference_forms.linear_terms_stacked(inst).tobytes()
+
+
+# Each pass below holds one chunk at a time.  Each shape makes the temporary
+# of the pass's one-shot form (named in the comment) at least 4 times the bound
+def test_sigma_holds_one_chunk_at_a_time():
+    # one shot: residuals (N, p, 16) and gradients (N, n, 16), 7.1 MiB
+    inst = random_qcqp(100, 95, 300, 2, seed=0)
+    certify_constants(inst, samples=1)  # statistics cached, lazy imports done
+    peak, _ = _extra_peak(lambda: certify_constants(inst, samples=16))
+    assert peak <= 1.5 * problems._CHUNK_BYTES
+
+
+def test_q_holds_one_chunk_at_a_time():
+    # one shot: the (N, 1, n) products c_i'H_i, 11.4 MiB
+    inst = random_qcqp(50, 2, 30_000, 1, seed=0)
+    peak, (q, _) = _extra_peak(inst.linear_terms)
+    assert peak - q.nbytes <= 1.5 * problems._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("statistic", ["constraint_curvatures", "gradient_statistics"])
+def test_q_statistics_hold_one_chunk_at_a_time(statistic):
+    # one shot: |Q_j|^2 for the norms, or the stacked Q_j^2 for S2, 13.7 MiB
+    inst = random_qcqp(30, 1, 1, 2000, seed=0)
+    peak, value = _extra_peak(getattr(inst, statistic))
+    arrays = value if isinstance(value, tuple) else (value,)
+    assert peak - sum(np.asarray(v).nbytes for v in arrays) <= 1.5 * problems._CHUNK_BYTES
+
+
+def test_measure_holds_one_step_at_a_time():
+    # one shot: Q @ X' over all m constraints (m, n, s), 3.7 MiB; the bound
+    # also holds a X' (s, m), a temporary the size of the returned values
+    inst = random_qcqp(30, 1, 1, 500, seed=0)
+    X = np.random.default_rng(0).uniform(inst.box_lo, inst.box_hi, size=(32, inst.n))
+    inst.measure(X[:1])  # statistics cached
+    peak, (f0, fvals) = _extra_peak(lambda: inst.measure(X))
+    assert peak - f0.nbytes - fvals.nbytes <= fvals.nbytes + 1.5 * problems._MEASURE_BYTES
 
 
 def test_dimension_validation():
@@ -954,13 +1047,7 @@ def test_version_4_refuses_bad_statistics(tmp_path, capsys, tampering):
 
 def _load_peak(path):
     """Peak traced allocation, in bytes, while loading ``path``."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        load_instance(path)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    return _extra_peak(lambda: load_instance(path))[0]
 
 
 def test_loading_version_3_copies_no_payload(tmp_path):
