@@ -47,20 +47,36 @@ _CHUNK_BYTES = 1 << 20
 # (upper blocks only, then mirrored); fastest at n = 100 in a sweep over
 # block sizes (notes/decisions.md), and a single block at n <= 20
 _GRAM_BLOCK = 20
-# bytes of the (rows, n, s) products one step of ``measure`` holds; small
-# enough to come from the heap, so measuring a tick of many runs at once
-# raises no peak
+# bytes of the (rows, n, s) products one step of ``measure`` holds, and of
+# the squares ``_row_squares`` forms at a time; small enough to come from the
+# heap, so measuring a tick of many runs at once raises no peak
 _MEASURE_BYTES = 1 << 16
 # growth of a constraint screen's candidates since its anchor, as a share of
 # m, past which it takes a new anchor (one full pass) rather than gather them
 _SCREEN_SHARE = 0.125
 
 
-def _chunks(m, n):
-    """Row slices of an (m, n, n) float64 array, each of at most _CHUNK_BYTES
-    (at least one row)."""
-    rows = max(1, _CHUNK_BYTES // (8 * n * n))
+def _chunks(m, *shape):
+    """Row slices of an (m, *shape) float64 array, each of at most
+    _CHUNK_BYTES (at least one row)."""
+    rows = max(1, _CHUNK_BYTES // (8 * math.prod(shape)))
     return [slice(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
+
+
+def _row_squares(arr):
+    """``np.sum(arr * arr, axis=1)`` of an (m, k) array, bit-equal, with the
+    squares formed _MEASURE_BYTES of rows at a time (at least one row) in
+    one buffer: small enough to come from the heap and be reused, where a
+    temporary of arr's size, or of _CHUNK_BYTES, freed below the top of the
+    heap, stays resident and adds to every later peak."""
+    m, k = arr.shape
+    rows = max(1, _MEASURE_BYTES // (8 * k))
+    out, buf = np.empty(m), np.empty((min(rows, m), k))
+    for lo in range(0, m, rows):
+        part = arr[lo : lo + rows]
+        squares = np.multiply(part, part, out=buf[: len(part)])
+        np.add.reduce(squares, axis=1, out=out[lo : lo + len(part)])
+    return out
 
 
 def _leading_sum(N, shape, axes, rows, fill):
@@ -329,7 +345,8 @@ class QuadraticInstance(ProblemInstance):
         beside the single-threaded run loop.  The products are formed and
         summed at most _CHUNK_BYTES of H at a time, in sample order
         (``_leading_sum``), bit-equal to summing all N at once.  r is f0 at
-        the origin.
+        the origin, (1/2) mean_i ||c_i||^2, with the squared norms taken a
+        few rows of c at a time (``_row_squares``).
         """
         if self._linear is None:
             H, c, n = self.data.H, self.data.c, self.n
@@ -340,7 +357,7 @@ class QuadraticInstance(ProblemInstance):
             rows = max(1, _CHUNK_BYTES // (8 * self.p * n))
             q = _leading_sum(self.N, (1, n), 1, rows, products)[0] / self.N
             q.flags.writeable = False
-            self._linear = (q, float(0.5 * np.mean(np.sum(c * c, axis=1))))
+            self._linear = (q, float(0.5 * np.mean(_row_squares(c))))
         return self._linear
 
     def _objective_values(self, X):
@@ -460,9 +477,9 @@ class QuadraticInstance(ProblemInstance):
     def constraint_curvatures(self):
         """Frobenius norms of the Q_j (read-only, cached), chunk by chunk."""
         if self._qnorms is None:
-            Q = self.data.Q
+            Q, n = self.data.Q, self.n
             self._qnorms = np.concatenate(
-                [np.linalg.norm(Q[rows], axis=(1, 2)) for rows in _chunks(self.m, self.n)]
+                [np.linalg.norm(Q[rows], axis=(1, 2)) for rows in _chunks(self.m, n, n)]
             )
             self._qnorms.flags.writeable = False
         return self._qnorms
@@ -479,7 +496,7 @@ class QuadraticInstance(ProblemInstance):
         if self._grad_stats is None:
             n, Q, a = self.n, self.data.Q, self.data.a
             S2, v = np.zeros((n, n)), np.zeros(n)
-            for rows in _chunks(self.m, n):
+            for rows in _chunks(self.m, n, n):
                 A = Q[rows].reshape(-1, n)
                 S2 += A.T @ A
                 v += A.T @ a[rows].reshape(-1)
@@ -510,7 +527,8 @@ class QuadraticInstance(ProblemInstance):
         qn = self.constraint_curvatures()
         S2, v, c0 = self.gradient_statistics()
         slack = 4.0 * (n + 2) ** 2 * np.finfo(float).eps
-        qs, an, ab = slack * qn, slack * np.linalg.norm(a, axis=1), slack * np.abs(b)
+        qs, ab = slack * qn, slack * np.abs(b)
+        an = slack * np.sqrt(_row_squares(a))
         rows = max(1, _CHUNK_BYTES // (8 * n * n))
         Qs = np.empty((min(rows, m), n, n))
         xa = xa_norm = F = G = None  # the anchor, its norm and the full pass there
@@ -575,7 +593,7 @@ def random_qcqp(n, p, N, m, seed) -> QuadraticInstance:
     # order, so the blocks I <= J and their mirrors are that call's bits.
     Q = np.empty((m, n, n))
     blocks = [slice(lo, min(lo + _GRAM_BLOCK, n)) for lo in range(0, n, _GRAM_BLOCK)]
-    for rows in _chunks(m, n):
+    for rows in _chunks(m, n, n):
         M = rng.standard_normal((rows.stop - rows.start, n, n))
         Qc = Q[rows]
         for i, I in enumerate(blocks):
@@ -647,7 +665,7 @@ def certify_constants(inst: QuadraticInstance, samples=16, rng_seed=0) -> Theory
     data = inst.data
     R = box_radius(inst.box_lo, inst.box_hi)
     qnorm = inst.constraint_curvatures()
-    anorm = np.linalg.norm(data.a, axis=1)
+    anorm = np.sqrt(_row_squares(data.a))
     G = float(np.max(qnorm * R + anorm))
     F = float(np.max(0.5 * qnorm * R * R + anorm * R + np.abs(data.b)))
 
@@ -784,6 +802,12 @@ def _arrays(data: QcqpData):
     return (data.H, data.c, data.Q, data.a, data.b, data.box_lo, data.box_hi)
 
 
+# each of the seven arrays' name and what one of its rows is, in file order:
+# the words with which a refused file's message locates a bad value
+_ROW_NAMES = (("H", "sample"), ("c", "sample"), ("Q", "constraint"), ("a", "constraint"),
+              ("b", "constraint"), ("box_lo", "entry"), ("box_hi", "entry"))
+
+
 def _array_shapes(n, p, N, m):
     return ((N, p, n), (N, p), (m, n, n), (m, n), (m,), (n,), (n,))
 
@@ -860,7 +884,11 @@ def load_instance(path) -> QuadraticInstance:
     recomputed (``_adopt_statistics``); the statistics of an older file are
     computed when first used.  A header that disagrees with the file size,
     non-zero padding, NaN or infinite data, a Q_j that is not exactly
-    symmetric and statistics that fail their checks raise ValueError.
+    symmetric and statistics that fail their checks raise ValueError.  The
+    data are checked in one pass of two reductions and one comparison per
+    piece (``_check_payload``), which is most of the time a load of a
+    version-3 or -4 file takes; a refusal of non-finite data names the array
+    and the first offending row.
 
     A mapped file must be replaced, not rewritten in place: reading a page
     that was cut off under the mapping ends the process with SIGBUS.
@@ -920,21 +948,29 @@ def load_instance(path) -> QuadraticInstance:
 def _check_payload(path, arrays):
     """Raise ValueError unless every value is finite and every Q_j symmetric.
 
-    One pass in pieces of at most _CHUNK_BYTES, so that each piece of Q is
-    compared with its transpose while it is still in cache.
+    One pass, array by array in file order, in pieces of at most
+    _CHUNK_BYTES (``_chunks``); each piece is checked for finiteness and
+    then, in Q, for symmetry while it is still in cache.  A piece is finite
+    when its max and its min are: both reductions propagate NaN, and they
+    form no temporary, where ``np.isfinite`` writes a boolean array and reads
+    it again.  A piece of Q is compared with its transpose by one
+    ``np.array_equal``, whose boolean temporary is an eighth of the piece.
+    Only when a test fails are the per-row flags formed that locate the bad
+    value: its array and first offending row, or the first asymmetric Q_j.
     """
-    Q = arrays[2]
-    for arr in arrays:
-        rows = max(1, _CHUNK_BYTES // (arr.itemsize * (arr.size // len(arr))))
-        for lo in range(0, len(arr), rows):
-            piece = arr[lo : lo + rows]
-            if not np.isfinite(piece).all():
-                raise ValueError(f"{path}: instance data holds NaN or infinite values")
-            if arr is Q:
+    for (name, row), arr in zip(_ROW_NAMES, arrays):
+        for part in _chunks(*arr.shape):
+            piece = arr[part]
+            if not (math.isfinite(piece.max()) and math.isfinite(piece.min())):
+                finite = np.isfinite(piece.reshape(len(piece), -1)).all(axis=1)
+                i = part.start + int(np.argmin(finite))
+                raise ValueError(
+                    f"{path}: instance data holds NaN or infinite values ({name}, {row} {i})"
+                )
+            if name == "Q" and not np.array_equal(piece, piece.transpose(0, 2, 1)):
                 symmetric = (piece == piece.transpose(0, 2, 1)).all(axis=(1, 2))
-                if not symmetric.all():
-                    j = lo + int(np.argmin(symmetric))
-                    raise ValueError(f"{path}: constraint matrix Q_{j} is not symmetric")
+                j = part.start + int(np.argmin(symmetric))
+                raise ValueError(f"{path}: constraint matrix Q_{j} is not symmetric")
 
 
 def _adopt_statistics(path, inst, P, q, r, curvatures, eigenvalues=None):

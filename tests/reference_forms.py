@@ -3,10 +3,12 @@
 The library evaluates several quantities in a faster form than the obvious
 one: the objective from cached statistics (P, q, r), the constraint values of
 a stack of points from one pass over Q, sigma from batched sample points and
-chunked passes over H, q from a chunked pass over H, the Hessian as one Gram
-product, the reference solve from a constraint screen, a random QCQP's Q from
-chunks of M and upper Gram blocks.  The obvious per-sample, per-point,
-one-pass and one-draw forms live here, and tests hold the library to them.
+chunked passes over H, q and r from chunked passes over c and H, the norms
+of a chunk by chunk, the Hessian as one Gram product, the reference solve
+from a constraint screen, a random QCQP's Q from chunks of M and upper Gram
+blocks, and a loaded file's check from two reductions and one comparison
+per piece.  The obvious per-sample, per-point, one-pass, one-draw and
+elementwise forms live here, and tests hold the library to them.
 
 Tolerance contract.  A faster form that reorders floating-point arithmetic
 must agree with its reference form elementwise,
@@ -27,7 +29,8 @@ import math
 
 import numpy as np
 
-from pdsg.problems import QcqpData, QuadraticInstance
+from pdsg import problems
+from pdsg.problems import QcqpData, QuadraticInstance, box_radius
 from pdsg.solver import _Z_BLOWUP, project_box
 
 MEASURE_RTOL = 1e-12
@@ -124,6 +127,44 @@ def linear_terms_stacked(inst):
     ``linear_terms`` computed it before its pass was chunked."""
     c = inst.data.c
     return (c[:, None, :] @ inst.data.H).sum(axis=0)[0] / inst.N
+
+
+def r_one_pass(inst):
+    """r = (1/2) mean_i ||c_i||^2 from the whole (N, p) array of squares, as
+    ``linear_terms`` computed it before its pass was chunked."""
+    c = inst.data.c
+    return float(0.5 * np.mean(np.sum(c * c, axis=1)))
+
+
+def certified_bounds_one_pass(inst):
+    """``(F, G)`` of ``certify_constants`` from the whole (m, n) array of
+    squares of a for the norms ||a_j||, as computed before that pass was
+    chunked."""
+    R = box_radius(inst.box_lo, inst.box_hi)
+    qnorm = np.linalg.norm(inst.data.Q, axis=(1, 2))
+    anorm = np.linalg.norm(inst.data.a, axis=1)
+    G = float(np.max(qnorm * R + anorm))
+    F = float(np.max(0.5 * qnorm * R * R + anorm * R + np.abs(inst.data.b)))
+    return F, G
+
+
+def check_payload(path, arrays):
+    """``problems._check_payload`` as it was before it tested finiteness by
+    two reductions and symmetry by one comparison per piece: elementwise
+    ``np.isfinite`` and a per-matrix symmetry flag on every piece.  Its
+    message for non-finite data does not locate the value."""
+    Q = arrays[2]
+    for arr in arrays:
+        rows = max(1, problems._CHUNK_BYTES // (arr.itemsize * (arr.size // len(arr))))
+        for lo in range(0, len(arr), rows):
+            piece = arr[lo : lo + rows]
+            if not np.isfinite(piece).all():
+                raise ValueError(f"{path}: instance data holds NaN or infinite values")
+            if arr is Q:
+                symmetric = (piece == piece.transpose(0, 2, 1)).all(axis=(1, 2))
+                if not symmetric.all():
+                    j = lo + int(np.argmin(symmetric))
+                    raise ValueError(f"{path}: constraint matrix Q_{j} is not symmetric")
 
 
 def hessian(inst):

@@ -99,7 +99,7 @@ def test_blocked_q_build_equals_one_draw(n, data, m, rows, seed):
 
 def _assert_q_build_equals_one_draw(shape, chunks, blocks):
     n, m = shape[0], shape[3]
-    assert len(problems._chunks(m, n)) == chunks
+    assert len(problems._chunks(m, n, n)) == chunks
     assert -(-n // problems._GRAM_BLOCK) == blocks
     with mock.patch.object(problems.np, "einsum", wraps=np.einsum) as einsum:
         got = random_qcqp(*shape)
@@ -113,7 +113,7 @@ def _assert_q_build_equals_one_draw(shape, chunks, blocks):
 def test_chunked_q_build_equals_one_draw_at_default_chunk():
     # 32 rows of M per chunk at n = 64: chunks of 32, 32, 32 and 4, and a
     # ragged last block: 20, 20, 20 and 4
-    assert [s.stop - s.start for s in problems._chunks(100, 64)] == [32, 32, 32, 4]
+    assert [s.stop - s.start for s in problems._chunks(100, 64, 64)] == [32, 32, 32, 4]
     _assert_q_build_equals_one_draw((64, 2, 3, 100, 5), chunks=4, blocks=4)
 
 
@@ -161,6 +161,30 @@ def test_chunked_q_equals_one_pass(inst, rows):
     with mock.patch.object(problems, "_CHUNK_BYTES", 8 * inst.p * inst.n * rows):
         q, _ = inst.linear_terms()
     assert q.tobytes() == reference_forms.linear_terms_stacked(inst).tobytes()
+
+
+def _assert_chunked_r_and_bounds_equal_one_pass(inst, rows):
+    # squares of at least `rows` rows of a (m, n) and of c (N, p) at a time
+    with mock.patch.object(problems, "_MEASURE_BYTES", 8 * max(inst.n, inst.p) * rows):
+        consts = certify_constants(inst, samples=0)
+        _, r = inst.linear_terms()
+    assert np.float64(r).tobytes() == np.float64(reference_forms.r_one_pass(inst)).tobytes()
+    F, G = reference_forms.certified_bounds_one_pass(inst)
+    assert np.array([consts.F, consts.G]).tobytes() == np.array([F, G]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(qcqps(), st.integers(1, 5))
+def test_chunked_r_and_bounds_equal_one_pass(inst, rows):
+    _assert_chunked_r_and_bounds_equal_one_pass(inst, rows)
+
+
+@pytest.mark.parametrize("shape", [(100, 95, 50, 60), (20, 15, 200, 200), (1, 300, 40, 3),
+                                   (300, 1, 2, 40)])
+@pytest.mark.parametrize("rows", [1, 7])
+def test_chunked_r_and_bounds_equal_one_pass_at_wide_rows(shape, rows):
+    # rows long enough that numpy sums each of them pairwise
+    _assert_chunked_r_and_bounds_equal_one_pass(random_qcqp(*shape, seed=sum(shape)), rows)
 
 
 def _sigma_chunk_bytes(inst, samples, rows):
@@ -221,6 +245,32 @@ def test_q_holds_one_chunk_at_a_time():
     inst = random_qcqp(50, 2, 30_000, 1, seed=0)
     peak, (q, _) = _extra_peak(inst.linear_terms)
     assert peak - q.nbytes <= 1.5 * problems._CHUNK_BYTES
+
+
+# The row sums of squares for r and for the norms ||a_j|| form at most
+# _MEASURE_BYTES of squares at a time, besides their (N,) or (m,) results
+def test_r_holds_one_step_of_squares_at_a_time():
+    # one shot: the squares of c (N, p), 7.6 MiB
+    N = 5000
+    inst = random_qcqp(1, 200, N, 1, seed=0)
+    peak, (q, _) = _extra_peak(inst.linear_terms)
+    assert peak - q.nbytes <= 8 * N + 1.5 * problems._MEASURE_BYTES
+
+
+def test_certified_bounds_hold_one_step_of_squares_at_a_time():
+    # one shot: the squares of a (m, n), 7.6 MiB; the bound also holds the
+    # four (m,) vectors that F's expression has alive at once.  Q is a
+    # broadcast of one zero, which holds no memory
+    n, m = 100, 10_000
+    rng = np.random.default_rng(0)
+    Q = np.broadcast_to(np.zeros(()), (m, n, n))
+    box = np.ones(n)
+    inst = QuadraticInstance(QcqpData(rng.standard_normal((1, 1, n)), rng.standard_normal((1, 1)),
+                                      Q, rng.standard_normal((m, n)), rng.uniform(0.1, 1.1, m),
+                                      -box, box))
+    certify_constants(inst, samples=0)  # statistics cached
+    peak, _ = _extra_peak(lambda: certify_constants(inst, samples=0))
+    assert peak <= 4 * 8 * m + 1.5 * problems._MEASURE_BYTES
 
 
 @pytest.mark.parametrize("statistic", ["constraint_curvatures", "gradient_statistics"])
@@ -1134,6 +1184,176 @@ def test_instance_file_rejects_non_symmetric_q(tmp_path, capsys):
     )
     assert rc == 2
     assert "Q_2 is not symmetric" in capsys.readouterr().err
+
+
+# -- the payload check -----------------------------------------------------------
+
+# what one row of each of ARRAY_NAMES is, as a refusal names it
+ROW_WORDS = ("sample", "sample", "constraint", "constraint", "constraint", "entry", "entry")
+
+
+def _tampered(tmp_path, inst, edit, version=4):
+    """A version-1, -3 or -4 file of ``inst`` whose seven arrays ``edit`` has
+    changed in place; a version-4 file keeps the clean instance's statistics."""
+    v1 = instance_bytes(inst)
+    blob = bytearray({1: v1, 3: _version_3(v1), 4: _version_4(inst)}[version])
+    off, arrays = (41 if version == 1 else 80), []
+    for arr in problems._arrays(inst.data):
+        arrays.append(np.frombuffer(blob, "<f8", arr.size, off).reshape(arr.shape))
+        off += arr.nbytes
+    edit(arrays)
+    path = tmp_path / f"tampered-v{version}.bin"
+    path.write_bytes(bytes(blob))
+    return path
+
+
+def _located(arrays):
+    """The place a refusal names: the first array, in file order, that holds
+    a non-finite value, and the first row of it that does."""
+    for name, word, arr in zip(ARRAY_NAMES, ROW_WORDS, arrays):
+        bad = ~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1)
+        if bad.any():
+            return f"({name}, {word} {int(np.flatnonzero(bad)[0])})"
+    return None
+
+
+def _verdict(check, arrays):
+    """None when ``check`` accepts the arrays, else its message."""
+    try:
+        check("inst.bin", arrays)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _tampered_payloads(draw):
+    """The writable arrays of a small instance with up to two skew pairs
+    (Q_j[r, s] + d, Q_j[s, r] - d) and then up to two values put in at
+    random: NaN, +-inf and +-1.7e308 anywhere, in Q also as a mirrored pair."""
+    arrays = [np.array(arr) for arr in problems._arrays(draw(qcqps()).data)]
+    Q = arrays[2]
+    for _ in range(draw(st.integers(0, 2))):
+        j, r, c = (draw(st.integers(0, k - 1)) for k in Q.shape)
+        d = draw(st.sampled_from([1.0, 1e-300, 5e307]))
+        Q[j, r, c] += d
+        Q[j, c, r] -= d
+    for _ in range(draw(st.integers(0, 2))):
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1.7e308, -1.7e308]))
+        arr = arrays[draw(st.integers(0, 6))]
+        at = np.unravel_index(draw(st.integers(0, arr.size - 1)), arr.shape)
+        arr[at] = value
+        if arr is Q and draw(st.booleans()):
+            Q[at[0], at[2], at[1]] = value
+    return arrays
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tampered_payloads(), st.integers(1, 3))
+def test_check_gives_the_elementwise_verdict(arrays, rows):
+    # pieces of 1 to 3 rows of Q, so that most arrays span several pieces
+    n = arrays[2].shape[1]
+    with mock.patch.object(problems, "_CHUNK_BYTES", 8 * n * n * rows):
+        got = _verdict(problems._check_payload, arrays)
+        want = _verdict(reference_forms.check_payload, arrays)
+    if want is not None and "NaN or infinite" in want:
+        want += f" {_located(arrays)}"
+    assert got == want
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_check_refuses_a_mirrored_infinite_pair_in_q(tmp_path, capsys, value):
+    inst = random_qcqp(3, 2, 2, 4, seed=0)
+
+    def edit(arrays):
+        arrays[2][1, 0, 2] = arrays[2][1, 2, 0] = value
+        assert np.array_equal(arrays[2], arrays[2].transpose(0, 2, 1))  # symmetric, not finite
+
+    path = _tampered(tmp_path, inst, edit)
+    with pytest.raises(ValueError, match=r"NaN or infinite values \(Q, constraint 1\)$"):
+        load_instance(path)
+    assert _solve_exit(path, tmp_path) == 2
+    assert "NaN or infinite values (Q, constraint 1)" in capsys.readouterr().err
+
+
+def test_check_refuses_nan_in_q_as_non_finite_not_asymmetric(tmp_path):
+    # NaN != NaN, so a Q_j that holds one is not symmetric either
+    path = _tampered(tmp_path, random_qcqp(3, 2, 2, 4, seed=0),
+                     lambda arrays: arrays[2].__setitem__((2, 0, 1), math.nan))
+    with pytest.raises(ValueError, match=r"NaN or infinite values \(Q, constraint 2\)$"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("version", [1, 3])
+def test_check_loads_huge_finite_values(tmp_path, version):
+    inst = random_qcqp(3, 2, 2, 4, seed=0)
+    edited = []
+
+    def edit(arrays):
+        H, c, Q, a, b, box_lo, box_hi = arrays
+        H[0, 0, 0], H[-1, -1, -1], c[1, 0] = 1.7e308, -1.7e308, np.finfo(float).max
+        Q[0, 0, 1] = Q[0, 1, 0] = 1.7e308
+        Q[3, 2, 2], a[2, 1], b[0] = -1.7e308, np.finfo(float).min, -1.7e308
+        box_lo[0], box_hi[1] = -1.7e308, 1.7e308
+        edited.extend(arr.copy() for arr in arrays)
+
+    loaded = load_instance(_tampered(tmp_path, inst, edit, version))
+    for name, arr in zip(ARRAY_NAMES, edited):
+        assert getattr(loaded.data, name).tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_check_finds_a_bad_value_in_the_last_piece(tmp_path, capsys, k):
+    # one row per piece: every array of several rows spans several pieces
+    inst = random_qcqp(3, 2, 5, 7, seed=1)
+    name, value = ARRAY_NAMES[k], (math.nan, math.inf, -math.inf)[k % 3]
+    last = len(getattr(inst.data, name)) - 1
+    path = _tampered(tmp_path, inst, lambda arrays: arrays[k].reshape(-1).__setitem__(-1, value))
+    message = f"NaN or infinite values ({name}, {ROW_WORDS[k]} {last})"
+    with mock.patch.object(problems, "_CHUNK_BYTES", 8):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            load_instance(path)
+        assert _solve_exit(path, tmp_path) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("j", [1, 4, 5, 6])
+def test_check_names_an_asymmetric_q_j_in_a_later_piece(tmp_path, j):
+    # pieces of two rows of Q: Q_0 and Q_1, Q_2 and Q_3, ...; Q_6 is skewed too
+    inst = random_qcqp(3, 2, 2, 7, seed=2)
+
+    def edit(arrays):
+        for i in {j, 6}:
+            arrays[2][i, 0, 2] += 1.0
+            arrays[2][i, 2, 0] -= 1.0
+
+    path = _tampered(tmp_path, inst, edit)
+    with mock.patch.object(problems, "_CHUNK_BYTES", 8 * 3 * 3 * 2):
+        with pytest.raises(ValueError, match=f"Q_{j} is not symmetric$"):
+            load_instance(path)
+
+
+def test_check_refuses_bad_data_in_a_version_1_file(tmp_path):
+    # a version-1 file is read into an aligned copy, then checked alike
+    inst = random_qcqp(3, 2, 4, 4, seed=3)
+    path = _tampered(tmp_path, inst, lambda arrays: arrays[1].__setitem__((2, 1), math.inf), 1)
+    with pytest.raises(ValueError, match=r"NaN or infinite values \(c, sample 2\)$"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("m", [100, 800])
+def test_check_holds_one_piece_of_flags_at_a_time(tmp_path, m):
+    # a version-4 file's arrays and statistics are mapped, so what a load
+    # allocates is the check's: one piece's boolean temporary of the symmetry
+    # test (an eighth of _CHUNK_BYTES) and the buffer numpy's comparison
+    # takes for the strided transpose (np.getbufsize() float64s), however
+    # many pieces Q has (4 and 25 here), plus 16 KiB for small objects;
+    # np.isfinite over all of Q would hold 0.4 or 3.3 MB
+    inst = random_qcqp(64, 2, 4, m, seed=0)
+    path = _saved(tmp_path, inst)
+    load_instance(path)  # first calls' lazy imports are no part of a load
+    bound = problems._CHUNK_BYTES // 8 + 8 * np.getbufsize() + 16 * 1024
+    assert _load_peak(path) <= bound
 
 
 def test_cli_corrupt_instance_exits_2(tmp_path, capsys):
