@@ -105,7 +105,9 @@ def _read_cache(inst, key, cache_path):
     """The reference the payload at ``cache_path`` holds for ``key``, or None.
 
     A hit needs the key to match, x and z to be finite float arrays of
-    shapes (n,) and (m,), and f0 to be a finite float.
+    shapes (n,) and (m,), f0 to be a finite float, ``converged`` a bool,
+    ``iterations`` an int (not a bool) >= 0, and ``infeas`` and
+    ``step_norm`` finite floats >= 0.
     """
     try:
         with open(cache_path) as fh:
@@ -115,6 +117,11 @@ def _read_cache(inst, key, cache_path):
         values = {f.name: payload[f.name] for f in fields(baselines.ReferenceSolution)}
         values.update(x=_finite(values["x"], (inst.n,)), z=_finite(values["z"], (inst.m,)),
                       f0=_finite(values["f0"], None))
+        if not (isinstance(values["converged"], bool)
+                and type(values["iterations"]) is int and values["iterations"] >= 0
+                and _finite(values["infeas"], None) >= 0.0
+                and _finite(values["step_norm"], None) >= 0.0):
+            return None
     except (ValueError, KeyError, TypeError, AttributeError, OSError):
         return None  # stale or unreadable
     return baselines.ReferenceSolution(**values)

@@ -64,18 +64,21 @@ def _chunks(m, *shape):
 
 
 def _row_squares(arr):
-    """``np.sum(arr * arr, axis=1)`` of an (m, k) array, bit-equal, with the
-    squares formed _MEASURE_BYTES of rows at a time (at least one row) in
-    one buffer: small enough to come from the heap and be reused, where a
-    temporary of arr's size, or of _CHUNK_BYTES, freed below the top of the
-    heap, stays resident and adds to every later peak."""
-    m, k = arr.shape
+    """The sums of squares of the rows of an (m, ...) array, bit-equal to
+    ``np.sum(arr * arr, axis=1)`` of an (m, k) array and to the sums under
+    the square root of ``np.linalg.norm(arr, axis=(1, 2))`` of an (m, n, n)
+    one: numpy reduces each row's squares as one contiguous run in all
+    three.  The squares are formed _MEASURE_BYTES of rows at a time (at
+    least one row) in one buffer: small enough to come from the heap and be
+    reused, where a temporary of arr's size, or of _CHUNK_BYTES, freed below
+    the top of the heap, stays resident and adds to every later peak."""
+    m, k = len(arr), math.prod(arr.shape[1:])
     rows = max(1, _MEASURE_BYTES // (8 * k))
-    out, buf = np.empty(m), np.empty((min(rows, m), k))
+    out, buf = np.empty(m), np.empty((min(rows, m), *arr.shape[1:]))
     for lo in range(0, m, rows):
         part = arr[lo : lo + rows]
         squares = np.multiply(part, part, out=buf[: len(part)])
-        np.add.reduce(squares, axis=1, out=out[lo : lo + len(part)])
+        np.add.reduce(squares.reshape(len(part), k), axis=1, out=out[lo : lo + len(part)])
     return out
 
 
@@ -399,8 +402,13 @@ class QuadraticInstance(ProblemInstance):
         return 0.5 * float(x @ Qx) + float(self.data.a[j] @ x) - float(self.data.b[j])
 
     def constraint_values_and_grads(self, x):
+        """Both from one ``Q @ x``: the values first, then ``a`` added into
+        ``Q x`` in place as the gradients, so the pass allocates the arrays
+        it returns and (m,) temporaries."""
         Qx = self.data.Q @ x
-        return 0.5 * (Qx @ x) + self.data.a @ x - self.data.b, Qx + self.data.a
+        fvals = 0.5 * (Qx @ x) + self.data.a @ x - self.data.b
+        Qx += self.data.a
+        return fvals, Qx
 
     def measure(self, X):
         """f0 from (P, q, r) and the constraint values from one pass over Q.
@@ -475,12 +483,11 @@ class QuadraticInstance(ProblemInstance):
         return stoch_objective_grads, constraints, values
 
     def constraint_curvatures(self):
-        """Frobenius norms of the Q_j (read-only, cached), chunk by chunk."""
+        """Frobenius norms of the Q_j (read-only, cached): the square roots
+        of their sums of squares (``_row_squares``), so the pass holds at
+        most _MEASURE_BYTES of squares, or one Q_j's, besides the norms."""
         if self._qnorms is None:
-            Q, n = self.data.Q, self.n
-            self._qnorms = np.concatenate(
-                [np.linalg.norm(Q[rows], axis=(1, 2)) for rows in _chunks(self.m, n, n)]
-            )
+            self._qnorms = np.sqrt(_row_squares(self.data.Q))
             self._qnorms.flags.writeable = False
         return self._qnorms
 
@@ -518,10 +525,12 @@ class QuadraticInstance(ProblemInstance):
         ``s = ||x|| + ||x_a||``, is >= 0; the margin covers the rounding of
         f_j at x and of the bound (``notes/decisions.md``).  The candidates
         are gathered and evaluated with the products of
-        ``constraint_values_and_grads``, at most _CHUNK_BYTES of Q at a time.
-        When they outgrow those at the anchor by _SCREEN_SHARE of m, or pass
-        half of m, x becomes the new anchor: one full pass, which also serves
-        the first call.  ``grad_sq`` comes from ``gradient_statistics()``.
+        ``constraint_values_and_grads``, at most _CHUNK_BYTES of Q at a time,
+        into a buffer allocated per call and sized to the candidates, so the
+        screen holds nothing of Q between calls.  When they outgrow those at
+        the anchor by _SCREEN_SHARE of m, or pass half of m, x becomes the
+        new anchor: one full pass, which also serves the first call.
+        ``grad_sq`` comes from ``gradient_statistics()``.
         """
         n, m, Q, a, b = self.n, self.m, self.data.Q, self.data.a, self.data.b
         qn = self.constraint_curvatures()
@@ -530,7 +539,6 @@ class QuadraticInstance(ProblemInstance):
         qs, ab = slack * qn, slack * np.abs(b)
         an = slack * np.sqrt(_row_squares(a))
         rows = max(1, _CHUNK_BYTES // (8 * n * n))
-        Qs = np.empty((min(rows, m), n, n))
         xa = xa_norm = F = G = None  # the anchor, its norm and the full pass there
         limit = 0.0  # candidate count past which the screen re-anchors
 
@@ -542,12 +550,14 @@ class QuadraticInstance(ProblemInstance):
             return np.flatnonzero(keep | (upper >= 0.0))
 
         def evaluate(idx, x):
-            Qx = np.empty((len(idx), n))
+            Qx, Qs = np.empty((len(idx), n)), np.empty((min(rows, len(idx)), n, n))
             for lo in range(0, len(idx), rows):
                 part = idx[lo:lo + rows]
                 np.matmul(Q.take(part, 0, Qs[: len(part)], "clip"), x, out=Qx[lo:lo + len(part)])
             ai = a[idx]
-            return 0.5 * (Qx @ x) + ai @ x - b[idx], Qx + ai
+            fvals = 0.5 * (Qx @ x) + ai @ x - b[idx]
+            Qx += ai
+            return fvals, Qx
 
         def screen(x, keep):
             nonlocal xa, xa_norm, F, G, limit

@@ -8,7 +8,9 @@ of a chunk by chunk, the Hessian as one Gram product, the reference solve
 from a constraint screen, a random QCQP's Q from chunks of M and upper Gram
 blocks, and a loaded file's check from two reductions and one comparison
 per piece.  The obvious per-sample, per-point, one-pass, one-draw and
-elementwise forms live here, and tests hold the library to them.
+elementwise forms live here, and tests hold the library to them.  So do the
+earlier forms of passes that now allocate less (the constraint pass, the
+curvatures and the reference screen), which must stay bit-equal.
 
 Tolerance contract.  A faster form that reorders floating-point arithmetic
 must agree with its reference form elementwise,
@@ -165,6 +167,85 @@ def check_payload(path, arrays):
                 if not symmetric.all():
                     j = lo + int(np.argmin(symmetric))
                     raise ValueError(f"{path}: constraint matrix Q_{j} is not symmetric")
+
+
+def constraint_values_and_grads(inst, x):
+    """``QuadraticInstance.constraint_values_and_grads`` as it was before it
+    formed the gradients in place: ``Q x + a`` as a second (m, n) array."""
+    Qx = inst.data.Q @ x
+    return 0.5 * (Qx @ x) + inst.data.a @ x - inst.data.b, Qx + inst.data.a
+
+
+def constraint_curvatures(inst):
+    """``QuadraticInstance.constraint_curvatures`` as it was before it took
+    the norms from ``problems._row_squares``: ``np.linalg.norm`` of each
+    chunk of at most _CHUNK_BYTES of Q."""
+    Q, n = inst.data.Q, inst.n
+    return np.concatenate(
+        [np.linalg.norm(Q[rows], axis=(1, 2)) for rows in problems._chunks(inst.m, n, n)]
+    )
+
+
+def constraint_screen(inst):
+    """``QuadraticInstance.constraint_screen`` as it was before its gather
+    buffer was allocated per call: one buffer of at most _CHUNK_BYTES of Q,
+    held for the screen's life, the candidates' gradients formed as a second
+    array, and the anchors and curvatures from the forms above."""
+    n, m, Q, a, b = inst.n, inst.m, inst.data.Q, inst.data.a, inst.data.b
+    qn = constraint_curvatures(inst)
+    S2, v, c0 = inst.gradient_statistics()
+    slack = 4.0 * (n + 2) ** 2 * np.finfo(float).eps
+    qs, ab = slack * qn, slack * np.abs(b)
+    an = slack * np.sqrt(problems._row_squares(a))
+    rows = max(1, problems._CHUNK_BYTES // (8 * n * n))
+    Qs = np.empty((min(rows, m), n, n))
+    xa = xa_norm = F = G = None  # the anchor, its norm and the full pass there
+    limit = 0.0  # candidate count past which the screen re-anchors
+
+    def candidates(x, keep):
+        D = x - xa
+        s = math.sqrt(float(x @ x)) + xa_norm
+        upper = F + np.einsum("jn,n->j", G, D)
+        upper += (0.5 * float(D @ D)) * qn + (qs * (s * s) + an * s + ab)
+        return np.flatnonzero(keep | (upper >= 0.0))
+
+    def evaluate(idx, x):
+        Qx = np.empty((len(idx), n))
+        for lo in range(0, len(idx), rows):
+            part = idx[lo:lo + rows]
+            np.matmul(Q.take(part, 0, Qs[: len(part)], "clip"), x, out=Qx[lo:lo + len(part)])
+        ai = a[idx]
+        return 0.5 * (Qx @ x) + ai @ x - b[idx], Qx + ai
+
+    def screen(x, keep):
+        nonlocal xa, xa_norm, F, G, limit
+        grad_sq = max(float(x @ (S2 @ x)) + 2.0 * float(v @ x) + c0, 0.0)
+        if xa is not None:
+            idx = candidates(x, keep)
+            if len(idx) <= limit:
+                return (idx, *evaluate(idx, x), grad_sq)
+        F, G = constraint_values_and_grads(inst, x)
+        xa = x.copy()
+        xa_norm = math.sqrt(float(xa @ xa))
+        idx = candidates(x, keep)
+        limit = min(len(idx) + problems._SCREEN_SHARE * m, 0.5 * m)
+        return idx, F[idx], G[idx], grad_sq
+
+    return screen
+
+
+class EarlierPasses(QuadraticInstance):
+    """A quadratic instance whose constraint pass, curvatures and screen are
+    the earlier forms above."""
+
+    def constraint_values_and_grads(self, x):
+        return constraint_values_and_grads(self, x)
+
+    def constraint_curvatures(self):
+        return constraint_curvatures(self)
+
+    def constraint_screen(self):
+        return constraint_screen(self)
 
 
 def hessian(inst):

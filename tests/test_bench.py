@@ -202,6 +202,46 @@ def test_cached_nan_objective_is_not_believed(tmp_path):
     assert json.loads(cache.read_text()) == good
 
 
+# each edit of a cached payload's diagnostics; a cold `solve --method
+# reference` on the 3 x 4 file below converges within its K = 240
+_DIAGNOSTIC_TAMPERINGS = {
+    "converged_string": lambda p: p.update(converged="no"),
+    "converged_int": lambda p: p.update(converged=1),
+    "converged_missing": lambda p: p.pop("converged"),
+    "iterations_string": lambda p: p.update(iterations=str(p["iterations"])),
+    "iterations_bool": lambda p: p.update(iterations=True),
+    "iterations_float": lambda p: p.update(iterations=float(p["iterations"])),
+    "iterations_negative": lambda p: p.update(iterations=-1),
+    "infeas_string": lambda p: p.update(infeas="0"),
+    "infeas_nan": lambda p: p.update(infeas=float("nan")),
+    "infeas_negative": lambda p: p.update(infeas=-1e-12),
+    "step_norm_infinite": lambda p: p.update(step_norm=float("inf")),
+    "step_norm_negative": lambda p: p.update(step_norm=-1.0),
+    "step_norm_list": lambda p: p.update(step_norm=[p["step_norm"]]),
+}
+
+
+@pytest.mark.parametrize("tampering", sorted(_DIAGNOSTIC_TAMPERINGS))
+def test_reference_cache_with_bad_diagnostics_is_recomputed(tmp_path, monkeypatch, tampering):
+    path = tmp_path / "inst.bin"
+    assert cli.main(["generate", "--n", "3", "--p", "2", "--N", "4", "--m", "4",
+                     "--seed", "0", "--out", str(path)]) == 0
+    solve = ["solve", "--instance", str(path), "--method", "reference", "--epochs", "60",
+             "--seeds", "0,1", "--out", str(tmp_path)]
+    assert cli.main(solve + ["--csv", "cold.csv"]) == 0
+    cache = tmp_path / "inst.bin.ref.json"
+    good = cache.read_text()
+    payload = json.loads(good)
+    _DIAGNOSTIC_TAMPERINGS[tampering](payload)
+    cache.write_text(json.dumps(payload))
+
+    calls = _counting_reference(monkeypatch)
+    assert cli.main(solve + ["--csv", "again.csv"]) == 0
+    assert calls == [None]  # stale: solved once, and that solve is the method's too
+    assert cache.read_text() == good
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+
+
 def _statistics(inst):
     """Every quadratic statistic of an instance as raw bytes (r as a float)."""
     return {name: value.tobytes() if isinstance(value, np.ndarray) else value
@@ -281,12 +321,12 @@ def test_warm_solve_reads_no_statistic_and_writes_the_same_bytes(tmp_path, monke
             setattr(spied, name, getattr(inst, name))
         return spied
 
-    eigvalsh, norm = np.linalg.eigvalsh, np.linalg.norm
-    factored, normed = [], []
+    eigvalsh, row_squares = np.linalg.eigvalsh, bench.problems._row_squares
+    factored, squared = [], []
     monkeypatch.setattr(bench.problems, "load_instance", spied_load)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: factored.append(1) or eigvalsh(a))
-    monkeypatch.setattr(np.linalg, "norm",
-                        lambda x, *a, **kw: normed.append(np.ndim(x)) or norm(x, *a, **kw))
+    monkeypatch.setattr(bench.problems, "_row_squares",
+                        lambda arr: squared.append(arr.shape) or row_squares(arr))
     monkeypatch.setattr(_Spied, "log", [])
     solve = ["solve", "--instance", str(path), "--method", "pdsg", "--alpha", "0.003",
              "--rho", "0.003", "--epochs", "2", "--seeds", "0,1,2", "--out", str(tmp_path)]
@@ -294,14 +334,14 @@ def test_warm_solve_reads_no_statistic_and_writes_the_same_bytes(tmp_path, monke
     # cold, then warm), no product over H, no curvature pass and no factorization
     for name in ("first.csv", "second.csv"):
         assert cli.main(solve + ["--csv", name]) == 0
-        assert _Spied.log == [] and 3 not in normed and not factored
+        assert _Spied.log == [] and (12, 6, 6) not in squared and not factored
     # the version-3 form of the file computes P (one product of the stacked
-    # rows of H), q (a product with all of H), the curvatures (norms of
-    # stacks of Q_j) and the eigenvalues
+    # rows of H), q (a product with all of H), the curvatures (the sums of
+    # squares of all of Q) and the eigenvalues
     solve[2] = str(_version_3(path))
     assert cli.main(solve + ["--csv", "third.csv"]) == 0
     assert (40, 6) in _Spied.log and (10, 4, 6) in _Spied.log
-    assert 3 in normed and factored
+    assert squared.count((12, 6, 6)) == 1 and factored
     first = (tmp_path / "first.csv").read_bytes()
     assert (tmp_path / "second.csv").read_bytes() == first
     assert (tmp_path / "third.csv").read_bytes() == first

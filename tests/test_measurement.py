@@ -271,6 +271,8 @@ def _instance(name):
         return random_qcqp(*_MIDSCALE[0], seed=_MIDSCALE[1])
     if name == "binding":
         return _binding((40, 30, 300, 400), 0, 0.6)
+    if name == "scenario_binding":
+        return random_scenario_lp(50, 1000, 10, seed=0)
     return random_scenario_lp(8, 300, 4, seed=1)
 
 
@@ -330,6 +332,20 @@ def test_screened_reference_within_contract(name):
     # point and per iteration with one shared pass unscreened
     assert len(screens) == want_k + 1
     assert full.call_count * inst.m + sum(screens) <= (want_k + 1) * inst.m / 5
+
+
+@pytest.mark.parametrize("name", ["desk", "midscale", "scenario_binding"])
+def test_reference_equals_one_from_the_earlier_passes(name):
+    """The constraint pass that forms the gradients in place, the curvatures
+    from row sums of squares and the screen's per-call gather buffer leave
+    the reference bit-equal.  ``scenario_binding`` has 9 active constraints
+    and takes 19 311 iterations."""
+    inst = _instance(name)
+    got = full_batch_reference(inst)
+    want = full_batch_reference(rf.EarlierPasses(inst.data))
+    assert got.converged and want.converged
+    assert [got.x.tobytes(), got.z.tobytes(), got.f0, got.iterations] == \
+        [want.x.tobytes(), want.z.tobytes(), want.f0, want.iterations]
 
 
 def test_cached_statistics_reference_within_contract():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdsg import bench, cli, problems
+from pdsg import bench, cli, metrics, problems
 from pdsg.errors import CapacityError
 from pdsg.problems import (
     QcqpData,
@@ -30,6 +30,7 @@ from pdsg.problems import (
     scenario_count_discarding,
     scenario_count_robust,
 )
+from pdsg.solver import project_box
 import reference_forms
 from test_loop_equivalence import qcqps
 
@@ -148,11 +149,65 @@ def test_q_build_holds_one_chunk_at_a_time(shape):
 
 
 @settings(max_examples=40, deadline=None)
-@given(qcqps(), st.integers(1, 5))
-def test_chunked_q_norms_equal_one_pass(inst, rows):
-    with mock.patch.object(problems, "_CHUNK_BYTES", 8 * inst.n * inst.n * rows):
+@given(qcqps(), st.integers(1, 5), st.integers(1, 5))
+def test_chunked_q_norms_equal_one_pass(inst, rows, steps):
+    # the norms square `steps` Q_j at a time (_MEASURE_BYTES); their earlier
+    # form took `rows` at a time (_CHUNK_BYTES)
+    n = inst.n
+    with mock.patch.object(problems, "_CHUNK_BYTES", 8 * n * n * rows), \
+            mock.patch.object(problems, "_MEASURE_BYTES", 8 * n * n * steps):
         qnorms = inst.constraint_curvatures()
+        earlier = reference_forms.constraint_curvatures(inst)
     assert qnorms.tobytes() == np.linalg.norm(inst.data.Q, axis=(1, 2)).tobytes()
+    assert qnorms.tobytes() == earlier.tobytes()
+
+
+def _same_bytes(got, want):
+    return [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+
+
+def _assert_passes_equal_earlier_forms(inst, rows, steps, seed):
+    """The constraint pass, the curvatures and a walk of screen calls (an
+    anchor, gathers near it, and re-anchors far from it) are bit-equal to
+    their earlier forms, with `rows` Q_j gathered and `steps` rows squared
+    at a time."""
+    n, m = inst.n, inst.m
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(problems, "_CHUNK_BYTES", 8 * n * n * rows), \
+            mock.patch.object(problems, "_MEASURE_BYTES", 8 * n * steps):
+        assert _same_bytes([inst.constraint_curvatures()],
+                           [reference_forms.constraint_curvatures(inst)])
+        screens = [inst.constraint_screen(), reference_forms.constraint_screen(inst)]
+        x = inst.start_point()
+        for scale in (0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e-3, 0.0):
+            x = project_box(x + scale * rng.standard_normal(n), inst.box_lo, inst.box_hi)
+            assert _same_bytes(inst.constraint_values_and_grads(x),
+                               reference_forms.constraint_values_and_grads(inst, x))
+            keep = rng.random(m) < 0.25
+            assert _same_bytes(*[screen(x, keep) for screen in screens])
+
+
+@settings(max_examples=40, deadline=None)
+@given(qcqps(), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32))
+def test_passes_equal_earlier_forms(inst, rows, steps, seed):
+    _assert_passes_equal_earlier_forms(inst, rows, steps, seed)
+
+
+@pytest.mark.parametrize("rows, steps", [(1, 1), (3, 2), (50, 50)])
+@pytest.mark.parametrize("N", [1, 4])
+def test_passes_equal_earlier_forms_on_scenario_lp(N, rows, steps):
+    _assert_passes_equal_earlier_forms(random_scenario_lp(6, 40, N, seed=N), rows, steps, N)
+
+
+@pytest.mark.parametrize("shape", [(100, 1, 1, 12), (150, 1, 1, 4), (20, 15, 200, 200)])
+def test_passes_equal_earlier_forms_at_wide_rows(shape):
+    # rows of n * n squares long enough that numpy sums them pairwise, in
+    # blocks, at the default and at one-Q_j steps
+    inst = random_qcqp(*shape, seed=sum(shape))
+    n = inst.n
+    _assert_passes_equal_earlier_forms(inst, 1, n, 0)
+    _assert_passes_equal_earlier_forms(inst, problems._CHUNK_BYTES // (8 * n * n),
+                                       problems._MEASURE_BYTES // (8 * n), 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,6 +335,75 @@ def test_q_statistics_hold_one_chunk_at_a_time(statistic):
     peak, value = _extra_peak(getattr(inst, statistic))
     arrays = value if isinstance(value, tuple) else (value,)
     assert peak - sum(np.asarray(v).nbytes for v in arrays) <= 1.5 * problems._CHUNK_BYTES
+
+
+# The constraint pass, the curvatures and the reference screen allocate what
+# they return, and (m,) temporaries or one step of squares.  Each shape makes
+# the earlier form's extra (m, n) array or _CHUNK_BYTES temporary (named in
+# the comment) more than 4 times the allowance beyond the outputs
+_SMALL_OBJECTS = 16 * 1024
+
+
+def _pass_allowance(m):
+    # two (m,) temporaries of the values' expression alive beside the output
+    return 2 * 8 * m + _SMALL_OBJECTS
+
+
+def test_constraint_pass_holds_only_what_it_returns():
+    # earlier form: Q x + a beside Q x, 0.94 MiB
+    inst = random_qcqp(30, 1, 1, 4000, seed=0)
+    x = np.random.default_rng(0).uniform(inst.box_lo, inst.box_hi)
+    inst.constraint_values_and_grads(x)  # lazy imports done
+    peak, (fvals, grads) = _extra_peak(lambda: inst.constraint_values_and_grads(x))
+    assert peak - fvals.nbytes - grads.nbytes <= _pass_allowance(inst.m)
+
+
+def test_kkt_residual_holds_one_constraint_pass():
+    # earlier form: Q x + a beside Q x, 0.94 MiB
+    inst = random_qcqp(30, 1, 1, 4000, seed=0)
+    rng = np.random.default_rng(0)
+    x, z = rng.uniform(inst.box_lo, inst.box_hi), rng.uniform(0.0, 1.0, inst.m)
+    metrics.kkt_residual(inst, x, z)  # statistics cached
+    peak, _ = _extra_peak(lambda: metrics.kkt_residual(inst, x, z))
+    # the pass's values and gradients, then (m,) temporaries of the residuals
+    assert peak - 8 * inst.m * (inst.n + 1) <= _pass_allowance(inst.m)
+
+
+def test_curvatures_hold_one_step_of_squares():
+    # earlier form: the squares of a chunk of Q, 1 MiB
+    inst = random_qcqp(30, 1, 1, 2000, seed=0)
+    peak, qnorms = _extra_peak(inst.constraint_curvatures)
+    assert peak - qnorms.nbytes <= problems._MEASURE_BYTES + 8 * inst.n * inst.n
+
+
+def test_screen_holds_the_gather_of_its_own_candidates():
+    # earlier form: a gather buffer of 13 Q_j, 1.0 MiB, held from the
+    # screen's construction on
+    inst = random_qcqp(100, 1, 1, 200, seed=0)
+    n, m, k = inst.n, inst.m, 3
+    inst.constraint_curvatures(), inst.gradient_statistics()  # statistics cached
+    keep = np.zeros(m, dtype=bool)
+    keep[[5, 70, 140]] = True
+    x = inst.start_point()
+    inst.constraint_screen()(x, keep)  # lazy imports done
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        screen = inst.constraint_screen()
+        screen(x, keep)  # the anchor
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        idx, fvals, grads, _ = screen(x + 1e-6, keep)  # near the anchor: gathered
+        peak = tracemalloc.get_traced_memory()[1] - base - held
+    finally:
+        tracemalloc.stop()
+    assert idx.tolist() == [5, 70, 140]
+    # between calls: the anchor, its pass F (m,) and G (m, n), and the
+    # screen's three (m,) slack terms
+    assert held <= 8 * (n + m * (n + 4)) + _SMALL_OBJECTS
+    # a call: the k gathered Q_j, their (k, n) products (then the gradients,
+    # in place) and the gathered a_j, besides the candidate flags and bound (m,)
+    assert peak <= 8 * k * (n * n + 2 * n) + 3 * 8 * m + _SMALL_OBJECTS
 
 
 def test_measure_holds_one_step_at_a_time():
