@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -131,14 +130,14 @@ def reference_for(inst, tol=1e-9, cache_path=None) -> baselines.ReferenceSolutio
     """Reference solution for the instance.
 
     With ``cache_path`` the solution is also persisted as JSON next to the
-    instance file, written atomically, and reused by later invocations when
-    the payload format, the content hash and the tolerance match and every
-    value passes its check (``_read_cache``); any other payload is stale,
-    and is recomputed and overwritten.  The content hash is
-    ``problems.instance_digest``: an instance saved or loaded as a version-2
-    or later file carries it from its header, so a warm cache hashes
-    nothing.  A payload edited after saving keeps its header's digest, and
-    so the old reference.
+    instance file, by a new file renamed over the old (``problems.replacing``),
+    and reused by later invocations when the payload format, the content hash
+    and the tolerance match and every value passes its check
+    (``_read_cache``); any other payload is stale, and is recomputed and
+    overwritten.  The content hash is ``problems.instance_digest``: an
+    instance saved or loaded carries it from its file's header, so a warm
+    cache hashes nothing.  A payload edited after saving keeps its header's
+    digest, and so the old reference.
     """
     # the digest is part of the key; without a cache file nothing reads it
     digest = problems.instance_digest(inst) if cache_path else None
@@ -153,15 +152,8 @@ def reference_for(inst, tol=1e-9, cache_path=None) -> baselines.ReferenceSolutio
         for f in fields(baselines.ReferenceSolution):
             value = getattr(ref, f.name)
             payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
-        # write beside the target and rename, so readers never see a partial file
-        tmp = f"{cache_path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, cache_path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        with problems.replacing(cache_path, "w") as fh:
+            json.dump(payload, fh)
     return ref
 
 

@@ -3,7 +3,8 @@
 Configuration can come from a plain ``key = value`` text file
 (``--config FILE`` or ``--config=FILE``) holding options of the chosen
 subcommand, with command-line flags taking precedence.  Exit codes:
-0 success, 2 usage or configuration error, 3 divergence, 4 I/O failure.
+0 success, 2 usage or configuration error (an impossible size included),
+3 divergence, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def main(argv=None) -> int:
             if key not in parsed or (val.lower() == "false" and not isinstance(parsed[key], bool)):
                 raise ConfigError(f"config key {key!r} is not a {args.command} option")
         return _COMMANDS[args.command](args)
-    except (ValueError, CapacityError) as exc:
+    except (ValueError, CapacityError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as exc:

@@ -16,6 +16,7 @@ read-only) and safe to share across concurrent runs.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import mmap
@@ -28,15 +29,15 @@ import numpy as np
 from .errors import CapacityError, DimensionError
 
 _MAGIC = b"QCPDINST"
-# the header of each container version, by version byte: magic, version
-# byte, u64 dims (n, p, N, m), from version 2 the instance digest (the
-# SHA-256 of the version-1 serialization), and from version 3 seven zero
-# bytes, so that the float64 arrays that follow start at byte 80, 8-byte
-# aligned in a mapping.  A version-4 file has version 3's header and
-# arrays, then the statistics section (_statistics_shapes).  save_instance
-# writes version 4; load_instance reads all four
-_HEADERS = {1: struct.Struct("<8sB4Q"), 2: struct.Struct("<8sB4Q32s"),
-            3: struct.Struct("<8sB4Q32s7s"), 4: struct.Struct("<8sB4Q32s7s")}
+# the header of an instance file, container version 4: magic, version byte,
+# u64 dims (n, p, N, m), the instance digest and seven zero bytes, so that
+# the float64 arrays that follow start at byte 80, 8-byte aligned in a
+# mapping; after the arrays comes the statistics section (_statistics_shapes)
+_HEADER = struct.Struct("<8sB4Q32s7s")
+_VERSION = 4
+# the version-1 header (magic, version byte 1, the dims): the start of the
+# digest's input (instance_bytes), kept so that every digest keeps its value
+_DIGEST_HEADER = struct.Struct("<8sB4Q")
 # largest n whose Hessian is factored for its eigenvalues (mu and the
 # objective curvature); a version-4 file stores the eigenvalues only up to it
 _FACTOR_MAX_N = 512
@@ -662,7 +663,7 @@ def certify_constants(inst: QuadraticInstance, samples=16, rng_seed=0) -> Theory
     on instances small enough to factor, else 0 with ``mu_exact=False``.
 
     The curvatures and the eigenvalues are the instance's cached statistics:
-    loaded from a version-4 file, they read neither H nor Q, and otherwise
+    loaded from a file, they read neither H nor Q, and otherwise
     each is computed once, on first use (the eigenvalues from ``hessian()``,
     one product over H).  sigma comes from two passes over H that handle the
     sample points together, at most _CHUNK_BYTES at a time (``_sigma``).
@@ -832,9 +833,26 @@ def _statistics_shapes(n, m):
 def _instance_parts(inst: QuadraticInstance):
     """The version-1 serialization, part by part: the header bytes, then each
     array as contiguous little-endian float64 (no copy when it already is)."""
-    yield _HEADERS[1].pack(_MAGIC, 1, inst.n, inst.p, inst.N, inst.m)
+    yield _DIGEST_HEADER.pack(_MAGIC, 1, inst.n, inst.p, inst.N, inst.m)
     for arr in _arrays(inst.data):
         yield np.ascontiguousarray(arr, dtype="<f8")
+
+
+@contextlib.contextmanager
+def replacing(path, mode="wb"):
+    """A new file, open for writing beside ``path``, that is renamed over
+    ``path`` when the block ends; a block that raises removes it and leaves
+    ``path`` as it was.  Readers never see a partial file, and a file that a
+    loaded instance maps is replaced, never truncated: reading a page that
+    was cut off under a mapping ends the process with SIGBUS."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def save_instance(inst: QuadraticInstance, path) -> None:
@@ -848,30 +866,21 @@ def save_instance(inst: QuadraticInstance, path) -> None:
     last and the digest cached on the instance, so neither this instance nor
     the file loaded from it is hashed again.  Until then the header is zeros,
     so a file cut short is one that load_instance refuses.  The file is
-    written beside ``path`` and renamed over it: a file already there, which
-    a loaded instance may map, is replaced, never truncated, and a save that
-    fails leaves it as it was.
+    written beside ``path`` and renamed over it (``replacing``).
     """
     stats = [v for v in inst.statistics().values() if v is not None]
     h = hashlib.sha256()
     parts = _instance_parts(inst)
     h.update(next(parts))
-    header = _HEADERS[4]
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(bytes(header.size))
-            for part in parts:
-                h.update(part)
-                fh.write(part)
-            for value in stats:
-                fh.write(np.ascontiguousarray(value, dtype="<f8"))
-            fh.seek(0)
-            fh.write(header.pack(_MAGIC, 4, inst.n, inst.p, inst.N, inst.m, h.digest(), b""))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    with replacing(path) as fh:
+        fh.write(bytes(_HEADER.size))
+        for part in parts:
+            h.update(part)
+            fh.write(part)
+        for value in stats:
+            fh.write(np.ascontiguousarray(value, dtype="<f8"))
+        fh.seek(0)
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, inst.n, inst.p, inst.N, inst.m, h.digest(), b""))
     inst._digest = h.hexdigest()
 
 
@@ -882,76 +891,59 @@ def instance_bytes(inst: QuadraticInstance) -> bytes:
 
 
 def load_instance(path) -> QuadraticInstance:
-    """Read an instance container written by save_instance (versions 1 to 4).
+    """Read an instance file written by save_instance (container version 4).
 
-    The file is mapped read-only, not read: a version-3 or -4 payload starts
-    at byte 80, and the instance's arrays are read-only views of the
-    mapping, so loading copies nothing.  The unaligned payload of a version-1
-    or version-2 file is read once into aligned memory.  A version-2, -3 or
-    -4 header's digest becomes the instance's, unchecked; a version-1 file
-    is hashed when its digest is first asked for.  A version-4 file's
-    statistics section becomes the instance's lazy caches, checked but not
-    recomputed (``_adopt_statistics``); the statistics of an older file are
-    computed when first used.  A header that disagrees with the file size,
-    non-zero padding, NaN or infinite data, a Q_j that is not exactly
-    symmetric and statistics that fail their checks raise ValueError.  The
-    data are checked in one pass of two reductions and one comparison per
-    piece (``_check_payload``), which is most of the time a load of a
-    version-3 or -4 file takes; a refusal of non-finite data names the array
-    and the first offending row.
+    The file is mapped read-only, not read: the payload starts at byte 80,
+    and the instance's arrays are read-only views of the mapping, so loading
+    copies nothing.  The header's digest becomes the instance's, unchecked,
+    and the statistics section the instance's lazy caches, checked but not
+    recomputed (``_adopt_statistics``).  Any other version byte, a header
+    cut short or that disagrees with the file size, non-zero padding, NaN or
+    infinite data, a Q_j that is not exactly symmetric and statistics that
+    fail their checks raise ValueError.  The data are checked in one pass of
+    two reductions and one comparison per piece (``_check_payload``), which
+    is most of the time a load takes; a refusal of non-finite data names the
+    array and the first offending row.
 
-    A mapped file must be replaced, not rewritten in place: reading a page
-    that was cut off under the mapping ends the process with SIGBUS.
+    A mapped file must be replaced, not rewritten in place (``replacing``).
     """
     with open(path, "rb") as fh:
-        head = fh.read(_HEADERS[1].size)
+        head = fh.read(_HEADER.size)
         if head[: len(_MAGIC)] != _MAGIC:
             raise ValueError(f"{path}: not an instance file (bad magic)")
-        if len(head) < _HEADERS[1].size:
-            raise ValueError(f"{path}: truncated header ({len(head)} of {_HEADERS[1].size} bytes)")
-        header = _HEADERS.get(head[8])
-        if header is None:
-            raise ValueError(f"{path}: unsupported container version {head[8]}")
-        head += fh.read(header.size - len(head))
-        if len(head) < header.size:
-            raise ValueError(f"{path}: truncated header ({len(head)} of {header.size} bytes)")
-        _, version, n, p, N, m, *digest = header.unpack(head)
-        if any(head[_HEADERS[2].size :]):
-            raise ValueError(f"{path}: non-zero padding in the version-{version} header")
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: truncated header ({len(head)} of {_HEADER.size} bytes)")
+        _, version, n, p, N, m, digest, pad = _HEADER.unpack(head)
+        if version != _VERSION:
+            raise ValueError(
+                f"{path}: unsupported container version {version} (this library reads "
+                f"version {_VERSION}); write the file again with `pdsg generate`: the same "
+                "family, sizes and seed give the same instance and digest"
+            )
+        if any(pad):
+            raise ValueError(f"{path}: non-zero padding in the header")
         if min(n, p, N, m) < 1:
             raise ValueError(f"{path}: dimensions must be >= 1, got n={n} p={p} N={N} m={m}")
-        shapes = _array_shapes(n, p, N, m)
-        if version == 4:
-            shapes += _statistics_shapes(n, m)
+        shapes = _array_shapes(n, p, N, m) + _statistics_shapes(n, m)
         # Python integers: huge header dimensions cannot overflow here
         sizes = [math.prod(shape) for shape in shapes]
-        expected = header.size + 8 * sum(sizes)
+        expected = _HEADER.size + 8 * sum(sizes)
         actual = os.fstat(fh.fileno()).st_size
         if actual != expected:
             raise ValueError(
                 f"{path}: header n={n} p={p} N={N} m={m} needs {expected} bytes, "
                 f"file has {actual}"
             )
-        if header.size % 8:
-            # versions 1 and 2: an unaligned payload, read into aligned
-            # memory (a copy of a mapping would hold the file's pages too)
-            payload = np.empty(sum(sizes), dtype="<f8")
-            got = fh.readinto(payload)
-            if got != payload.nbytes:
-                raise ValueError(f"{path}: read {got} of {payload.nbytes} payload bytes")
-        else:
-            mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            payload = np.frombuffer(mapping, "<f8", sum(sizes), header.size)
+        mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    payload = np.frombuffer(mapping, "<f8", sum(sizes), _HEADER.size)
     arrays, off = [], 0
     for shape, size in zip(shapes, sizes):
         arrays.append(payload[off : off + size].reshape(shape))
         off += size
     _check_payload(path, arrays[:7])
     inst = QuadraticInstance(QcqpData(*arrays[:7]))
-    if version == 4:
-        _adopt_statistics(path, inst, *arrays[7:])
-    if digest:
-        inst._digest = digest[0].hex()
+    _adopt_statistics(path, inst, *arrays[7:])
+    inst._digest = digest.hex()
     return inst
 
 
@@ -1013,7 +1005,7 @@ def instance_digest(inst: QuadraticInstance) -> str:
 
     Streamed part by part and computed once per instance, on first use; the
     instance's arrays are read-only, so the cached value cannot go stale.  An
-    instance saved, or loaded from a version-2, -3 or -4 file, already holds it.
+    instance saved or loaded already holds it.
     """
     if inst._digest is None:
         h = hashlib.sha256()

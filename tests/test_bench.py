@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import os
-import struct
 
 import numpy as np
 import pytest
@@ -12,8 +11,6 @@ from pdsg import baselines, bench, cli
 from pdsg.errors import ConfigError, DivergenceError
 from pdsg.problems import (
     certify_constants,
-    instance_bytes,
-    instance_digest,
     load_instance,
     random_qcqp,
     save_instance,
@@ -272,29 +269,6 @@ def test_loaded_statistics_equal_recomputed_ones(tmp_path, shape):
     _assert_certified_alike(loaded, random_qcqp(*shape))
 
 
-def _version_3(path):
-    """A version-3 copy of the version-4 file at ``path``: version byte 3 and
-    no statistics section (P, q, r, the curvatures and the eigenvalues)."""
-    blob = path.read_bytes()
-    n, _, _, m = struct.unpack_from("<4Q", blob, 9)
-    v3 = path.with_name("v3-" + path.name)
-    v3.write_bytes(blob[:8] + b"\x03" + blob[9 : len(blob) - 8 * (n * n + 2 * n + 1 + m)])
-    return v3
-
-
-def test_version_3_file_computes_its_statistics_lazily(tmp_path):
-    shape = (6, 4, 10, 12, 3)
-    path = tmp_path / "inst.bin"
-    save_instance(random_qcqp(*shape), path)
-    old, new = load_instance(_version_3(path)), load_instance(path)
-    assert instance_bytes(old) == instance_bytes(new)
-    assert instance_digest(old) == instance_digest(new)
-    assert all(getattr(old, name) is None for name in _STATISTICS)
-    # computed on first use, bit-equal to the version-4 section
-    _assert_certified_alike(old, new)
-    assert _statistics(old) == _statistics(new)
-
-
 class _Spied(np.ndarray):
     """H of a loaded instance, recording the shape of every whole-array
     operand of a ufunc (matmul included) that involves it."""
@@ -335,16 +309,17 @@ def test_warm_solve_reads_no_statistic_and_writes_the_same_bytes(tmp_path, monke
     for name in ("first.csv", "second.csv"):
         assert cli.main(solve + ["--csv", name]) == 0
         assert _Spied.log == [] and (12, 6, 6) not in squared and not factored
-    # the version-3 form of the file computes P (one product of the stacked
-    # rows of H), q (a product with all of H), the curvatures (the sums of
-    # squares of all of Q) and the eigenvalues
-    solve[2] = str(_version_3(path))
-    assert cli.main(solve + ["--csv", "third.csv"]) == 0
+    assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+    # the spies see a statistic computed: with the loaded ones dropped, P is
+    # one product of the stacked rows of H, q a product with all of H, the
+    # curvatures the sums of squares of all of Q, and the eigenvalues a
+    # factorization
+    inst = spied_load(str(path))
+    for name in _STATISTICS:
+        setattr(inst, name, None)
+    inst.statistics()
     assert (40, 6) in _Spied.log and (10, 4, 6) in _Spied.log
     assert squared.count((12, 6, 6)) == 1 and factored
-    first = (tmp_path / "first.csv").read_bytes()
-    assert (tmp_path / "second.csv").read_bytes() == first
-    assert (tmp_path / "third.csv").read_bytes() == first
 
 
 def test_experiment_reads_its_cache_file_once(tmp_path, monkeypatch):
@@ -602,6 +577,20 @@ def test_cli_divergence_exit_code(tmp_path):
          "--epochs", "1", "--out", str(tmp_path)]
     )
     assert rc == 3
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--m", "1000000000000"],  # Q alone: 2.84 PiB
+    ["solve", "--schedule", "anytime", "--epochs", "1000000000000",
+     "--alpha", "1e-6", "--rho", "1e-6"],  # the step sizes alone: 1.42 PiB
+], ids=["generate", "solve"])
+def test_cli_impossible_size_exits_2(tmp_path, capsys, command):
+    # past the address space numpy refuses the array at once, allocating nothing
+    out = tmp_path / "x.bin" if command[0] == "generate" else tmp_path
+    assert cli.main(command + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags", [

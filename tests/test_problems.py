@@ -768,20 +768,23 @@ def test_instance_file_rejects_bad_version(tmp_path):
         load_instance(path)
 
 
-@pytest.mark.parametrize("version", [0, 5, 99])
+@pytest.mark.parametrize("version", [0, 1, 2, 3, 5, 99])
 def test_cli_refuses_other_versions_of_a_saved_file(tmp_path, capsys, version):
+    # versions 1 to 3 were written by earlier releases; they are refused alike
     blob = bytearray(_saved(tmp_path, random_qcqp(3, 2, 2, 2, seed=0)).read_bytes())
     blob[8] = version
     path = tmp_path / "vers.bin"
     path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match=f"unsupported container version {version}"):
+    with pytest.raises(ValueError, match=f"unsupported container version {version} "):
         load_instance(path)
     rc = cli.main(
         ["solve", "--instance", str(path), "--method", "pdsg", "--alpha", "0.003",
          "--rho", "0.003", "--epochs", "1", "--seeds", "0", "--out", str(tmp_path)]
     )
     assert rc == 2
-    assert "unsupported container version" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: unsupported container version")
+    assert "reads version 4" in err[0] and "pdsg generate" in err[0]
 
 
 def test_instance_file_rejects_garbage(tmp_path):
@@ -792,11 +795,10 @@ def test_instance_file_rejects_garbage(tmp_path):
 
 
 def test_instance_file_rejects_truncation(tmp_path):
-    inst = random_qcqp(3, 2, 2, 2, seed=0)
-    blob = instance_bytes(inst)
+    blob = _saved(tmp_path, random_qcqp(3, 2, 2, 2, seed=0)).read_bytes()
     path = tmp_path / "trunc.bin"
     path.write_bytes(blob + b"\x00")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs"):
         load_instance(path)
 
 
@@ -853,16 +855,10 @@ def _saved(tmp_path, inst, name="inst.bin"):
 
 
 def _version_2(blob):
-    """The version-2 file of a version-1 serialization: version byte 2, and
-    the blob's SHA-256 inserted after the dimensions."""
+    """The version-2 file, as earlier releases wrote it, of a version-1
+    serialization: version byte 2, and the blob's SHA-256 inserted after the
+    dimensions."""
     return blob[:8] + b"\x02" + blob[9:41] + hashlib.sha256(blob).digest() + blob[41:]
-
-
-def _version_3(blob):
-    """The version-3 file of a version-1 serialization: version byte 3, the
-    blob's SHA-256 and 7 zero bytes after the dimensions."""
-    return (blob[:8] + b"\x03" + blob[9:41] + hashlib.sha256(blob).digest() + bytes(7)
-            + blob[41:])
 
 
 def _section(inst):
@@ -873,17 +869,12 @@ def _section(inst):
 
 
 def _version_4(inst):
-    """The version-4 file of an instance: its version-3 form with version
-    byte 4, then the statistics section."""
-    v3 = _version_3(instance_bytes(inst))
-    return v3[:8] + b"\x04" + v3[9:] + _section(inst)
-
-
-def _saved_v1(tmp_path, inst, name="inst.bin"):
-    """A version-1 file, as written before the header carried the digest."""
-    path = tmp_path / name
-    path.write_bytes(instance_bytes(inst))
-    return path
+    """The version-4 file of an instance: its version-1 serialization with
+    version byte 4 and the serialization's SHA-256 and 7 zero bytes after
+    the dimensions, then the statistics section."""
+    blob = instance_bytes(inst)
+    return (blob[:8] + b"\x04" + blob[9:41] + hashlib.sha256(blob).digest() + bytes(7)
+            + blob[41:] + _section(inst))
 
 
 def test_digest_is_sha256_of_instance_bytes(tmp_path):
@@ -897,19 +888,6 @@ def test_digest_is_sha256_of_instance_bytes(tmp_path):
 def test_save_writes_exactly_instance_bytes(tmp_path):
     for inst in (random_qcqp(5, 3, 4, 6, seed=9), random_scenario_lp(4, 6, 3, seed=0)):
         assert _saved(tmp_path, inst).read_bytes() == _version_4(inst)
-
-
-def test_version_2_round_trip_carries_the_digest(tmp_path, counting_hashlib):
-    inst = random_qcqp(5, 3, 4, 6, seed=9)
-    path = tmp_path / "inst.bin"
-    path.write_bytes(_version_2(instance_bytes(inst)))
-    want = hashlib.sha256(instance_bytes(inst)).digest()
-    assert path.read_bytes()[41:73] == want
-    loaded = load_instance(path)
-    assert instance_bytes(loaded) == instance_bytes(inst)
-    assert instance_digest(loaded) == want.hex()
-    assert counting_hashlib.bytes_hashed == 0  # neither loading nor the digest hashes
-    assert instance_digest(inst) == want.hex()
 
 
 def test_save_hashes_instance_bytes_once(tmp_path, counting_hashlib):
@@ -951,6 +929,7 @@ def test_save_cut_short_leaves_a_refused_file(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("keep", range(41, 74))
 def test_version_2_header_cut_short(tmp_path, keep):
+    # a file of an earlier version is refused however it is cut
     blob = _version_2(instance_bytes(random_qcqp(3, 2, 2, 2, seed=0)))
     path = tmp_path / "cut.bin"
     path.write_bytes(blob[:keep])
@@ -960,12 +939,10 @@ def test_version_2_header_cut_short(tmp_path, keep):
 
 @pytest.mark.parametrize("keep", [41, 60, 73, 74, 79, 80, 81])
 def test_version_3_header_cut_short(tmp_path, keep):
-    inst = random_qcqp(3, 2, 2, 2, seed=0)
-    for blob in (_version_3(instance_bytes(inst)), _version_4(inst)):
-        path = tmp_path / "cut.bin"
-        path.write_bytes(blob[:keep])
-        with pytest.raises(ValueError):
-            load_instance(path)
+    path = tmp_path / "cut.bin"
+    path.write_bytes(_version_4(random_qcqp(3, 2, 2, 2, seed=0))[:keep])
+    with pytest.raises(ValueError):
+        load_instance(path)
 
 
 def test_rewritten_digest_is_trusted_and_misses_the_cache(tmp_path, counting_hashlib, solves):
@@ -992,15 +969,14 @@ def test_rewritten_digest_is_trusted_and_misses_the_cache(tmp_path, counting_has
     assert counting_hashlib.bytes_hashed == hashed
 
 
-def test_digest_computed_once_and_lazily(tmp_path, counting_hashlib):
+def test_digest_computed_once_and_lazily(counting_hashlib):
     inst = random_qcqp(5, 3, 4, 6, seed=9)
-    path = _saved_v1(tmp_path, inst)
-    loaded = load_instance(path)
-    assert counting_hashlib.bytes_hashed == 0  # neither building nor loading hashes
-    first = instance_digest(loaded)
-    assert counting_hashlib.bytes_hashed == path.stat().st_size
-    assert instance_digest(loaded) == first
-    assert counting_hashlib.bytes_hashed == path.stat().st_size
+    assert counting_hashlib.bytes_hashed == 0  # building does not hash
+    first = instance_digest(inst)
+    size = len(instance_bytes(inst))
+    assert counting_hashlib.bytes_hashed == size
+    assert instance_digest(inst) == first
+    assert counting_hashlib.bytes_hashed == size
 
 
 _HASH_CFG = dict(
@@ -1017,16 +993,6 @@ def test_run_experiment_hashes_each_instance_once(counting_hashlib):
     bench.run_experiment(cfg, inst=inst)
     bench.run_experiment(cfg, inst=inst)
     assert counting_hashlib.bytes_hashed == 0
-
-
-def test_run_experiment_hashes_file_instance_once(tmp_path, counting_hashlib):
-    path = _saved_v1(tmp_path, random_qcqp(3, 2, 4, 4, seed=11))
-    cfg = bench.ExperimentConfig(**_HASH_CFG, instance_file=str(path))
-    inst = bench.build_instance(cfg)
-    bench.run_experiment(cfg, inst=inst)  # writes the reference cache file
-    bench.run_experiment(cfg, inst=inst)  # reads it back
-    assert (tmp_path / "inst.bin.ref.json").exists()
-    assert counting_hashlib.bytes_hashed == path.stat().st_size
 
 
 def test_run_experiment_hashes_nothing_on_saved_file(tmp_path, counting_hashlib):
@@ -1085,20 +1051,6 @@ def _mapped(arr):
     return isinstance(arr, mmap.mmap)
 
 
-def test_version_3_round_trip_maps_the_file(tmp_path, counting_hashlib):
-    inst = random_qcqp(5, 3, 4, 6, seed=9)
-    path = tmp_path / "inst.bin"
-    path.write_bytes(_version_3(instance_bytes(inst)))
-    loaded = load_instance(path)
-    for name in ARRAY_NAMES:
-        arr, ref = getattr(loaded.data, name), getattr(inst.data, name)
-        assert arr.flags.aligned and arr.flags.c_contiguous and not arr.flags.writeable
-        assert _mapped(arr)
-        assert arr.tobytes() == ref.tobytes()
-    assert instance_digest(loaded) == hashlib.sha256(instance_bytes(inst)).hexdigest()
-    assert counting_hashlib.bytes_hashed == 0  # neither loading nor the digest hashes
-
-
 def test_version_4_round_trip_maps_the_statistics(tmp_path, counting_hashlib):
     inst = random_qcqp(5, 3, 4, 6, seed=9)
     path = _saved(tmp_path, inst)
@@ -1134,21 +1086,6 @@ def test_version_4_without_eigenvalue_slots_round_trips(tmp_path, monkeypatch):
     assert factored == []
 
 
-@pytest.mark.parametrize("writer", [bytes, _version_2])
-def test_versions_1_and_2_load_into_aligned_copies(tmp_path, writer):
-    inst = random_qcqp(5, 3, 4, 6, seed=9)
-    path = tmp_path / "old.bin"
-    path.write_bytes(writer(instance_bytes(inst)))
-    loaded = load_instance(path)
-    for name in ARRAY_NAMES:
-        arr, ref = getattr(loaded.data, name), getattr(inst.data, name)
-        assert arr.flags.aligned and arr.flags.c_contiguous and not arr.flags.writeable
-        assert not _mapped(arr)
-        assert arr.tobytes() == ref.tobytes()
-    assert instance_bytes(loaded) == instance_bytes(inst)
-    assert instance_digest(loaded) == instance_digest(inst)
-
-
 def test_saving_over_a_loaded_file_leaves_its_arrays(tmp_path):
     a, b = random_qcqp(5, 3, 4, 6, seed=1), random_qcqp(5, 3, 4, 6, seed=2)
     path = _saved(tmp_path, a)
@@ -1161,16 +1098,14 @@ def test_saving_over_a_loaded_file_leaves_its_arrays(tmp_path):
 
 @pytest.mark.parametrize("pos", range(73, 80))
 def test_version_3_refuses_non_zero_padding(tmp_path, capsys, pos):
-    inst = random_qcqp(3, 2, 2, 2, seed=0)
-    for blob in (_version_3(instance_bytes(inst)), _version_4(inst)):
-        blob = bytearray(blob)
-        blob[pos] = 1
-        path = tmp_path / "pad.bin"
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="non-zero padding"):
-            load_instance(path)
-        assert _solve_exit(path, tmp_path) == 2
-        assert "non-zero padding" in capsys.readouterr().err
+    blob = bytearray(_version_4(random_qcqp(3, 2, 2, 2, seed=0)))
+    blob[pos] = 1
+    path = tmp_path / "pad.bin"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="non-zero padding"):
+        load_instance(path)
+    assert _solve_exit(path, tmp_path) == 2
+    assert "non-zero padding" in capsys.readouterr().err
 
 
 def _solve_exit(path, out):
@@ -1228,13 +1163,8 @@ def test_loading_version_3_copies_no_payload(tmp_path):
     inst = random_qcqp(64, 2, 4, 100, seed=0)  # a payload of 3.3 MB, mostly Q
     payload = len(instance_bytes(inst)) - 41
     v4 = _saved(tmp_path, inst)
-    v3, v2 = tmp_path / "v3.bin", tmp_path / "v2.bin"
-    v3.write_bytes(_version_3(instance_bytes(inst)))
-    v2.write_bytes(_version_2(instance_bytes(inst)))
     load_instance(v4)  # first calls' lazy imports are no part of a load
-    assert _load_peak(v3) < payload / 4
     assert _load_peak(v4) < payload / 4  # the statistics section is mapped too
-    assert _load_peak(v2) >= payload
 
 
 def test_loaded_oracles_bit_equal_to_generated(tmp_path):
@@ -1251,18 +1181,19 @@ def test_loaded_oracles_bit_equal_to_generated(tmp_path):
 
 
 def test_instance_file_rejects_huge_header_dimensions(tmp_path):
-    blob = bytearray(instance_bytes(random_qcqp(3, 2, 2, 2, seed=0)))
+    blob = bytearray(_version_4(random_qcqp(3, 2, 2, 2, seed=0)))
     struct.pack_into("<4Q", blob, 9, *[2**40] * 4)
     path = tmp_path / "huge.bin"
     path.write_bytes(bytes(blob))
-    expected = 41 + 8 * (2**120 + 2**80 + 2**120 + 2**80 + 3 * 2**40)
+    # the seven arrays, then P, q, r and the curvatures (no eigenvalues past n = 512)
+    expected = 80 + 8 * (2**120 + 2**80 + 2**120 + 2**80 + 3 * 2**40 + 2**80 + 2 * 2**40 + 1)
     with pytest.raises(ValueError, match=f"needs {expected} bytes, file has {len(blob)}"):
         load_instance(path)
 
 
 @pytest.mark.parametrize("keep", [0, 5, 9, 20, 41, 42, -8, -1])
 def test_instance_file_rejects_short_files(tmp_path, keep):
-    blob = instance_bytes(random_qcqp(3, 2, 2, 2, seed=0))
+    blob = _version_4(random_qcqp(3, 2, 2, 2, seed=0))
     path = tmp_path / "short.bin"
     path.write_bytes(blob[:keep])
     with pytest.raises(ValueError):
@@ -1270,7 +1201,7 @@ def test_instance_file_rejects_short_files(tmp_path, keep):
 
 
 def test_instance_file_rejects_zero_dimension(tmp_path):
-    blob = bytearray(instance_bytes(random_qcqp(3, 2, 2, 2, seed=0)))
+    blob = bytearray(_version_4(random_qcqp(3, 2, 2, 2, seed=0)))
     struct.pack_into("<Q", blob, 9, 0)
     path = tmp_path / "zero.bin"
     path.write_bytes(bytes(blob))
@@ -1282,9 +1213,9 @@ def test_instance_file_rejects_zero_dimension(tmp_path):
 def test_instance_file_rejects_non_finite_data(tmp_path, name, value):
     inst = random_qcqp(3, 2, 2, 2, seed=0)
     assert inst.origin_feasible
-    blob = bytearray(instance_bytes(inst))
+    blob = bytearray(_version_4(inst))
     before = ARRAY_NAMES[: ARRAY_NAMES.index(name)]
-    off = 41 + 8 * sum(getattr(inst.data, k).size for k in before)
+    off = 80 + 8 * sum(getattr(inst.data, k).size for k in before)
     struct.pack_into("<d", blob, off, value)
     path = tmp_path / "nonfinite.bin"
     path.write_bytes(bytes(blob))
@@ -1316,17 +1247,16 @@ def test_instance_file_rejects_non_symmetric_q(tmp_path, capsys):
 ROW_WORDS = ("sample", "sample", "constraint", "constraint", "constraint", "entry", "entry")
 
 
-def _tampered(tmp_path, inst, edit, version=4):
-    """A version-1, -3 or -4 file of ``inst`` whose seven arrays ``edit`` has
-    changed in place; a version-4 file keeps the clean instance's statistics."""
-    v1 = instance_bytes(inst)
-    blob = bytearray({1: v1, 3: _version_3(v1), 4: _version_4(inst)}[version])
-    off, arrays = (41 if version == 1 else 80), []
+def _tampered(tmp_path, inst, edit):
+    """A file of ``inst`` whose seven arrays ``edit`` has changed in place; it
+    keeps the clean instance's statistics."""
+    blob = bytearray(_version_4(inst))
+    off, arrays = 80, []
     for arr in problems._arrays(inst.data):
         arrays.append(np.frombuffer(blob, "<f8", arr.size, off).reshape(arr.shape))
         off += arr.nbytes
     edit(arrays)
-    path = tmp_path / f"tampered-v{version}.bin"
+    path = tmp_path / "tampered.bin"
     path.write_bytes(bytes(blob))
     return path
 
@@ -1408,8 +1338,7 @@ def test_check_refuses_nan_in_q_as_non_finite_not_asymmetric(tmp_path):
         load_instance(path)
 
 
-@pytest.mark.parametrize("version", [1, 3])
-def test_check_loads_huge_finite_values(tmp_path, version):
+def test_check_loads_huge_finite_values(tmp_path):
     inst = random_qcqp(3, 2, 2, 4, seed=0)
     edited = []
 
@@ -1421,7 +1350,7 @@ def test_check_loads_huge_finite_values(tmp_path, version):
         box_lo[0], box_hi[1] = -1.7e308, 1.7e308
         edited.extend(arr.copy() for arr in arrays)
 
-    loaded = load_instance(_tampered(tmp_path, inst, edit, version))
+    loaded = load_instance(_tampered(tmp_path, inst, edit))
     for name, arr in zip(ARRAY_NAMES, edited):
         assert getattr(loaded.data, name).tobytes() == arr.tobytes()
 
@@ -1457,17 +1386,9 @@ def test_check_names_an_asymmetric_q_j_in_a_later_piece(tmp_path, j):
             load_instance(path)
 
 
-def test_check_refuses_bad_data_in_a_version_1_file(tmp_path):
-    # a version-1 file is read into an aligned copy, then checked alike
-    inst = random_qcqp(3, 2, 4, 4, seed=3)
-    path = _tampered(tmp_path, inst, lambda arrays: arrays[1].__setitem__((2, 1), math.inf), 1)
-    with pytest.raises(ValueError, match=r"NaN or infinite values \(c, sample 2\)$"):
-        load_instance(path)
-
-
 @pytest.mark.parametrize("m", [100, 800])
 def test_check_holds_one_piece_of_flags_at_a_time(tmp_path, m):
-    # a version-4 file's arrays and statistics are mapped, so what a load
+    # a file's arrays and statistics are mapped, so what a load
     # allocates is the check's: one piece's boolean temporary of the symmetry
     # test (an eighth of _CHUNK_BYTES) and the buffer numpy's comparison
     # takes for the strided transpose (np.getbufsize() float64s), however
@@ -1481,7 +1402,7 @@ def test_check_holds_one_piece_of_flags_at_a_time(tmp_path, m):
 
 
 def test_cli_corrupt_instance_exits_2(tmp_path, capsys):
-    blob = bytearray(instance_bytes(random_qcqp(3, 2, 2, 4, seed=0)))
+    blob = bytearray(_version_4(random_qcqp(3, 2, 2, 4, seed=0)))
     struct.pack_into("<4Q", blob, 9, *[2**40] * 4)
     path = tmp_path / "corrupt.bin"
     path.write_bytes(bytes(blob))
@@ -1493,14 +1414,12 @@ def test_cli_corrupt_instance_exits_2(tmp_path, capsys):
     assert "needs" in capsys.readouterr().err
 
 
-_FUZZ_INST = random_qcqp(2, 1, 2, 2, seed=0)
-_FUZZ_BLOBS = {1: instance_bytes(_FUZZ_INST), 2: _version_2(instance_bytes(_FUZZ_INST)),
-               3: _version_3(instance_bytes(_FUZZ_INST)), 4: _version_4(_FUZZ_INST)}
+_FUZZ_BLOB = _version_4(random_qcqp(2, 1, 2, 2, seed=0))
 
 
 @st.composite
 def _corrupted_blobs(draw):
-    blob = bytearray(_FUZZ_BLOBS[draw(st.sampled_from([1, 2, 3, 4]))])
+    blob = bytearray(_FUZZ_BLOB)
     kind = draw(st.sampled_from(["flip", "truncate", "header", "append"]))
     if kind == "flip":  # anywhere, the version byte and the digest field included
         for pos in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4)):
@@ -1517,13 +1436,10 @@ def _corrupted_blobs(draw):
 
 def _encoded(blob):
     """The version-1 serialization, the digest and the statistics section
-    (empty before version 4) that a loadable blob encodes."""
-    if blob[8] == 1:
-        return blob, hashlib.sha256(blob).hexdigest(), b""
-    start = {2: 73, 3: 80, 4: 80}[blob[8]]
+    that a loadable blob encodes."""
     n, p, N, m = struct.unpack_from("<4Q", blob, 9)
-    end = start + 8 * (N * p * n + N * p + m * n * n + m * n + m + 2 * n)
-    return blob[:8] + b"\x01" + blob[9:41] + blob[start:end], blob[41:73].hex(), blob[end:]
+    end = 80 + 8 * (N * p * n + N * p + m * n * n + m * n + m + 2 * n)
+    return blob[:8] + b"\x01" + blob[9:41] + blob[80:end], blob[41:73].hex(), blob[end:]
 
 
 @settings(max_examples=300, deadline=None)
@@ -1538,5 +1454,4 @@ def test_loader_fuzz_loads_bit_exactly_or_raises_value_error(tmp_path_factory, b
     v1, digest, section = _encoded(blob)
     assert instance_bytes(loaded) == v1
     assert instance_digest(loaded) == digest
-    if section:
-        assert _section(loaded) == section
+    assert _section(loaded) == section
