@@ -1338,7 +1338,9 @@ def test_check_refuses_nan_in_q_as_non_finite_not_asymmetric(tmp_path):
         load_instance(path)
 
 
-def test_check_loads_huge_finite_values(tmp_path):
+@pytest.mark.parametrize("rows", [1, 3])
+def test_check_loads_huge_finite_values(tmp_path, rows):
+    # pieces of 1 or 3 rows of Q: the huge values fall in several pieces
     inst = random_qcqp(3, 2, 2, 4, seed=0)
     edited = []
 
@@ -1350,7 +1352,9 @@ def test_check_loads_huge_finite_values(tmp_path):
         box_lo[0], box_hi[1] = -1.7e308, 1.7e308
         edited.extend(arr.copy() for arr in arrays)
 
-    loaded = load_instance(_tampered(tmp_path, inst, edit))
+    n = inst.data.Q.shape[1]
+    with mock.patch.object(problems, "_CHUNK_BYTES", 8 * n * n * rows):
+        loaded = load_instance(_tampered(tmp_path, inst, edit))
     for name, arr in zip(ARRAY_NAMES, edited):
         assert getattr(loaded.data, name).tobytes() == arr.tobytes()
 
