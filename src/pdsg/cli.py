@@ -152,11 +152,8 @@ def cmd_generate(args) -> int:
     consts = problems.certify_constants(inst)
     print(f"wrote {args.out}")
     print(f"n={inst.n} p={inst.p} N={inst.N} m={inst.m}")
-    print(
-        f"F={consts.F:.6g} G={consts.G:.6g} "
-        f"sigma={consts.sigma:.6g} (empirical) mu={consts.mu:.6g}"
-        f"{' (exact)' if consts.mu_exact else ' (not computed)'}"
-    )
+    print(f"F={consts.F:.6g} G={consts.G:.6g} "
+          f"sigma={consts.sigma:.6g} (empirical) mu={consts.mu:.6g}")
     return EXIT_OK
 
 

@@ -38,9 +38,6 @@ _VERSION = 4
 # the version-1 header (magic, version byte 1, the dims): the start of the
 # digest's input (instance_bytes), kept so that every digest keeps its value
 _DIGEST_HEADER = struct.Struct("<8sB4Q")
-# largest n whose Hessian is factored for its eigenvalues (mu and the
-# objective curvature); a version-4 file stores the eigenvalues only up to it
-_FACTOR_MAX_N = 512
 # bytes of an (m, n, n) array handled at a time, so that a pass over Q
 # allocates no temporary of Q's size
 _CHUNK_BYTES = 1 << 20
@@ -273,15 +270,14 @@ class TheoryConstants:
     """Certified oracle bounds: |f_j| <= F and ||grad f_j|| <= G on the box.
 
     ``sigma`` is an empirical stochastic-gradient deviation estimate (not a
-    certified bound) and ``mu`` is the objective's strong-convexity modulus,
-    exact only when ``mu_exact`` is set.
+    certified bound) and ``mu`` is the objective's exact strong-convexity
+    modulus.
     """
 
     F: float
     G: float
     sigma: float
     mu: float
-    mu_exact: bool = False
 
 
 class QuadraticInstance(ProblemInstance):
@@ -370,22 +366,20 @@ class QuadraticInstance(ProblemInstance):
         return 0.5 * np.einsum("si,si->s", X @ self.hessian(), X) - X @ q + r
 
     def _hessian_eigenvalues(self):
-        """Ascending eigenvalues of the Hessian (read-only, cached), or None
-        when n > _FACTOR_MAX_N and the Hessian is not factored."""
-        if self._eigenvalues is None and self.n <= _FACTOR_MAX_N:
+        """Ascending eigenvalues of the Hessian (read-only, cached)."""
+        if self._eigenvalues is None:
             self._eigenvalues = np.linalg.eigvalsh(self.hessian())
             self._eigenvalues.flags.writeable = False
         return self._eigenvalues
 
     def objective_curvature(self) -> float:
-        eigs = self._hessian_eigenvalues()
-        return float(np.linalg.norm(self.hessian(), "fro") if eigs is None else eigs[-1])
+        return float(self._hessian_eigenvalues()[-1])
 
     def statistics(self):
         """The quadratic statistics, in the order of a version-4 file's
         statistics section: ``P = hessian()``, ``(q, r) = linear_terms()``,
-        the constraint curvatures and the Hessian eigenvalues (None when
-        n > _FACTOR_MAX_N).  Each is computed here unless already cached."""
+        the constraint curvatures and the Hessian eigenvalues.  Each is
+        computed here unless already cached."""
         q, r = self.linear_terms()
         return {"P": self.hessian(), "q": q, "r": r,
                 "curvatures": self.constraint_curvatures(),
@@ -659,8 +653,8 @@ def certify_constants(inst: QuadraticInstance, samples=16, rng_seed=0) -> Theory
     upper-bounded by the Frobenius norm.  sigma is the largest sample
     standard deviation of the stochastic gradient over ``samples`` uniform
     points of the box (an estimate, not a certificate; 0, reading nothing of
-    H, when ``samples`` is 0).  mu is the exact smallest Hessian eigenvalue
-    on instances small enough to factor, else 0 with ``mu_exact=False``.
+    H, when ``samples`` is 0).  mu is the smallest Hessian eigenvalue,
+    clipped at 0.
 
     The curvatures and the eigenvalues are the instance's cached statistics:
     loaded from a file, they read neither H nor Q, and otherwise
@@ -688,10 +682,8 @@ def certify_constants(inst: QuadraticInstance, samples=16, rng_seed=0) -> Theory
         )
         sigma = _sigma(inst, X)
 
-    eigs = inst._hessian_eigenvalues()
-    mu_exact = eigs is not None
-    mu = max(float(eigs[0]), 0.0) if mu_exact else 0.0
-    return TheoryConstants(F=F, G=G, sigma=sigma, mu=mu, mu_exact=mu_exact)
+    mu = max(float(inst._hessian_eigenvalues()[0]), 0.0)
+    return TheoryConstants(F=F, G=G, sigma=sigma, mu=mu)
 
 
 def _sigma(inst, X):
@@ -825,9 +817,9 @@ def _array_shapes(n, p, N, m):
 
 def _statistics_shapes(n, m):
     """The arrays of a version-4 statistics section, after the seven: P, q,
-    r, the constraint curvatures and, only when n <= _FACTOR_MAX_N, the
-    Hessian eigenvalues (``QuadraticInstance.statistics``)."""
-    return ((n, n), (n,), (), (m,)) + (((n,),) if n <= _FACTOR_MAX_N else ())
+    r, the constraint curvatures and the Hessian eigenvalues
+    (``QuadraticInstance.statistics``)."""
+    return ((n, n), (n,), (), (m,), (n,))
 
 
 def _instance_parts(inst: QuadraticInstance):
@@ -868,7 +860,7 @@ def save_instance(inst: QuadraticInstance, path) -> None:
     so a file cut short is one that load_instance refuses.  The file is
     written beside ``path`` and renamed over it (``replacing``).
     """
-    stats = [v for v in inst.statistics().values() if v is not None]
+    stats = inst.statistics().values()
     h = hashlib.sha256()
     parts = _instance_parts(inst)
     h.update(next(parts))
@@ -975,7 +967,7 @@ def _check_payload(path, arrays):
                 raise ValueError(f"{path}: constraint matrix Q_{j} is not symmetric")
 
 
-def _adopt_statistics(path, inst, P, q, r, curvatures, eigenvalues=None):
+def _adopt_statistics(path, inst, P, q, r, curvatures, eigenvalues):
     """Make a version-4 statistics section the lazy caches of ``inst``.
 
     The values are checked, not recomputed: P must be finite and exactly
@@ -989,8 +981,7 @@ def _adopt_statistics(path, inst, P, q, r, curvatures, eigenvalues=None):
         "q": np.isfinite(q).all(),
         "r": math.isfinite(r),
         "curvatures": np.isfinite(curvatures).all() and (curvatures >= 0.0).all(),
-        "eigenvalues": eigenvalues is None or (
-            np.isfinite(eigenvalues).all() and (np.diff(eigenvalues) >= 0.0).all()),
+        "eigenvalues": np.isfinite(eigenvalues).all() and (np.diff(eigenvalues) >= 0.0).all(),
     }
     bad = [name for name, ok in checks.items() if not ok]
     if bad:

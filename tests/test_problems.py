@@ -489,7 +489,6 @@ def test_scenario_lp_properties():
     # unit objective Hessian: modulus exactly one
     consts = certify_constants(inst, samples=4, rng_seed=0)
     assert consts.mu == pytest.approx(1.0, abs=1e-12)
-    assert consts.mu_exact
 
 
 def test_certify_closed_form_example():
@@ -575,7 +574,6 @@ def _assert_certified_like_per_sample_forms(inst, samples, rng_seed):
     # eigenvalues move by at most the perturbation's norm: rtol 1e-12, with an
     # absolute floor at the spectral scale for singular Hessians (mu near 0)
     eigs = np.linalg.eigvalsh(ref)
-    assert consts.mu_exact
     assert consts.mu == pytest.approx(max(eigs[0], 0.0), rel=1e-12, abs=1e-12 * eigs[-1])
 
 
@@ -864,8 +862,7 @@ def _version_2(blob):
 def _section(inst):
     """The statistics section of a version-4 file of ``inst``: the bytes of
     ``inst.statistics()``, from its caches or computed."""
-    return b"".join(np.asarray(v, dtype="<f8").tobytes()
-                    for v in inst.statistics().values() if v is not None)
+    return b"".join(np.asarray(v, dtype="<f8").tobytes() for v in inst.statistics().values())
 
 
 def _version_4(inst):
@@ -1069,21 +1066,33 @@ def test_version_4_round_trip_maps_the_statistics(tmp_path, counting_hashlib):
     assert counting_hashlib.bytes_hashed == saved  # neither loading nor the digest hashes
 
 
-def test_version_4_without_eigenvalue_slots_round_trips(tmp_path, monkeypatch):
-    # past _FACTOR_MAX_N the Hessian is not factored, and the file has no eigenvalues
+def test_version_4_round_trip_past_n_512_maps_the_eigenvalues(tmp_path, monkeypatch):
+    # every n has eigenvalue slots, so mu is exact on a loaded file of any size
     inst = random_qcqp(513, 1, 2, 2, seed=0)
-    path = _saved(tmp_path, inst)
-    floats = 2 * 513 + 2 + 2 * 513 * 513 + 2 * 513 + 2 + 2 * 513
-    assert path.stat().st_size == 80 + 8 * (floats + 513 * 513 + 513 + 1 + 2)
-    factored = []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: factored.append(1))
+    path, section = _saved(tmp_path, inst), _section(inst)
+    floats = 2 * 513 + 2 + 2 * 513 * 513 + 2 * 513 + 2 + 2 * 513  # the seven arrays
+    assert path.stat().st_size == 80 + 8 * (floats + 513 * 513 + 513 + 1 + 2 + 513)
+    eigvalsh, factored = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: factored.append(1) or eigvalsh(a))
     loaded = load_instance(path)
-    assert loaded._eigenvalues is None and loaded._hessian is not None
-    assert _section(loaded) == _section(inst)
-    consts = certify_constants(loaded, samples=0)
-    assert not consts.mu_exact and consts.mu == 0.0
-    assert loaded.objective_curvature() == inst.objective_curvature()
+    assert _mapped(loaded._eigenvalues) and _section(loaded) == section
+    mu, curvature = certify_constants(loaded, samples=0).mu, loaded.objective_curvature()
     assert factored == []
+    eigs = eigvalsh(loaded.hessian())
+    assert mu == max(eigs[0], 0.0) and curvature == eigs[-1]
+
+
+def test_file_in_the_old_layout_past_n_512_exits_2(tmp_path, capsys):
+    # a version-4 file with n > 512 once had no eigenvalue slots, 8n bytes
+    # fewer than its header now needs
+    path = tmp_path / "inst.bin"
+    assert cli.main(["generate", "--n", "513", "--p", "1", "--N", "2", "--m", "2",
+                     "--seed", "0", "--out", str(path)]) == 0
+    old = tmp_path / "old.bin"
+    old.write_bytes(path.read_bytes()[: -8 * 513])
+    assert _solve_exit(old, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {old}: header n=513") and " bytes, file has " in err
 
 
 def test_saving_over_a_loaded_file_leaves_its_arrays(tmp_path):
@@ -1185,8 +1194,8 @@ def test_instance_file_rejects_huge_header_dimensions(tmp_path):
     struct.pack_into("<4Q", blob, 9, *[2**40] * 4)
     path = tmp_path / "huge.bin"
     path.write_bytes(bytes(blob))
-    # the seven arrays, then P, q, r and the curvatures (no eigenvalues past n = 512)
-    expected = 80 + 8 * (2**120 + 2**80 + 2**120 + 2**80 + 3 * 2**40 + 2**80 + 2 * 2**40 + 1)
+    # the seven arrays, then P, q, r, the curvatures and the eigenvalues
+    expected = 80 + 8 * (2**120 + 2**80 + 2**120 + 2**80 + 3 * 2**40 + 2**80 + 3 * 2**40 + 1)
     with pytest.raises(ValueError, match=f"needs {expected} bytes, file has {len(blob)}"):
         load_instance(path)
 

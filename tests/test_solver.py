@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pdsg import bench, metrics
 from pdsg.baselines import MirrorProxConfig, mirror_prox_run
 from pdsg.errors import ConfigError, DimensionError, DivergenceError
-from pdsg.problems import ProblemInstance, QuadraticInstance, random_qcqp
+from pdsg.problems import ProblemInstance, QuadraticInstance, certify_constants, random_qcqp
 from pdsg.solver import (
     ParamSchedule,
     anytime,
@@ -274,6 +274,24 @@ def test_dual_stays_nonnegative_on_small_runs():
             pdsg_step(state, inst, a_k, r_k, b_k)
             assert np.min(state.z) >= 0.0
             assert np.all(state.x >= inst.box_lo) and np.all(state.x <= inst.box_hi)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dual_grows_like_root_k_on_the_binding_desk_instance(seed):
+    # desk seed 13 has two active constraints and ||z*|| = 20.9.  At the
+    # certified fixed-horizon steps each z_j moves about K/m times by
+    # rho f_j / sqrt(K), so ||z|| grows like sqrt(K): about x2 from 50 to 200
+    # epochs, and it stays far below ||z*|| (notes/decisions.md, "Why the
+    # dual does not reach z*")
+    inst = random_qcqp(20, 15, 200, 200, seed=13)
+    step = max_equal_steps(inst.m, certify_constants(inst, samples=0).G)
+    norms = []
+    for epochs in (50, 200):
+        K = epochs * inst.m
+        state, _ = run(inst, fixed_horizon(step, step, K), K, seed)
+        norms.append(float(np.linalg.norm(state.z)))
+    assert 1.5 <= norms[1] / norms[0] <= 3.0
+    assert max(norms) < 1e-2
 
 
 class _ExplodingConstraint(ProblemInstance):
