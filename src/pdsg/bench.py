@@ -162,62 +162,70 @@ def build_schedule(cfg: ExperimentConfig, K, constants) -> solver.ParamSchedule:
     return solver.ParamSchedule(cfg.schedule, cfg.alpha, cfg.rho, K=K, mu=mu)
 
 
-def _solve_reference_method(inst, K, tol):
-    """The ``reference`` method's own solve, capped at the run budget K.
+def _records(runs, inst, cfg: ExperimentConfig, K, ref, cadence_steps, sched=None,
+             reference_solve=None):
+    """The records of the (method, seed) ``runs``, in their order.
 
-    It does not depend on the run seed.  A divergence is returned, not
-    raised, so that every seed can record it.
+    The pdsg and mirror-prox runs go through one ``solver._iterate``, and
+    each tick of all running runs is measured by one ``metrics.record_ticks``
+    call.  pdsg runs on ``sched``, built from the certified constants when
+    not given.  A loop record's ``wall_clock`` is the loop's, as its runs
+    share every iteration.  Each ``reference`` run records
+    ``reference_solve``, the reference method's solve capped at the run
+    budget K, which does not depend on the seed and is solved here when not
+    given.  A run that diverges, in the loop or in that solve, ends its
+    record with a partial ``DIVERGED`` row.
     """
-    try:
-        return baselines.full_batch_reference(inst, K=K, tol=tol)
-    except DivergenceError as exc:
-        return exc
-
-
-def _recorder(method, inst, seed, ref) -> metrics.Recorder:
-    return metrics.Recorder(inst, ref.f0, meta={"method": method, "seed": seed})
-
-
-def _log_divergence(record, exc: DivergenceError, m) -> None:
-    """End a record with the partial ``DIVERGED`` row of its divergence."""
-    k = exc.iteration or 0
-    record.rows.append(
-        metrics.RunRow(
-            k=k,
-            epoch=k / m,
-            point=metrics.DIVERGED_TAG,
-            obj_err=math.nan,
-            infeas=math.nan,
-            z_norm=math.nan,
-        )
-    )
-    record.meta["diverged"] = True
-
-
-def _run_loops(runs, inst, cfg: ExperimentConfig, K, ref, sched, cadence_steps):
-    """The (method, seed) pdsg and mirror-prox runs, through one ``solver._iterate``.
-
-    Returns their records in the order of ``runs``.  Each tick of all
-    running runs is measured by one ``metrics.record_ticks`` call, and a
-    run that diverges ends its record with a partial ``DIVERGED`` row.  A
-    record's ``wall_clock`` is the loop's, as its runs share every iteration.
-    """
+    recorders = [metrics.Recorder(inst, ref.f0, meta={"method": method, "seed": seed})
+                 for method, seed in runs]
+    loop = [r for r, (method, _) in enumerate(runs) if method != "reference"]
     zmax = cfg.mp_zmax if cfg.mp_zmax is not None else baselines.zmax_from_reference(ref.z)
     mp = baselines.MirrorProxConfig(z_max=zmax)
     steps = {"mirror_prox": (*mp.schedule(K).sequences(K), mp.z_max)}
-    if sched is not None:
+    if any(method == "pdsg" for method, _ in runs):
+        if sched is None:
+            sched = build_schedule(cfg, K, problems.certify_constants(inst, samples=0))
         steps["pdsg"] = (*sched.sequences(K), None)
-    recorders = [_recorder(method, inst, seed, ref) for method, seed in runs]
-    states = [solver.init_state(inst, seed) for _, seed in runs]
-    rows = [(state, *steps[method]) for state, (method, _) in zip(states, runs)]
+    states = [solver.init_state(inst, runs[r][1]) for r in loop]
+    rows = [(state, *steps[runs[r][0]]) for state, r in zip(states, loop)]
 
     def on_tick(live):
-        metrics.record_ticks([recorders[r] for r in live], [states[r] for r in live])
+        metrics.record_ticks([recorders[loop[i]] for i in live], [states[i] for i in live])
 
-    errors = solver._iterate(rows, inst, K, on_tick=on_tick, cadence=cadence_steps)
-    for recorder, exc in zip(recorders, errors):
-        if exc is not None:
-            _log_divergence(recorder.record, exc, inst.m)
+    errors = dict(zip(loop, solver._iterate(rows, inst, K, on_tick=on_tick,
+                                            cadence=cadence_steps)))
+    if len(loop) < len(runs) and reference_solve is None:
+        try:
+            reference_solve = baselines.full_batch_reference(inst, K=K, tol=cfg.ref_tol)
+        except DivergenceError as exc:
+            reference_solve = exc  # every seed records it
+    for r, recorder in enumerate(recorders):
+        # a loop run's error (None if it did not diverge), or the reference solve
+        out = errors.get(r, reference_solve)
+        if isinstance(out, DivergenceError):
+            k = out.iteration or 0
+            recorder.record.rows.append(
+                metrics.RunRow(
+                    k=k,
+                    epoch=k / inst.m,
+                    point=metrics.DIVERGED_TAG,
+                    obj_err=math.nan,
+                    infeas=math.nan,
+                    z_norm=math.nan,
+                )
+            )
+            recorder.record.meta["diverged"] = True
+        elif out is not None:
+            recorder.record.rows.append(
+                metrics.RunRow(
+                    k=out.iterations,
+                    epoch=out.iterations / inst.m,
+                    point="last",
+                    obj_err=metrics.objective_error(inst, out.x, ref.f0),
+                    infeas=metrics.infeasibility(inst, out.x),
+                    z_norm=float(np.linalg.norm(out.z)),
+                )
+            )
     return [recorder.record for recorder in recorders]
 
 
@@ -225,35 +233,14 @@ def run_one(method, inst, cfg: ExperimentConfig, K, seed, ref, cadence_steps,
             reference_solve=None):
     """One (method, seed) run; divergence yields a partial record, not a raise.
 
-    ``reference_solve`` (the reference method's output of
-    ``_solve_reference_method``) is shared by all seeds of an experiment;
-    when not given it is computed for this run.
+    ``reference_solve`` (the reference method's solve capped at K, or its
+    ``DivergenceError``) is shared by all seeds of an experiment; when not
+    given it is computed for this run.
     """
-    if method in ("pdsg", "mirror_prox"):
-        sched = None
-        if method == "pdsg":
-            sched = build_schedule(cfg, K, problems.certify_constants(inst, samples=0))
-        return _run_loops([(method, seed)], inst, cfg, K, ref, sched, cadence_steps)[0]
-    if method != "reference":
+    if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
-    recorder = _recorder(method, inst, seed, ref)
-    out = reference_solve
-    if out is None:
-        out = _solve_reference_method(inst, K, cfg.ref_tol)
-    if isinstance(out, DivergenceError):
-        _log_divergence(recorder.record, out, inst.m)
-    else:
-        recorder.record.rows.append(
-            metrics.RunRow(
-                k=out.iterations,
-                epoch=out.iterations / inst.m,
-                point="last",
-                obj_err=metrics.objective_error(inst, out.x, ref.f0),
-                infeas=metrics.infeasibility(inst, out.x),
-                z_norm=float(np.linalg.norm(out.z)),
-            )
-        )
-    return recorder.record
+    return _records([(method, seed)], inst, cfg, K, ref, cadence_steps,
+                    reference_solve=reference_solve)[0]
 
 
 def run_experiment(cfg: ExperimentConfig, inst=None):
@@ -261,10 +248,10 @@ def run_experiment(cfg: ExperimentConfig, inst=None):
 
     What the runs share is computed here once: the pdsg schedule, validated
     against the instance's certified constants before anything runs (an
-    invalid schedule raises ConfigError unless ``cfg.force`` is set), the
-    reference solution, and the reference method's solve, which is that
-    solution when it converged within the run budget K.  The pdsg and
-    mirror-prox runs go through one run loop together.
+    invalid schedule raises ConfigError unless ``cfg.force`` is set), and the
+    reference solution, which is also the reference method's solve when it
+    converged within the run budget K.  Every record comes from one
+    ``_records`` call.
     """
     if inst is None:
         inst = build_instance(cfg)
@@ -283,21 +270,11 @@ def run_experiment(cfg: ExperimentConfig, inst=None):
 
     cache_path = cfg.instance_file + ".ref.json" if cfg.instance_file else None
     ref = reference_for(inst, tol=cfg.ref_tol, cache_path=cache_path)
-    reference_solve = None
-    if "reference" in cfg.methods:
-        # the solve is deterministic: one that converged within K is the capped solve
-        converged = ref.converged and ref.iterations <= K
-        reference_solve = ref if converged else _solve_reference_method(inst, K, cfg.ref_tol)
-
+    # the solve is deterministic: one that converged within K is the capped solve
+    reference_solve = ref if ref.converged and ref.iterations <= K else None
     cadence_steps = max(1, int(round(cfg.cadence * inst.m)))
     runs = [(method, seed) for method in cfg.methods for seed in cfg.seeds]
-    loops = iter(_run_loops([run for run in runs if run[0] != "reference"],
-                            inst, cfg, K, ref, sched, cadence_steps))
-    records = [
-        run_one(method, inst, cfg, K, seed, ref, cadence_steps,
-                reference_solve=reference_solve) if method == "reference" else next(loops)
-        for method, seed in runs
-    ]
+    records = _records(runs, inst, cfg, K, ref, cadence_steps, sched, reference_solve)
     return records, ref, report
 
 

@@ -166,8 +166,9 @@ def _run_and_write(args, methods) -> int:
     if "mirror_prox" not in methods and args.zmax is not None:
         raise ConfigError("--zmax sets mirror-prox's dual box, and no mirror_prox run is asked for")
     cfg = _config(args, methods=methods)
-    records, ref, _ = bench.run_experiment(cfg)
+    # an --out that cannot be a directory fails here, before the experiment
     os.makedirs(args.out, exist_ok=True)
+    records, ref, _ = bench.run_experiment(cfg)
     path = os.path.join(args.out, args.csv)
     bench.write_csv(records, path)
     print(f"wrote {path}")

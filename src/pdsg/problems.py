@@ -753,8 +753,8 @@ def scenario_count_discarding(n, tau, eps, p=0) -> int:
     Returns the least N >= p + n with
     ``C(p+n-1, p) * sum_{i=0}^{p+n-1} C(N,i) tau^i (1-tau)^(N-i) <= eps``.
     The left side is evaluated in log space (log-gamma binomials) and is
-    nonincreasing in N, so a galloping search plus bisection finds the
-    minimum.
+    nonincreasing in N, so once ``_N_CAP`` passes, one bisection over
+    [p + n, ``_N_CAP``] finds the minimum.
     """
     n, p = int(n), int(p)
     if n < 1 or p < 0:
@@ -762,18 +762,10 @@ def scenario_count_discarding(n, tau, eps, p=0) -> int:
     if not (0.0 < tau < 1.0 and 0.0 < eps < 1.0):
         raise ValueError("tau and eps must lie in (0, 1)")
     log_eps = math.log(eps)
-    lo = p + n
-    if _log_discard_lhs(lo, n, tau, p) <= log_eps:
-        return lo
-    hi = lo
-    while True:
-        lo = hi
-        hi = min(2 * hi, _N_CAP)
-        if _log_discard_lhs(hi, n, tau, p) <= log_eps:
-            break
-        if hi >= _N_CAP:
-            raise CapacityError(f"no N <= {_N_CAP} satisfies the bound")
-    # invariant: lhs(lo) > eps >= lhs(hi)
+    if _log_discard_lhs(_N_CAP, n, tau, p) > log_eps:
+        raise CapacityError(f"no N <= {_N_CAP} satisfies the bound")
+    # invariant: lo < p + n or lhs(lo) > eps, and lhs(hi) <= eps
+    lo, hi = p + n - 1, _N_CAP
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _log_discard_lhs(mid, n, tau, p) <= log_eps:

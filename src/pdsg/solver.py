@@ -111,16 +111,23 @@ def strongly_convex(alpha, rho, K, mu) -> ParamSchedule:
     return ParamSchedule("strongly_convex", alpha, rho, K=K, mu=mu)
 
 
+# the share of the largest equal step that max_equal_steps returns, so that
+# alpha*rho stays strictly below the product limit
+_EQUAL_STEP_SAFETY = 0.999
+
+
 def _product_limit(m, G, kind) -> float:
     """m/(c G^2), the bound on alpha*rho in the kind's product condition."""
+    if not m >= 1:
+        raise ConfigError(f"m must be positive, got {m}")
     if not G > 0:
         raise ConfigError(f"G must be positive, got {G}")
     return m / (product_coef(kind) * G * G)
 
 
-def max_equal_steps(m, G, kind="fixed_horizon", safety=0.999) -> float:
-    """Largest alpha = rho passing the kind's product condition, times safety."""
-    return safety * math.sqrt(_product_limit(m, G, kind))
+def max_equal_steps(m, G, kind="fixed_horizon") -> float:
+    """Largest alpha = rho passing the kind's product condition, times 0.999."""
+    return _EQUAL_STEP_SAFETY * math.sqrt(_product_limit(m, G, kind))
 
 
 # -- schedule validation -------------------------------------------------------
@@ -163,8 +170,10 @@ def validate_schedule(sched: ParamSchedule, m, G, K, mu=None) -> ScheduleReport:
     product condition ``alpha*rho < m/(32 G^2)`` (``m/(68 G^2)`` for anytime)
     and ``alpha >= 1/mu`` for the strongly convex kind.  The penalty is the
     dual step, so ``beta_k >= rho_k`` holds by construction and is not
-    checked.  Report-only: only a G that is not positive raises.
+    checked.  Report-only: only an m, G or K that is not positive raises.
     """
+    if not K >= 1:
+        raise ConfigError(f"K must be positive, got {K}")
     if mu is None:
         mu = sched.mu
     checks = []

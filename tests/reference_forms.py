@@ -10,7 +10,9 @@ blocks, and a loaded file's check from two reductions and one comparison
 per piece.  The obvious per-sample, per-point, one-pass, one-draw and
 elementwise forms live here, and tests hold the library to them.  So do the
 earlier forms of passes that now allocate less (the constraint pass, the
-curvatures and the reference screen), which must stay bit-equal.
+curvatures and the reference screen), which must stay bit-equal, and the
+galloping search of the discarding scenario count, which is now one
+bisection and must return the same N.
 
 Tolerance contract.  A faster form that reorders floating-point arithmetic
 must agree with its reference form elementwise,
@@ -32,6 +34,7 @@ import math
 import numpy as np
 
 from pdsg import problems
+from pdsg.errors import CapacityError
 from pdsg.problems import QcqpData, QuadraticInstance, box_radius
 from pdsg.solver import _Z_BLOWUP, project_box
 
@@ -295,3 +298,28 @@ def full_batch_reference(inst, K=200_000, tol=1e-9):
             converged = True
             break
     return x, z, objective(inst, x), k, converged
+
+
+def scenario_count_discarding(n, tau, eps, p=0):
+    """``problems.scenario_count_discarding`` as a galloping search: doubling
+    from p + n until the bound holds or ``_N_CAP`` fails it, then bisection
+    between the last two points."""
+    log_eps = math.log(eps)
+    lo = p + n
+    if problems._log_discard_lhs(lo, n, tau, p) <= log_eps:
+        return lo
+    hi = lo
+    while True:
+        lo = hi
+        hi = min(2 * hi, problems._N_CAP)
+        if problems._log_discard_lhs(hi, n, tau, p) <= log_eps:
+            break
+        if hi >= problems._N_CAP:
+            raise CapacityError(f"no N <= {problems._N_CAP} satisfies the bound")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if problems._log_discard_lhs(mid, n, tau, p) <= log_eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi

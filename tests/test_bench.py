@@ -579,6 +579,42 @@ def test_cli_divergence_exit_code(tmp_path):
     assert rc == 3
 
 
+_TINY_SOLVE = ["solve", "--n", "3", "--p", "2", "--N", "4", "--m", "4",
+               "--alpha", "0.003", "--rho", "0.003", "--epochs", "1"]
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_cli_unusable_out_fails_before_the_experiment(tmp_path, monkeypatch, capsys, command):
+    # --out names a file, so the output directory cannot be made
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    calls = []
+    monkeypatch.setattr(bench, "run_experiment", lambda *a, **kw: calls.append(a))
+    rc = cli.main([command, *_TINY_SOLVE[1:], "--out", str(taken)])
+    assert rc == 4 and calls == []
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_divergence_outside_the_run_loop_exits_3(tmp_path, capsys, monkeypatch):
+    def diverging(inst, **kw):
+        raise DivergenceError("reference diverged at iteration 7", iteration=7)
+
+    monkeypatch.setattr(baselines, "full_batch_reference", diverging)
+    assert cli.main(_TINY_SOLVE + ["--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: reference diverged at iteration 7\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_warns_when_the_reference_misses_its_tolerance(tmp_path, capsys, monkeypatch):
+    solve = baselines.full_batch_reference
+    monkeypatch.setattr(baselines, "full_batch_reference",
+                        lambda inst, **kw: dataclasses.replace(solve(inst, **kw),
+                                                               converged=False))
+    assert cli.main(_TINY_SOLVE + ["--out", str(tmp_path)]) == 0
+    assert "warning: reference solve did not reach tolerance" in capsys.readouterr().err
+    assert (tmp_path / "runs.csv").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["generate", "--m", "1000000000000"],  # Q alone: 2.84 PiB
     ["solve", "--schedule", "anytime", "--epochs", "1000000000000",
@@ -679,6 +715,10 @@ def test_cli_options_not_given_leave_experiment_config_defaults(tmp_path, monkey
     ["--G", "0"],  # used to raise ZeroDivisionError
     ["--G", "nan"],
     ["--alpha", "nan"],
+    ["--m", "0"],
+    ["--m", "-5"],  # used to report the limit m/(32 G^2) = -0.15625
+    ["--schedule", "anytime", "--alpha", "0.001", "--rho", "0.001", "--K", "-5"],  # was VALID
+    ["--schedule", "anytime", "--K", "0"],
 ])
 def test_cli_validate_schedule_rejects_degenerate_inputs(capsys, flags):
     rc = cli.main(

@@ -1,6 +1,7 @@
 """Instance generators, certification, sizing, and serialization tests."""
 
 import hashlib
+import itertools
 import json
 import math
 import mmap
@@ -711,6 +712,24 @@ def test_scenario_count_discarding_monotone_in_eps():
 def test_scenario_count_discarding_capacity():
     with pytest.raises(CapacityError):
         scenario_count_discarding(200, 1e-9, 1e-9, 0)
+
+
+def _count_or_capacity(count, n, tau, eps, p):
+    try:
+        return count(n, tau, eps, p)
+    except CapacityError as exc:
+        return str(exc)
+
+
+def test_scenario_count_discarding_equals_the_galloping_search():
+    # the 640 cases of the sweep, and one past _N_CAP: the one bisection
+    # returns the N, or raises the CapacityError, of the galloping search
+    sweep = itertools.product((1, 2, 3, 5, 10, 20, 50, 100), (0, 1, 3, 10),
+                              (0.5, 0.1, 0.05, 0.01, 0.001), (0.5, 0.1, 0.01, 1e-6))
+    for n, p, tau, eps in [*sweep, (200, 0, 1e-9, 1e-9)]:
+        got = _count_or_capacity(scenario_count_discarding, n, tau, eps, p)
+        want = _count_or_capacity(reference_forms.scenario_count_discarding, n, tau, eps, p)
+        assert got == want, (n, p, tau, eps)
 
 
 # -- serialization ------------------------------------------------------------

@@ -139,6 +139,22 @@ def test_product_condition_rejects_nonpositive_G(G):
         validate_schedule(fixed_horizon(1.0, 1.0, 100), 10, G, 100)
 
 
+@pytest.mark.parametrize("m", [0, -3, float("nan")])
+def test_product_condition_rejects_nonpositive_m(m):
+    # m = 0 used to give the step 0.0, and m = -3 a bare math domain error
+    with pytest.raises(ConfigError, match="m must be positive"):
+        max_equal_steps(m, 1.0)
+    with pytest.raises(ConfigError, match="m must be positive"):
+        validate_schedule(anytime(1.0, 1.0), m, 1.0, 100)
+
+
+@pytest.mark.parametrize("K", [0, -5])
+def test_validate_schedule_rejects_nonpositive_horizon(K):
+    # the anytime schedule needs no K, so nothing refused it before
+    with pytest.raises(ConfigError, match="K must be positive"):
+        validate_schedule(anytime(1.0, 1.0), 10, 1.0, K)
+
+
 def test_hand_trace_ten_steps(one_dim):
     state = init_state(one_dim, seed=0)
     xs, zs = [state.x[0]], [state.z[0]]
