@@ -111,11 +111,6 @@ def strongly_convex(alpha, rho, K, mu) -> ParamSchedule:
     return ParamSchedule("strongly_convex", alpha, rho, K=K, mu=mu)
 
 
-# the share of the largest equal step that max_equal_steps returns, so that
-# alpha*rho stays strictly below the product limit
-_EQUAL_STEP_SAFETY = 0.999
-
-
 def _product_limit(m, G, kind) -> float:
     """m/(c G^2), the bound on alpha*rho in the kind's product condition."""
     if not m >= 1:
@@ -126,8 +121,11 @@ def _product_limit(m, G, kind) -> float:
 
 
 def max_equal_steps(m, G, kind="fixed_horizon") -> float:
-    """Largest alpha = rho passing the kind's product condition, times 0.999."""
-    return _EQUAL_STEP_SAFETY * math.sqrt(_product_limit(m, G, kind))
+    """Largest alpha = rho passing the kind's product condition, times 0.999.
+
+    The factor keeps alpha*rho strictly below the product limit.
+    """
+    return 0.999 * math.sqrt(_product_limit(m, G, kind))
 
 
 # -- schedule validation -------------------------------------------------------

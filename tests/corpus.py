@@ -13,15 +13,10 @@ Regenerate the corpus, printing per case the largest change in ``obj_err``,
 ``infeas`` and ``z_norm`` of the final rows, with::
 
     PYTHONPATH=src python tests/corpus.py
-
-With ``--check`` it prints the same table but writes nothing, and exits 1
-unless every case reads ``same``: the check for a change that must keep
-every byte.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import hashlib
@@ -155,11 +150,7 @@ def _largest_changes(old_rows, new_rows) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Regenerate or check tests/corpus.json.")
-    parser.add_argument("--check", action="store_true",
-                        help="write nothing; exit 1 unless every case reads same")
-    check = parser.parse_args(argv).check
+def main() -> int:
     old = {}
     if os.path.exists(CORPUS):
         with open(CORPUS) as fh:
@@ -168,21 +159,15 @@ def main(argv=None) -> int:
     if old.get("fingerprint") not in (None, new["fingerprint"]):
         print(f"fingerprint changed: {old['fingerprint']} -> {new['fingerprint']}")
     print(f"{'case':<28} {'bytes':<9} {'obj_err':>10} {'infeas':>10} {'z_norm':>10}")
-    all_same = sorted(old.get("cases", {})) == sorted(new["cases"])
     for name, entry in new["cases"].items():
         before = old.get("cases", {}).get(name)
         if before is None:
             print(f"{name:<28} new")
             continue
         same = "same" if before == entry else "CHANGED"
-        all_same &= same == "same"
         d = _largest_changes(before.get("final_rows", []), entry.get("final_rows", []))
         print(f"{name:<28} {same:<9} {d['obj_err']:>10.3g} {d['infeas']:>10.3g} "
               f"{d['z_norm']:>10.3g}")
-    for name in sorted(set(old.get("cases", {})) - set(new["cases"])):
-        print(f"{name:<28} removed")
-    if check:
-        return 0 if all_same else 1
     text = json.dumps(new, indent=1)
     # each list of strings or numbers (a row, the exit codes) on one line
     text = re.sub(r"\[\s*([^][{}]*?)\s*\]",
