@@ -15,7 +15,8 @@ run's dual at the reference's z* instead of 0.
 Desk seed 13 has active constraints; seed 0 is interior (z* = 0) and shows
 the ladder converging.  The dual-travel estimate that explains the seed-13
 ladder is in ``notes/decisions.md`` ("Why the dual does not reach z*").
-The default ladder takes about ten seconds on one core.
+The default ladder takes about a second on one core (about eight where
+the compiled run kernel is unavailable).
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
 import sys
 
@@ -166,10 +167,13 @@ def _run_and_write(args, methods) -> int:
     if "mirror_prox" not in methods and args.zmax is not None:
         raise ConfigError("--zmax sets mirror-prox's dual box, and no mirror_prox run is asked for")
     cfg = _config(args, methods=methods)
-    # an --out that cannot be a directory fails here, before the experiment
+    # an --out that cannot be a directory, or a --csv whose directory is
+    # missing, fails here, before the experiment
     os.makedirs(args.out, exist_ok=True)
-    records, ref, _ = bench.run_experiment(cfg)
     path = os.path.join(args.out, args.csv)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, "no directory for the CSV", path)
+    records, ref, _ = bench.run_experiment(cfg)
     bench.write_csv(records, path)
     print(f"wrote {path}")
     if not ref.converged:

@@ -207,38 +207,6 @@ class ProblemInstance:
         fvals = np.array([self.constraint_values(x) for x in X], dtype=float)
         return f0, fvals.reshape(len(X), self.m)
 
-    # -- stacked sampled oracles ---------------------------------------------
-
-    def stacked_oracles(self, G, U):
-        """The three sampled oracles of a run for a stack X (G*U, n) of points.
-
-        Returns ``(stoch_objective_grads, constraints, constraint_values)``.
-        The stack holds G copies of U distinct index draws, copy-major: row
-        ``g*U + u`` is copy g of draw u, and each oracle takes the U indices
-        of one draw.  ``stoch_objective_grads(xis, X)`` is the stack of
-        ``stoch_objective_grad(xis[u], X[g*U + u])``; ``constraints(I, X)``
-        returns the list of values and the stack of subgradients of
-        ``constraint(I[u], X[g*U + u])``; ``constraint_values(J, X)`` is the
-        list of ``constraint_value(J[u], X[g*U + u])``.  Every row is
-        bit-equal to its per-row call.  A returned array may be a buffer that
-        the next call of the same oracle overwrites.  This generic form makes
-        the per-row calls; subclasses evaluate the stack at once.
-        """
-
-        def stoch_objective_grads(xis, X):
-            return np.stack(
-                [self.stoch_objective_grad(i, x) for i, x in zip(xis.tolist() * G, X)]
-            )
-
-        def constraints(I, X):
-            vals, grads = zip(*map(self.constraint, I.tolist() * G, X))
-            return list(vals), np.stack(grads)
-
-        def constraint_values(J, X):
-            return [self.constraint_value(j, x) for j, x in zip(J.tolist() * G, X)]
-
-        return stoch_objective_grads, constraints, constraint_values
-
     # -- misc ---------------------------------------------------------------
 
     def start_point(self):
@@ -425,57 +393,6 @@ class QuadraticInstance(ProblemInstance):
             xQx = np.einsum("jis,si->sj", np.matmul(Q[part], X.T), X)
             fvals[:, part] = 0.5 * xQx + aX[:, part] - b[part]
         return self._objective_values(X), fvals
-
-    def stacked_oracles(self, G, U):
-        """Stacked oracles from gathered slices and broadcast ``np.matmul`` calls.
-
-        Each call gathers the U sampled slices of H and c, or of Q and a, once
-        into buffers allocated here, and evaluates the G copies of each with
-        stacked ``np.matmul`` calls that broadcast the (U, ...) slices over
-        the (G, U, ...) points.  numpy runs the same BLAS kernel on each item
-        of a broadcast stack as on a single product (gemv for a matrix times
-        a point, dot for two points), so every row is bit-equal to the
-        per-row oracle; an ``einsum`` contraction is not.  b is looked up per
-        row from a list.  The indices are not range-checked.
-        """
-        d, n, p, R = self.data, self.n, self.p, G * U
-        H, c, Q, a = d.H, d.c, d.Q, d.a
-        b = d.b.tolist()
-        Hs, cs = np.empty((U, p, n)), np.empty((U, p))
-        HsT, cs3 = Hs.transpose(0, 2, 1), cs[:, :, None]
-        res, g = np.empty((G, U, p, 1)), np.empty((G, U, n, 1))
-        Qs, As = np.empty((U, n, n)), np.empty((U, 1, n))
-        As2 = As.reshape(U, n)
-        Qx, xQx, ax = np.empty((G, U, n, 1)), np.empty((G, U, 1, 1)), np.empty((G, U, 1, 1))
-        g2, Qx3, xQx1, ax1 = g.reshape(R, n), Qx.reshape(G, U, n), xQx.reshape(R), ax.reshape(R)
-        grads = np.empty((G, U, n))
-        grads2 = grads.reshape(R, n)
-
-        def stoch_objective_grads(xis, X):
-            H.take(xis, 0, Hs, "clip")
-            c.take(xis, 0, cs, "clip")
-            np.matmul(Hs, X.reshape(G, U, n, 1), out=res)
-            np.subtract(res, cs3, out=res)
-            np.matmul(HsT, res, out=g)
-            return g2
-
-        def values(J, X):
-            """f_j(x) per row, as a list of floats; Q_j x is left in Qx."""
-            Q.take(J, 0, Qs, "clip")
-            a.take(J, 0, As2, "clip")
-            Xc = X.reshape(G, U, n, 1)
-            np.matmul(Qs, Xc, out=Qx)
-            np.matmul(X.reshape(G, U, 1, n), Qx, out=xQx)
-            np.matmul(As, Xc, out=ax)
-            return [0.5 * q + v - b[j]
-                    for q, v, j in zip(xQx1.tolist(), ax1.tolist(), J.tolist() * G)]
-
-        def constraints(I, X):
-            fvals = values(I, X)
-            np.add(Qx3, As2, out=grads)
-            return fvals, grads2
-
-        return stoch_objective_grads, constraints, values
 
     def constraint_curvatures(self):
         """Frobenius norms of the Q_j (read-only, cached): the square roots

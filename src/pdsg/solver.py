@@ -10,7 +10,8 @@ keeps the dual iterate nonnegative.
 ``pdsg_step`` is the one-step reference form.  Every run, pdsg or
 mirror-prox, goes through ``_iterate``, which advances one or several runs,
 draws the sample indices in blocks and is bit-for-bit equal to repeated
-steps; from ``GRID_MIN_RUNS`` live runs it batches their stacked oracles.
+steps.  A quadratic instance's blocks run on the compiled kernel
+(``compiled``, ``_kernel.c``), any other instance's on ``_row_block``.
 
 A run is single-threaded and deterministic given its seed.  Runs over the
 same instance may execute concurrently; nothing here mutates the instance.
@@ -18,12 +19,13 @@ same instance may execute concurrently; nothing here mutates the instance.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
+from . import compiled, metrics
 from .auglag import primal_subgradient
 from .errors import ConfigError, DimensionError, DivergenceError
 
@@ -320,9 +322,6 @@ def pdsg_step(state: SolverState, inst, alpha_k, rho_k, beta_k) -> SolverState:
 
 # index triples drawn per rng call; a block also ends at every recording tick
 _DRAW_BLOCK = 4096
-# live rows from which a block runs on the stacked kernel; below it the
-# per-row kernel is faster (sweep in notes/decisions.md)
-GRID_MIN_RUNS = 3
 
 
 def _advance(state, x, weight_sum, steps, queries):
@@ -347,27 +346,6 @@ def _policy(z_max):
     return True, z_max, math.inf
 
 
-def _copies(states):
-    """The copy-major order of R rows by their generator states, and G.
-
-    Rows whose generators are in equal states draw equal index blocks.  When
-    they fall into U groups of one size G, position ``g*U + u`` of the order
-    is copy g of group u; otherwise G is 1 and the order is unchanged.
-    """
-    groups = []
-    for pos, state in enumerate(states):
-        for group in groups:
-            if states[group[0]] == state:
-                group.append(pos)
-                break
-        else:
-            groups.append([pos])
-    G = len(groups[0])
-    if any(len(group) != G for group in groups):
-        return list(range(len(states))), 1
-    return [group[g] for g in range(G) for group in groups], G
-
-
 def _iterate(rows, inst, K, on_tick=None, cadence=None):
     """Advance R runs on ``inst`` by K iterations each: the one run loop.
 
@@ -380,17 +358,12 @@ def _iterate(rows, inst, K, on_tick=None, cadence=None):
     draws a row's index triples of a block with one ``rng.integers`` call
     over the tiled bounds, which draws what the scalar calls draw, and puts
     a row that took fewer steps where their scalar draws would leave it.
-    Rows whose generators start a block in equal states draw equal triples;
-    when the live rows form U such groups of G copies each, the kernel gets
-    them copy-major with the U distinct draws (``_copies``), so the stacked
-    oracles gather each sampled slice once.
     Returns one entry per row: None, or the ``DivergenceError`` its steps
     would have raised, with its state left as they leave it; the other rows
     keep running.  ``on_tick`` is called every ``cadence`` iterations (and at
     the end) with the indices of the live rows, after their states are
-    written back.  The kernel is chosen whenever the live count or G
-    changes: ``_stacked_block`` from ``GRID_MIN_RUNS`` live rows,
-    ``_row_block`` below.
+    written back.  A ``QuadraticInstance`` runs its blocks on the compiled
+    kernel (``compiled.operands``), any other instance on ``_row_block``.
     """
     lo, hi = inst.box_lo, inst.box_hi
     for state, *_ in rows:
@@ -400,30 +373,21 @@ def _iterate(rows, inst, K, on_tick=None, cadence=None):
             )
     bounds = np.tile([inst.m, inst.N, inst.m], min(K, _DRAW_BLOCK))
     every = cadence if cadence and on_tick is not None else K
+    operands = compiled.operands(inst)
+    oracles = (inst.stoch_objective_grad, inst.constraint, inst.constraint_value)
     errors = [None] * len(rows)
     live = list(range(len(rows)))
-    layout = None
     done = 0
     while done < K and live:
         tick = min((done // every + 1) * every, K)
         end = min(tick, done + _DRAW_BLOCK)
-        before = [rows[r][0].rng.bit_generator.state for r in live]
-        order, G = _copies(before)
-        R, U = len(live), len(live) // G
-        if (R, G) != layout:
-            layout = (R, G)
-            if R >= GRID_MIN_RUNS:
-                kernel, oracles = _stacked_block, inst.stacked_oracles(G, U)
-            else:
-                kernel = _row_block
-                oracles = (inst.stoch_objective_grad, inst.constraint, inst.constraint_value)
-        members = [live[pos] for pos in order]
-        before = [before[pos] for pos in order]
-        block = [rows[r] for r in members]
-        # every generator advances by its own draw; copy g of a group draws
-        # what copy 0 does, so the kernel takes the first U
+        block = [rows[r] for r in live]
+        before = [state.rng.bit_generator.state for state, *_ in block]
         draws = [state.rng.integers(bounds[: 3 * (end - done)]) for state, *_ in block]
-        steps, stopped = kernel(block, draws[:U], oracles, lo, hi, done, end)
+        out = None if operands is None else _compiled_block(block, draws, operands, done, end)
+        if out is None:
+            out = _row_block(block, draws, oracles, lo, hi, done, end)
+        steps, stopped = out
         for pos, (state, *_) in enumerate(block):
             drawn = stopped[pos] + 1 if pos in stopped else steps
             if drawn < end - done:
@@ -431,7 +395,7 @@ def _iterate(rows, inst, K, on_tick=None, cadence=None):
                 state.rng.integers(bounds[: 3 * drawn])
             if pos in stopped:
                 msg = f"divergence at iteration {state.k}"
-                errors[members[pos]] = DivergenceError(msg, iteration=state.k, state=state)
+                errors[live[pos]] = DivergenceError(msg, iteration=state.k, state=state)
         live = [r for r in live if errors[r] is None]
         done += steps
         if done == tick and on_tick is not None and live:
@@ -442,7 +406,7 @@ def _iterate(rows, inst, K, on_tick=None, cadence=None):
 def _row_block(rows, draws, oracles, lo, hi, done, end):
     """Iterations done+1..end of each row in turn, on the per-row oracles;
     returns (end - done, stopped).  Row ``pos`` steps on the index triples
-    ``draws[pos % U]`` of its group, U = ``len(draws)`` (``_iterate``).
+    ``draws[pos]``.
 
     A row that diverges stops at that iteration, left as its step calls
     leave it; the others run the whole block.  ``stopped`` maps a row's
@@ -454,7 +418,7 @@ def _row_block(rows, draws, oracles, lo, hi, done, end):
         x, z, steps = state.x, state.z, end - done
         sum_plain, sum_weighted, weight_sum = state.sum_plain, state.sum_weighted, state.weight_sum
         mirror, cap, limit = _policy(z_max)
-        triples = iter(draws[pos % len(draws)].tolist())
+        triples = iter(draws[pos].tolist())
         block = zip(triples, triples, triples, alphas[done:end].tolist(), rhos[done:end].tolist())
         for t, (i, xi, j, a_k, r_k) in enumerate(block):
             g0 = stoch_grad(xi, x)
@@ -484,108 +448,49 @@ def _row_block(rows, draws, oracles, lo, hi, done, end):
     return end - done, stopped
 
 
-def _stacked_block(rows, draws, oracles, lo, hi, done, end):
-    """Iterations done+1..end of every row in lockstep, on the stacked
-    oracles; returns (steps, stopped).  The R rows are G copies of the U
-    distinct index draws ``draws``, copy-major: row ``g*U + u`` steps on
-    ``draws[u]`` (``_iterate``).
+def _compiled_block(rows, draws, operands, done, end):
+    """``_row_block``'s iterations on the compiled kernel, every row in
+    lockstep; returns (steps, stopped), or None when a row's dual or sums
+    are not C-contiguous float64 arrays of the instance's shapes or its
+    steps do not cover the block.
 
-    The vector work of all rows is batched, each sampled slice gathered once
-    per draw; the per-row scalars (the multiplier and the dual coordinate)
-    stay Python floats.
-    The block ends early after an iteration in which a row diverges: the
-    failed rows are left as their step calls leave them, and the others are
-    written back after that iteration.  ``stopped`` maps a failed row's
-    position to the block iteration (from 0) at which it stopped.
+    A row that diverges is left as its step calls leave it, and the block
+    ends after that iteration of every row, so ``steps`` may be short of
+    ``end - done``.  Each state's dual and sums change in place, and it gets
+    a new iterate.
     """
-    stoch_grads, constraints, constraint_values = oracles
-    R, U, nb = len(rows), len(draws), end - done
-    copies = R // U
+    block, n, p, m, *arrays = operands
+    R = len(rows)
     states = [row[0] for row in rows]
-    rules = [_policy(row[3]) for row in rows]
-    # (nb, 3, U): the index triple of every draw, iteration by iteration
-    draws = np.ascontiguousarray(np.stack(draws).reshape(U, nb, 3).transpose(1, 2, 0))
-    alphas = np.stack([row[1][done:end] for row in rows], axis=1)  # (nb, R)
-    rhos = np.stack([row[2][done:end] for row in rows], axis=1)
-
-    X = np.stack([s.x for s in states])
-    Xn = np.empty_like(X)
-    flat, flat_n = X.reshape(-1), Xn.reshape(-1)
-    sum_plain = np.stack([s.sum_plain for s in states])
-    sum_weighted = np.stack([s.sum_weighted for s in states])
-    tmp = np.empty_like(X)
-    zs = [s.z.tolist() for s in states]
-    weights = [s.weight_sum for s in states]
-    mirror = [rule[0] for rule in rules]
-    # the dual update of pdsg reads the new iterate, mirror-prox's the old one
-    at_new = None if all(mirror) or not any(mirror) else np.array(mirror)[:, None] == 0
-
+    pointers = []
+    for name, shape in (("z", (m,)), ("sum_plain", (n,)), ("sum_weighted", (n,))):
+        addresses = [compiled.address(getattr(state, name), shape) for state in states]
+        if None in addresses:
+            return None
+        pointers.append((ctypes.c_void_p * R)(*addresses))
+    alphas, rhos = ([np.asarray(row[i][done:end], dtype=float) for row in rows] for i in (1, 2))
+    if any(seq.shape != (end - done,) for seq in alphas + rhos):
+        return None
+    X = np.array([state.x for state in states], dtype=float)
+    weights = np.array([state.weight_sum for state in states], dtype=float)
+    failed = np.zeros(R, np.int8)
+    inputs = (
+        np.stack(draws),
+        np.stack(alphas),
+        np.stack(rhos),
+        np.array([_policy(row[3]) for row in rows], dtype=float),
+    )
+    steps = block(n, p, *arrays, R, end - done, *(arr.ctypes.data for arr in inputs),
+                  X.ctypes.data, *pointers, weights.ctypes.data, failed.ctypes.data)
+    if steps < 0:
+        raise MemoryError("the compiled kernel could not allocate its work space")
     stopped = {}
-    for t, ((I, xis, J), a_col, r_ks) in enumerate(zip(draws, alphas[:, :, None], rhos)):
-        # Python ints and floats for the per-row scalars, made per iteration
-        # so that a block holds no lists of them
-        i_list, j_list = I.tolist() * copies, J.tolist() * copies
-        a_row, r_row = alphas[t].tolist(), r_ks.tolist()
-        G = stoch_grads(xis, X)
-        fvals, grads = constraints(I, X)
-        mults = [r_k * f + z[i] for r_k, f, z, i in zip(r_row, fvals, zs, i_list)]
-        active = [mult > 0.0 if mp else not mult <= 0.0 for mult, mp in zip(mults, mirror)]
-        if True in active:
-            m_col = np.array(mults)[:, None]
-            if False in active:
-                where = np.array(active)[:, None]
-                np.multiply(grads, m_col, out=tmp, where=where)
-                np.add(G, tmp, out=G, where=where)
-            else:
-                np.multiply(grads, m_col, out=tmp)
-                G += tmp
-        np.multiply(G, a_col, out=G)
-        np.subtract(X, G, out=Xn)
-        np.maximum(Xn, lo, out=Xn)
-        np.minimum(Xn, hi, out=Xn)
-        # a finite sum of squares means every entry is finite; an overflow
-        # falls through to the entrywise test
-        x_bad = None
-        if not math.isfinite(flat_n @ flat_n):
-            x_bad = (~np.isfinite(Xn).all(axis=1)).tolist()
-
-        Y = X if mirror[0] else Xn
-        if at_new is not None:
-            Y = np.where(at_new, Xn, X)
-        fjs = constraint_values(J, Y)
-        for pos, (z, j, r_k, fj, (_, cap, lim)) in enumerate(zip(zs, j_list, r_row, fjs, rules)):
-            zj = z[j]
-            zj_new = zj + r_k * max(-zj / r_k, fj)
-            zj_new = 0.0 if zj_new < 0.0 else cap if zj_new > cap else zj_new
-            if not zj_new <= lim or (x_bad is not None and x_bad[pos]):
-                stopped[pos] = t
-            else:
-                z[j] = zj_new
-        for pos in stopped:  # the rows of this iteration: the block ends with it
-            _write_back(states[pos], X[pos], sum_plain[pos], sum_weighted[pos], zs[pos],
-                        weights[pos], t, t + 1)
-
-        sum_plain += Xn
-        np.multiply(Xn, a_col, out=tmp)
-        sum_weighted += tmp
-        weights = [w + a_k for w, a_k in zip(weights, a_row)]
-        X, Xn, flat, flat_n = Xn, X, flat_n, flat
-        if stopped:
-            break
-    steps = t + 1
-    for pos, state in enumerate(states):
-        if pos not in stopped:
-            _write_back(state, X[pos], sum_plain[pos], sum_weighted[pos], zs[pos],
-                        weights[pos], steps, steps)
+    for pos, (state, stop, weight) in enumerate(zip(states, failed.tolist(), weights.tolist())):
+        if stop:
+            stopped[pos] = steps - 1
+        # a stopped row made its iteration's queries
+        _advance(state, X[pos].copy(), weight, steps - stop, steps)
     return steps, stopped
-
-
-def _write_back(state, x, sum_plain, sum_weighted, z, weight_sum, steps, queries):
-    """Copy one stacked row into ``state``: the arrays in place, except x."""
-    state.sum_plain[:] = sum_plain
-    state.sum_weighted[:] = sum_weighted
-    state.z[:] = z
-    _advance(state, x.copy(), weight_sum, steps, queries)
 
 
 def _run_row(inst, sched: ParamSchedule, z_max, K, seed, recorder, cadence):

@@ -595,6 +595,19 @@ def test_cli_unusable_out_fails_before_the_experiment(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_cli_csv_in_a_missing_directory_fails_before_the_experiment(
+        tmp_path, monkeypatch, capsys, command):
+    calls = []
+    monkeypatch.setattr(bench, "run_experiment", lambda *a, **kw: calls.append(a))
+    rc = cli.main([command, *_TINY_SOLVE[1:], "--out", str(tmp_path),
+                   "--csv", os.path.join("missing", "runs.csv")])
+    assert rc == 4 and calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_divergence_outside_the_run_loop_exits_3(tmp_path, capsys, monkeypatch):
     def diverging(inst, **kw):
         raise DivergenceError("reference diverged at iteration 7", iteration=7)

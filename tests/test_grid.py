@@ -1,35 +1,30 @@
-"""The run loop over several runs, its two kernels and the stacked oracles, bit for bit.
+"""The run loop over several runs, bit for bit.
 
-``solver._iterate`` advances R runs together: in lockstep through the
-instance's stacked oracles from ``solver.GRID_MIN_RUNS`` live rows, one row
-at a time through the per-row oracles below that.  Each stacked oracle must
-equal its per-row oracle bit for bit, and each row must equal its own
-one-row run (``run`` or ``mirror_prox_run``) in every field of the state,
-the generator included, at every tick, at the end and at a divergence.
+``solver._iterate`` advances R runs together: in lockstep on the compiled
+kernel for a quadratic instance, one row at a time through the per-row
+oracles for any other.  Each row must equal its own one-row run (``run`` or
+``mirror_prox_run``) on the per-row kernel in every field of the state, the
+generator included, at every tick, at the end and at a divergence.
 ``bench.run_experiment`` runs an experiment's loop runs through one call
 and measures each tick of all of them with one ``measure`` call; its rows
 match the one-run records within the tolerance contract.
 """
 
+import contextlib
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_forms as rf
 from pdsg import bench, solver
 from pdsg.baselines import MirrorProxConfig, mirror_prox_run
 from pdsg.errors import DivergenceError
-from pdsg.problems import (
-    ProblemInstance,
-    load_instance,
-    random_qcqp,
-    random_scenario_lp,
-    save_instance,
-)
+from pdsg.problems import ProblemInstance, random_qcqp
 from pdsg.solver import SCHEDULE_KINDS, _iterate, init_state, run
+from test_compiled import per_row_kernel
 from test_loop_equivalence import (
     PROPERTY,
     Snapshots,
@@ -40,112 +35,6 @@ from test_loop_equivalence import (
     run_plans,
     snapshot,
 )
-
-# -- stacked oracles ------------------------------------------------------------
-
-
-def _stack_inputs(inst, R, seed):
-    """R points (box corners and uniform points) and three index arrays; with
-    small m or N the indices repeat."""
-    rng = np.random.default_rng(seed)
-    corners = np.where(rng.random((R, inst.n)) < 0.5, inst.box_lo, inst.box_hi)
-    uniform = rng.uniform(inst.box_lo, inst.box_hi, size=(R, inst.n))
-    X = np.where(rng.random((R, 1)) < 0.3, corners, uniform)
-    return X, rng.integers(inst.N, size=R), rng.integers(inst.m, size=R), rng.integers(
-        inst.m, size=R
-    )
-
-
-def assert_stacked_equal_per_row(inst, X, xis, I, J):
-    """Every stacked oracle row against the per-row oracle at a fresh copy of
-    its point.  X holds G copies of the U draws of the index arrays,
-    copy-major: row g*U + u takes index u."""
-    U = len(xis)
-    G = len(X) // U
-    stoch_grads, constraints, constraint_values = inst.stacked_oracles(G, U)
-    rows = [x.copy() for x in X]
-    xis_r, I_r, J_r = (idx.tolist() * G for idx in (xis, I, J))
-    want = np.stack([inst.stoch_objective_grad(i, x) for i, x in zip(xis_r, rows)])
-    assert stoch_grads(xis, X).tobytes() == want.tobytes()
-
-    vals, grads = constraints(I, X)
-    want = [inst.constraint(i, x) for i, x in zip(I_r, rows)]
-    assert list(vals) == [v for v, _ in want]
-
-    want_grads = np.stack([g for _, g in want]).tobytes()
-    assert grads.tobytes() == want_grads
-
-    want = [inst.constraint_value(j, x) for j, x in zip(J_r, rows)]
-    assert list(constraint_values(J, X)) == want
-    assert grads.tobytes() == want_grads  # the value call left the subgradients intact
-
-
-@settings(max_examples=80, deadline=None)
-@given(qcqps(), st.integers(1, 12), st.integers(0, 2**32))
-def test_stacked_oracles_equal_per_row_on_generated(inst, R, seed):
-    assert_stacked_equal_per_row(inst, *_stack_inputs(inst, R, seed))
-
-
-@settings(max_examples=80, deadline=None)
-@given(qcqps(), st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32))
-def test_stacked_oracles_over_copies_equal_per_row(inst, G, U, seed):
-    # G copies of U distinct draws: each slice gathered once, broadcast over its copies
-    X = _stack_inputs(inst, G * U, seed)[0]
-    assert_stacked_equal_per_row(inst, X, *_stack_inputs(inst, U, seed + 1)[1:])
-
-
-@pytest.mark.parametrize("N", [1, 2, 7])
-@pytest.mark.parametrize("R", [1, 5, 12])
-def test_stacked_oracles_equal_per_row_on_scenario_lp(N, R):
-    inst = random_scenario_lp(5, 8, N, seed=N)
-    assert_stacked_equal_per_row(inst, *_stack_inputs(inst, R, R))
-
-
-@pytest.mark.parametrize("R", range(1, 13))
-def test_stacked_oracles_equal_per_row_on_loaded(tmp_path, R):
-    inst = random_qcqp(9, 6, 40, 12, seed=4)
-    path = tmp_path / "inst.bin"
-    save_instance(inst, path)
-    loaded = load_instance(path)
-    assert_stacked_equal_per_row(loaded, *_stack_inputs(loaded, R, R))
-
-
-def test_stacked_oracles_with_one_repeated_index():
-    inst = random_qcqp(7, 5, 9, 11, seed=3)
-    X, _, _, _ = _stack_inputs(inst, 12, 0)
-    same = np.full(12, 4)
-    assert_stacked_equal_per_row(inst, X, same, same, same)
-
-
-class _Wavy(ProblemInstance):
-    """Test-only instance with non-quadratic oracles: sampled objective
-    gradients sin(x + i), constraint values cos(w_j'x) - 1/2 and subgradients
-    -sin(w_j'x) w_j.  Values are numpy scalars, as a subclass may return."""
-
-    def __init__(self, n=3, m=5, N=4):
-        super().__init__(n, m, -np.ones(n), np.ones(n), N=N)
-        self.w = np.arange(1.0, m * n + 1.0).reshape(m, n) / (m * n)
-
-    def stoch_objective_grad(self, i, x):
-        return np.sin(x + i)
-
-    def constraint(self, j, x):
-        t = self.w[j] @ x
-        return np.cos(t) - 0.5, -np.sin(t) * self.w[j]
-
-
-@pytest.mark.parametrize("R", [1, 4, 12])
-def test_generic_stacked_oracles_make_the_per_row_calls(R):
-    inst = _Wavy()
-    assert_stacked_equal_per_row(inst, *_stack_inputs(inst, R, R))
-
-
-@pytest.mark.parametrize("G, U", [(2, 1), (3, 2), (2, 5)])
-def test_generic_stacked_oracles_over_copies_make_the_per_row_calls(G, U):
-    inst = _Wavy()
-    X = _stack_inputs(inst, G * U, G)[0]
-    assert_stacked_equal_per_row(inst, X, *_stack_inputs(inst, U, U)[1:])
-
 
 # -- several runs against one-row runs ----------------------------------------------
 
@@ -190,10 +79,9 @@ def _ending(state, exc=None):
     return (*head, snapshot(state), state.rng.integers(2**40))
 
 
-def compare_grid(inst, K, specs, cadence, block=solver._DRAW_BLOCK, min_runs=1):
-    """Run the rows through one ``_iterate`` call, with the stacked kernel
-    from ``min_runs`` live rows, and each through its own one-row run at the
-    default crossover; return the endings."""
+def compare_grid(inst, K, specs, cadence, block=solver._DRAW_BLOCK):
+    """Run the rows through one ``_iterate`` call, and each through its own
+    one-row run on the per-row kernel; return the endings."""
     rows = _rows(inst, K, specs)
     grid_ticks = [[] for _ in rows]
 
@@ -202,13 +90,13 @@ def compare_grid(inst, K, specs, cadence, block=solver._DRAW_BLOCK, min_runs=1):
             grid_ticks[r].append(snapshot(rows[r][0]))
 
     with mock.patch.object(solver, "_DRAW_BLOCK", block):
-        with mock.patch.object(solver, "GRID_MIN_RUNS", min_runs):
-            errors = _iterate(rows, inst, K, on_tick=on_tick, cadence=cadence)
+        errors = _iterate(rows, inst, K, on_tick=on_tick, cadence=cadence)
         got = [_ending(row[0], exc) for row, exc in zip(rows, errors)]
         for r, spec in enumerate(specs):
             ticks = Snapshots()
             try:
-                want = _ending(_one_row_run(inst, K, spec, ticks, cadence))
+                with per_row_kernel():
+                    want = _ending(_one_row_run(inst, K, spec, ticks, cadence))
             except DivergenceError as exc:
                 want = _ending(exc.state, exc)
             assert got[r] == want, f"row {r} ({spec[0]}) ends differently"
@@ -247,58 +135,12 @@ def test_grid_divergence_equals_independent_runs(N, m, step, kinds, plan):
 @given(qcqps(), st.lists(row_specs(), min_size=1, max_size=6),
        st.lists(st.integers(0, 2), min_size=6, max_size=6), run_plans())
 def test_grid_with_shared_seeds_equals_independent_runs(inst, specs, seeds, plan):
-    # rows of one seed draw equal blocks and share their gathered slices
+    # rows of one seed draw equal blocks
     specs = [(*spec[:4], seed) for spec, seed in zip(specs, seeds)]
     K, cadence, block = plan
     if any(policy in ("fixed_horizon", "strongly_convex") for policy, *_ in specs):
         K = max(K, 1)  # these schedules need a horizon
     compare_grid(inst, K, specs, cadence, block)
-
-
-def test_grid_copies_that_part_run_one_copy_per_row():
-    # two pdsg and mirror-prox pairs of one seed each; the big pdsg row
-    # diverges mid-run, leaving groups of one and two rows
-    inst = _Blowup(2**40, 40)
-    K = 400
-    big, small = 0.5 * np.sqrt(K), 0.01 * np.sqrt(K)
-    specs = [("fixed_horizon", big, big, None, 0), ("fixed_horizon", small, small, None, 1),
-             ("mirror_prox", 0.5, 0.5, 5.0, 0), ("mirror_prox", 0.5, 0.5, 5.0, 1)]
-    layouts = []
-    stacked_oracles = inst.stacked_oracles
-
-    def counted_oracles(G, U):
-        layouts.append((G, U))
-        return stacked_oracles(G, U)
-
-    inst.stacked_oracles = counted_oracles
-    got = compare_grid(inst, K, specs, cadence=7, min_runs=solver.GRID_MIN_RUNS)
-    assert [g[0] for g in got] == ["diverged", "done", "done", "done"]
-    assert layouts == [(2, 2), (1, 3)]
-
-
-class _CountingTake(np.ndarray):
-    """An instance array that records the rows of each ``take`` gather."""
-
-    gathered = []
-
-    def take(self, indices, *args, **kwargs):
-        self.gathered.append(len(indices))
-        return super().take(indices, *args, **kwargs)
-
-
-def test_grid_of_two_methods_and_two_seeds_gathers_each_slice_once(monkeypatch):
-    inst = random_qcqp(6, 4, 30, 25, seed=2)
-    counted = type(inst.data)(*(getattr(inst.data, f).view(_CountingTake)
-                                for f in ("H", "c", "Q", "a", "b", "box_lo", "box_hi")))
-    inst = type(inst)(counted)
-    monkeypatch.setattr(_CountingTake, "gathered", [])
-    specs = [("fixed_horizon", 0.05, 0.05, None, seed) for seed in (0, 1)] + [
-        ("mirror_prox", 0.05, 0.05, 5.0, seed) for seed in (0, 1)]
-    K = 50
-    compare_grid(inst, K, specs, cadence=K, min_runs=solver.GRID_MIN_RUNS)
-    # six gathers per iteration (H and c, Q and a, Q and a), each of two
-    # slices, one per seed; the one-row runs index single slices
-    assert _CountingTake.gathered == [2] * (6 * K)
 
 
 def test_grid_row_diverges_mid_block_while_the_others_finish():
@@ -329,9 +171,8 @@ def test_mirror_prox_dual_above_the_blowup_level_runs_on():
     big = 0.5 * np.sqrt(K)
     specs = [("fixed_horizon", big, big, None, 0), ("mirror_prox", big, big, 1e15, 1),
              ("mirror_prox", big, big, 1e15, 2)]
-    for min_runs in (1, len(specs) + 1):  # the stacked kernel, then the per-row one
-        got = compare_grid(inst, K, specs, cadence=7, min_runs=min_runs)
-        assert [g[0] for g in got] == ["diverged", "done", "done"]
+    got = compare_grid(inst, K, specs, cadence=7)
+    assert [g[0] for g in got] == ["diverged", "done", "done"]
     cfg = MirrorProxConfig(z_max=1e15, alpha=big, rho=big)
     got = compare_mirror_prox(inst, cfg, K, 7, solver._DRAW_BLOCK, seed=1)
     z = np.frombuffer(got[1][0][1])
@@ -372,18 +213,17 @@ class _CountingGenerator(np.random.Generator):
         return super().integers(*args, **kwargs)
 
 
-@pytest.mark.parametrize("min_runs", [1, 4])  # the stacked kernel, then the per-row one
-def test_run_loop_draws_once_per_live_row_and_block(min_runs):
-    # the big pdsg row diverges mid-block (as above); the other two finish
-    inst = _Blowup(2**40, 40)
+@pytest.mark.parametrize("lockstep", [True, False])  # the compiled kernel, then the per-row one
+def test_run_loop_draws_once_per_live_row_and_block(lockstep):
+    # the big pdsg row diverges mid-block; the other two finish
+    inst = random_qcqp(3, 2, 40, 40, seed=5)
     K, cadence = 400, 7
-    big, small = 0.5 * np.sqrt(K), 0.01 * np.sqrt(K)
-    specs = [("fixed_horizon", big, big, None, 0), ("fixed_horizon", small, small, None, 1),
-             ("mirror_prox", big, big, 5.0, 2)]
+    specs = [("fixed_horizon", 1e10, 1e10, None, 1), ("fixed_horizon", 0.01, 0.01, None, 0),
+             ("mirror_prox", 1.0, 1.0, 5.0, 2)]
     rows = _rows(inst, K, specs)
     for (state, *_), spec in zip(rows, specs):
         state.rng = _CountingGenerator(spec[-1])
-    with mock.patch.object(solver, "GRID_MIN_RUNS", min_runs):
+    with contextlib.nullcontext() if lockstep else per_row_kernel():
         errors = _iterate(rows, inst, K, on_tick=lambda live: None, cadence=cadence)
     assert [exc is not None for exc in errors] == [True, False, False]
     stop = errors[0].iteration  # the iteration at which row 0 stopped
@@ -391,9 +231,9 @@ def test_run_loop_draws_once_per_live_row_and_block(min_runs):
     blocks = -(-K // cadence)
     # row 0: one draw per block up to its divergence, and one rewind to it
     want = [stop // cadence + 2]
-    # the others draw once per block; on the stacked kernel the divergence
-    # ends their block early, so they are rewound and draw one block more
-    want += [blocks + 2 if min_runs == 1 else blocks] * 2
+    # the others draw once per block; in lockstep the divergence ends their
+    # block early, so they are rewound and draw one block more
+    want += [blocks + 2 if lockstep else blocks] * 2
     assert [row[0].rng.calls for row in rows] == want
     for (state, *_), spec in zip(rows, specs):
         try:
@@ -401,48 +241,6 @@ def test_run_loop_draws_once_per_live_row_and_block(min_runs):
         except DivergenceError as exc:
             alone = exc.state
         assert state.rng.bit_generator.state == alone.rng.bit_generator.state
-
-
-# -- kernel selection -------------------------------------------------------------
-
-
-def test_survivors_below_the_crossover_switch_to_the_per_row_kernel():
-    # as above: the big pdsg rows diverge mid-run, leaving two live rows
-    inst = _Blowup(2**40, 40)
-    K = 400
-    big, small = 0.5 * np.sqrt(K), 0.01 * np.sqrt(K)
-    specs = [
-        ("fixed_horizon", big, big, None, 0),
-        ("fixed_horizon", small, small, None, 1),
-        ("fixed_horizon", big, big, None, 3),
-        ("mirror_prox", big, big, 5.0, 2),
-    ]
-    built, kernel_rows = [], []
-    stacked_oracles, row_block = inst.stacked_oracles, solver._row_block
-
-    def counted_oracles(G, U):
-        built.append(G * U)
-        return stacked_oracles(G, U)
-
-    def counted_block(rows, *args):
-        kernel_rows.append(len(rows))
-        return row_block(rows, *args)
-
-    inst.stacked_oracles = counted_oracles
-    with mock.patch.object(solver, "_row_block", counted_block):
-        got = compare_grid(inst, K, specs, cadence=7, min_runs=solver.GRID_MIN_RUNS)
-    assert [g[0] for g in got] == ["diverged", "done", "diverged", "done"]
-    assert built == [4, 3]  # one stacked build per live count at or above the crossover
-    # the one-row runs of compare_grid add blocks of one row
-    assert set(kernel_rows) == {1, 2}
-
-
-@pytest.mark.parametrize("policy", ["fixed_horizon", "mirror_prox"])
-def test_one_row_run_never_builds_stacked_oracles(policy):
-    inst = random_qcqp(5, 3, 7, 11, seed=8)
-    spec = (policy, 0.05, 0.05, 5.0 if policy == "mirror_prox" else None, 4)
-    with mock.patch.object(inst, "stacked_oracles", side_effect=AssertionError("stacked")):
-        _one_row_run(inst, 300, spec, Snapshots(), 7)
 
 
 # -- experiments ------------------------------------------------------------------
@@ -515,7 +313,7 @@ def test_experiment_grid_matches_one_run_loops(kw):
 
 
 def test_experiment_measures_each_grid_tick_once():
-    # both sides of the crossover: 6 loop runs, and 2 on the per-row kernel
+    # 6 loop runs, and 2
     for seeds in ((0, 1, 2), (0,)):
         # cadence 10 of K = 50: ticks at 10, ..., 50
         cfg = _cfg(cadence=0.4, epochs=2, seeds=seeds)
@@ -537,13 +335,12 @@ def test_experiment_measures_each_grid_tick_once():
 @pytest.mark.parametrize("methods, seeds", [
     (("pdsg",), (0,)),  # `pdsg solve` with its default single seed
     (("pdsg", "reference"), (0,)),
-    (("pdsg", "reference"), tuple(range(solver.GRID_MIN_RUNS - 1))),
+    (("pdsg", "reference"), (0, 1)),
 ])
-def test_experiment_below_the_crossover_runs_one_loop_at_a_time(methods, seeds):
+def test_experiment_of_one_or_two_loop_runs_matches_one_run_loops(methods, seeds):
     cfg = _cfg(methods=methods, seeds=seeds)
     inst = bench.build_instance(cfg)
-    with mock.patch.object(inst, "stacked_oracles", side_effect=AssertionError("stacked")):
-        records, ref, _ = bench.run_experiment(cfg, inst=inst)
+    records, ref, _ = bench.run_experiment(cfg, inst=inst)
     want = _one_run_records(cfg, inst, ref)
     if len(seeds) == 1:
         assert bench.csv_text(records) == bench.csv_text(want)
