@@ -20,6 +20,7 @@ import ctypes
 import os
 import shutil
 import tempfile
+import threading
 from hashlib import sha256
 from types import SimpleNamespace
 
@@ -35,39 +36,45 @@ _SYMBOLS = ("scipy_cblas_{}64_", "cblas_{}64_", "cblas_{}")
 _ORACLES = ("stoch_objective_grad", "constraint", "constraint_value")
 
 # the process's kernel, the bound pdsg_block (None before the first load,
-# False once found unavailable), and its build directory where __pycache__
-# is not writable; held here so that the module's names stay as imported
-_process = SimpleNamespace(kernel=None, tmpdir=None)
+# False once found unavailable), its build directory where __pycache__ is
+# not writable, and the lock of the first load; held here so that the
+# module's names stay as imported
+_process = SimpleNamespace(kernel=None, tmpdir=None, lock=threading.RLock())
 
 
 def load():
     """The kernel's ``pdsg_block`` function, or None where it is unavailable.
 
     The first call builds (or finds) the library, binds it to numpy's BLAS
-    and runs the self-check on it; a call made meanwhile returns None.
+    and runs the self-check on it; a call from another thread meanwhile
+    waits for it.
     """
-    if _process.kernel is None:
-        _process.kernel = False
-        try:
-            lib = ctypes.CDLL(_build())
-        except OSError:
-            return None
-        lib.pdsg_bind.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int]
-        lib.pdsg_bind.restype = None
-        if not _bind(lib):
-            return None
-        kernel = lib.pdsg_block
-        kernel.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 7 \
-            + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 10
-        kernel.restype = ctypes.c_int64
-        _process.kernel = kernel  # the self-check runs on it
-        checked = False
-        try:
-            checked = _self_check()
-        finally:
-            if not checked:
-                _process.kernel = False
-    return _process.kernel or None
+    with _process.lock:
+        if _process.kernel is None:
+            kernel = False
+            try:
+                kernel = _bound_and_checked() or False
+            finally:  # also when the self-check raises
+                _process.kernel = kernel
+        return _process.kernel or None
+
+
+def _bound_and_checked():
+    """The built library's ``pdsg_block``, bound and self-checked, or None."""
+    try:
+        lib = ctypes.CDLL(_build())
+    except OSError:
+        return None
+    lib.pdsg_bind.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int]
+    lib.pdsg_bind.restype = None
+    if not _bind(lib):
+        return None
+    kernel = lib.pdsg_block
+    kernel.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 7 \
+        + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 10
+    kernel.restype = ctypes.c_int64
+    _process.kernel = kernel  # the self-check's runs take it
+    return kernel if _self_check() else None
 
 
 def _build():

@@ -13,6 +13,8 @@ import contextlib
 import dataclasses
 import os
 import shutil
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -68,7 +70,9 @@ def row_specs(draw):
     policy = draw(st.sampled_from(SCHEDULE_KINDS + ("mirror_prox",)))
     alpha = draw(st.floats(1e-3, 2.0))
     rho = draw(st.one_of(st.floats(1e-3, 2.0), st.floats(1e9, 1e13)))
-    z_max = draw(st.floats(0.01, 10.0)) if policy == "mirror_prox" else None
+    # a dual box above pdsg's blow-up level: mirror-prox has no such test
+    z_max = draw(st.one_of(st.floats(0.01, 10.0), st.just(1e15)))
+    z_max = z_max if policy == "mirror_prox" else None
     return policy, alpha, rho, z_max, draw(st.integers(0, 2))
 
 
@@ -238,6 +242,26 @@ def test_unavailable_kernel_falls_back_to_the_per_row_kernel(monkeypatch, tmp_pa
     endings, ticks = run_loop(inst, specs, 50, 9)
     for r, spec in enumerate(specs):
         assert (endings[r], ticks[r]) == stepwise(inst, spec, 50, 9)
+
+
+def test_concurrent_first_loads_wait_for_one_build(monkeypatch):
+    monkeypatch.setattr(compiled._process, "kernel", None)
+    builds, got = [], []
+    build = compiled._build
+    monkeypatch.setattr(compiled, "_build", lambda: builds.append(1) or build())
+    threads = [threading.Thread(target=lambda: got.append(compiled.load())) for _ in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert builds == [1] and len(got) == 4
+    assert got[0] is not None and all(kernel is got[0] for kernel in got)
 
 
 def test_build_without_a_writable_cache_uses_a_temporary_directory(monkeypatch, tmp_path):
