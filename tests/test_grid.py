@@ -2,9 +2,11 @@
 
 ``solver._iterate`` advances R runs together: in lockstep on the compiled
 kernel for a quadratic instance, one row at a time through the per-row
-oracles for any other.  Each row must equal its own one-row run (``run`` or
-``mirror_prox_run``) on the per-row kernel in every field of the state, the
-generator included, at every tick, at the end and at a divergence.
+oracles for any other.  One iteration of a stack of rows must equal each
+row's step function on the per-row oracles, and each row must equal its own
+one-row run (``run`` or ``mirror_prox_run``) on the per-row kernel in every
+field of the state, the generator included, at every tick, at the end and
+at a divergence.
 ``bench.run_experiment`` runs an experiment's loop runs through one call
 and measures each tick of all of them with one ``measure`` call; its rows
 match the one-run records within the tolerance contract.
@@ -15,15 +17,21 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_forms as rf
-from pdsg import bench, solver
-from pdsg.baselines import MirrorProxConfig, mirror_prox_run
+from pdsg import bench, compiled, solver
+from pdsg.baselines import MirrorProxConfig, mirror_prox_run, mirror_prox_step
 from pdsg.errors import DivergenceError
-from pdsg.problems import ProblemInstance, random_qcqp
-from pdsg.solver import SCHEDULE_KINDS, _iterate, init_state, run
+from pdsg.problems import (
+    ProblemInstance,
+    load_instance,
+    random_qcqp,
+    random_scenario_lp,
+    save_instance,
+)
+from pdsg.solver import SCHEDULE_KINDS, _iterate, init_state, pdsg_step, run
 from test_compiled import per_row_kernel
 from test_loop_equivalence import (
     PROPERTY,
@@ -35,6 +43,141 @@ from test_loop_equivalence import (
     run_plans,
     snapshot,
 )
+
+# -- one stacked iteration against the per-row oracles ------------------------------
+
+
+def _stack_inputs(inst, R, seed):
+    """R points (box corners and uniform points) and three index arrays; with
+    small m or N the indices repeat."""
+    rng = np.random.default_rng(seed)
+    corners = np.where(rng.random((R, inst.n)) < 0.5, inst.box_lo, inst.box_hi)
+    uniform = rng.uniform(inst.box_lo, inst.box_hi, size=(R, inst.n))
+    X = np.where(rng.random((R, 1)) < 0.3, corners, uniform)
+    return X, rng.integers(inst.N, size=R), rng.integers(inst.m, size=R), rng.integers(
+        inst.m, size=R
+    )
+
+
+class _Scripted:
+    """A generator stand-in that hands a step function its index triple."""
+
+    def __init__(self, triple):
+        self.draws = iter(triple)
+
+    def integers(self, bound):
+        return next(self.draws)
+
+
+def assert_stacked_equal_per_row(inst, X, xis, I, J):
+    """One iteration of every row in one block, on the kernel the run loop
+    takes for ``inst`` (the compiled one, all rows in lockstep, for a
+    quadratic instance; ``_row_block`` for any other), against each row's
+    step function on the per-row oracles at a fresh copy of its point.  X
+    holds G copies of the U draws of the index arrays, copy-major: row
+    g*U + u takes index u.  Rows alternate pdsg and mirror-prox (with a dual
+    box above the dual steps here) and take steps from 1e-6, which keeps
+    the new point off the box, to 1; their duals start in [0, 1)."""
+    U = len(xis)
+    G = len(X) // U
+    triples = np.stack([np.tile(idx, G) for idx in (I, xis, J)], axis=1)
+    duals = np.random.default_rng(len(X)).random((len(X), inst.m))
+    alphas = [10.0 ** -(6 - r % 6) for r in range(len(X))]
+    r_k = 0.7
+
+    def start(r):
+        state = init_state(inst, r)
+        state.x, state.z = X[r].copy(), duals[r].copy()
+        return state
+
+    rows = [(start(r), np.full(1, alphas[r]), np.full(1, r_k), None if r % 2 == 0 else 1e4)
+            for r in range(len(X))]
+    operands = compiled.operands(inst)
+    if operands is None:
+        oracles = (inst.stoch_objective_grad, inst.constraint, inst.constraint_value)
+        out = solver._row_block(rows, list(triples), oracles, inst.box_lo, inst.box_hi, 0, 1)
+    else:
+        out = solver._compiled_block(rows, list(triples), operands, 0, 1)
+    assert out == (1, {})
+
+    for r, (state, _, _, z_max) in enumerate(rows):
+        want = start(r)
+        rng, want.rng = want.rng, _Scripted(triples[r].tolist())
+        if z_max is None:
+            pdsg_step(want, inst, alphas[r], r_k, r_k)
+        else:
+            mirror_prox_step(want, inst, alphas[r], r_k, r_k, z_max)
+        want.rng = rng  # the kernels draw nothing
+        assert snapshot(state) == snapshot(want), f"row {r}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(qcqps(), st.integers(1, 12), st.integers(0, 2**32))
+def test_stacked_oracles_equal_per_row_on_generated(inst, R, seed):
+    assert_stacked_equal_per_row(inst, *_stack_inputs(inst, R, seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(qcqps(), st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32))
+def test_stacked_oracles_over_copies_equal_per_row(inst, G, U, seed):
+    # G copies of U distinct draws: rows of one draw at different points
+    X = _stack_inputs(inst, G * U, seed)[0]
+    assert_stacked_equal_per_row(inst, X, *_stack_inputs(inst, U, seed + 1)[1:])
+
+
+@pytest.mark.parametrize("N", [1, 2, 7])
+@pytest.mark.parametrize("R", [1, 5, 12])
+def test_stacked_oracles_equal_per_row_on_scenario_lp(N, R):
+    inst = random_scenario_lp(5, 8, N, seed=N)
+    assert_stacked_equal_per_row(inst, *_stack_inputs(inst, R, R))
+
+
+@pytest.mark.parametrize("R", range(1, 13))
+def test_stacked_oracles_equal_per_row_on_loaded(tmp_path, R):
+    inst = random_qcqp(9, 6, 40, 12, seed=4)
+    path = tmp_path / "inst.bin"
+    save_instance(inst, path)
+    loaded = load_instance(path)
+    assert_stacked_equal_per_row(loaded, *_stack_inputs(loaded, R, R))
+
+
+def test_stacked_oracles_with_one_repeated_index():
+    inst = random_qcqp(7, 5, 9, 11, seed=3)
+    X, _, _, _ = _stack_inputs(inst, 12, 0)
+    same = np.full(12, 4)
+    assert_stacked_equal_per_row(inst, X, same, same, same)
+
+
+class _Wavy(ProblemInstance):
+    """Test-only instance with non-quadratic oracles: sampled objective
+    gradients sin(x + i), constraint values cos(w_j'x) - 1/2 and subgradients
+    -sin(w_j'x) w_j.  Values are numpy scalars, as a subclass may return."""
+
+    def __init__(self, n=3, m=5, N=4):
+        super().__init__(n, m, -np.ones(n), np.ones(n), N=N)
+        self.w = np.arange(1.0, m * n + 1.0).reshape(m, n) / (m * n)
+
+    def stoch_objective_grad(self, i, x):
+        return np.sin(x + i)
+
+    def constraint(self, j, x):
+        t = self.w[j] @ x
+        return np.cos(t) - 0.5, -np.sin(t) * self.w[j]
+
+
+@pytest.mark.parametrize("R", [1, 4, 12])
+def test_generic_stacked_oracles_make_the_per_row_calls(R):
+    inst = _Wavy()
+    assert compiled.operands(inst) is None
+    assert_stacked_equal_per_row(inst, *_stack_inputs(inst, R, R))
+
+
+@pytest.mark.parametrize("G, U", [(2, 1), (3, 2), (2, 5)])
+def test_generic_stacked_oracles_over_copies_make_the_per_row_calls(G, U):
+    inst = _Wavy()
+    X = _stack_inputs(inst, G * U, G)[0]
+    assert_stacked_equal_per_row(inst, X, *_stack_inputs(inst, U, U)[1:])
+
 
 # -- several runs against one-row runs ----------------------------------------------
 
@@ -141,6 +284,16 @@ def test_grid_with_shared_seeds_equals_independent_runs(inst, specs, seeds, plan
     if any(policy in ("fixed_horizon", "strongly_convex") for policy, *_ in specs):
         K = max(K, 1)  # these schedules need a horizon
     compare_grid(inst, K, specs, cadence, block)
+
+
+def test_grid_copies_that_part_run_one_copy_per_row():
+    # two pdsg and mirror-prox pairs of one seed each; the big pdsg row
+    # diverges mid-run, and the rows of its seed run on apart
+    inst = random_qcqp(3, 2, 40, 40, seed=5)
+    specs = [("fixed_horizon", 1e10, 1e10, None, 1), ("fixed_horizon", 0.01, 0.01, None, 0),
+             ("mirror_prox", 1.0, 1.0, 5.0, 1), ("mirror_prox", 1.0, 1.0, 5.0, 0)]
+    got = compare_grid(inst, 400, specs, cadence=7)
+    assert [g[0] for g in got] == ["diverged", "done", "done", "done"]
 
 
 def test_grid_row_diverges_mid_block_while_the_others_finish():
