@@ -1,6 +1,6 @@
 """Constrained stochastic optimization: sampled primal-dual solver and benchmarks."""
 
-from .auglag import PenaltyEval, lagrangian_gap, penalty, penalty_mean, primal_subgradient
+from .auglag import PenaltyEval, penalty, penalty_mean, primal_subgradient
 from .baselines import (
     MirrorProxConfig,
     ReferenceSolution,

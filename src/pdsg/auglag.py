@@ -1,4 +1,4 @@
-"""Scalar penalty primitives of the augmented Lagrangian, and the gap function.
+"""Scalar penalty primitives of the augmented Lagrangian.
 
 The coupling penalty is a two-branch function of a constraint value ``u`` and
 a multiplier ``v``: quadratic-in-``u`` while ``beta*u + v >= 0``, constant
@@ -96,18 +96,3 @@ def primal_subgradient(g0, fval: float, grad, z_i: float, beta: float):
         return g0.copy()
     return g0 + mult * grad
 
-
-def lagrangian_gap(f0_x: float, f0_ref: float, fvals, z) -> float:
-    """Gap ``f0_x - f0_ref + (1/m) sum_i z[i] * fvals[i]``.
-
-    With ``f0_ref`` the optimal value and ``z`` the optimal multipliers this
-    is nonnegative for every feasible point; it is the quantity the ergodic
-    convergence guarantees control.
-    """
-    fvals = np.asarray(fvals, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if fvals.shape != z.shape or fvals.ndim != 1 or fvals.size == 0:
-        raise DimensionError(
-            f"fvals and z must be equal-length vectors, got {fvals.shape} and {z.shape}"
-        )
-    return float(f0_x - f0_ref + (z * fvals).mean())

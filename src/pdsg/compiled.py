@@ -4,14 +4,16 @@
 C loop makes every product with the cblas function that numpy's matmul
 calls for the same operands, taken from the BLAS library numpy has loaded,
 so each row is bit-equal to ``solver._row_block`` and the step functions.
+A block's rows are split over at most as many threads as the process has
+CPUs (``split``); the kernel starts them and joins them before it returns.
 
 The library is built once per source, flags and compiler with
-``cc -O2 -shared -fPIC -ffp-contract=off`` and cached beside the source in
-``__pycache__`` (in a per-process temporary directory where that folder is
-not writable).  Before its first use it runs a few short blocks against
-``pdsg_step`` and ``mirror_prox_step``.  Where the compiler fails, the BLAS
-symbols are missing or a bit differs, ``load`` returns None and every run
-takes the per-row kernel.
+``cc -O2 -shared -fPIC -ffp-contract=off -pthread`` and cached beside the
+source in ``__pycache__`` (in a per-process temporary directory where that
+folder is not writable).  Before its first use it runs a few short blocks
+against ``pdsg_step`` and ``mirror_prox_step``.  Where the compiler fails,
+the BLAS symbols are missing or a bit differs, ``load`` returns None and
+every run takes the per-row kernel.
 """
 
 from __future__ import annotations
@@ -30,16 +32,19 @@ from . import problems
 from .errors import DivergenceError
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
-_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-pthread")
 # the cblas names of numpy's BLAS builds; a "64_" suffix marks 64-bit integers
 _SYMBOLS = ("scipy_cblas_{}64_", "cblas_{}64_", "cblas_{}")
 _ORACLES = ("stoch_objective_grad", "constraint", "constraint_value")
 
 # the process's kernel, the bound pdsg_block (None before the first load,
 # False once found unavailable), its build directory where __pycache__ is
-# not writable, and the lock of the first load; held here so that the
-# module's names stay as imported
-_process = SimpleNamespace(kernel=None, tmpdir=None, lock=threading.RLock())
+# not writable, the lock of the first load, and the CPUs the process may
+# run on, the most threads a block takes; held here so that the module's
+# names stay as imported
+_process = SimpleNamespace(
+    kernel=None, tmpdir=None, lock=threading.RLock(),
+    cpus=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
 
 
 def load():
@@ -70,8 +75,8 @@ def _bound_and_checked():
     if not _bind(lib):
         return None
     kernel = lib.pdsg_block
-    kernel.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 7 \
-        + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 10
+    kernel.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 7 + [ctypes.c_int64] \
+        + [ctypes.c_void_p] * 10 + [ctypes.c_int64] + [ctypes.c_void_p] * 2
     kernel.restype = ctypes.c_int64
     _process.kernel = kernel  # the self-check's runs take it
     return kernel if _self_check() else None
@@ -127,17 +132,38 @@ def _bind(lib) -> bool:
     return False
 
 
+def split(draws):
+    """A block's rows by thread: ``(threads, rows, counts)``, thread k
+    running the ``counts[k]`` rows of ``rows`` after the earlier threads'.
+
+    Rows with byte-equal draws form a group, which stays on one thread and
+    reads each sampled slice once into its cache; the groups go to the
+    threads largest first, each to the thread with the fewest rows.  There
+    are at most as many threads as groups and as CPUs the process may run on.
+    """
+    groups = {}
+    for pos, row in enumerate(draws):
+        groups.setdefault(row.tobytes(), []).append(pos)
+    threads = [[] for _ in range(min(len(groups), _process.cpus))]
+    for group in sorted(groups.values(), key=len, reverse=True):
+        min(threads, key=len).extend(group)
+    counts = [len(rows) for rows in threads]
+    return len(threads), np.array(sum(threads, []), np.int64), np.array(counts, np.int64)
+
+
 def _self_check() -> bool:
     """Short pdsg and mirror-prox runs on tiny instances, one row alone and
-    two in one block, against their step functions: every state field and
-    the generator bit for bit.  The shapes take each branch of every
+    three in one block, against their step functions: every state field and
+    the generator bit for bit.  Two of the three share a seed, so their
+    draws form one group, and the third is a group alone, on another thread
+    where the process has two CPUs.  The shapes take each branch of every
     product's dispatch: n = 1, p = 1 and both above 1."""
     from . import baselines, solver
 
     K = 8
     # (step, z_max, seed) of a row, pdsg with no z_max; the steps reach the
     # box and the penalty branch within K
-    rules = ((2.0, None, 0), (1.0, 1.0, 1), (0.5, None, 2))
+    rules = ((2.0, None, 0), (1.0, 1.0, 1), (0.5, None, 2), (0.5, None, 1))
     for n, p in ((1, 2), (2, 1), (3, 2)):
         inst = problems.random_qcqp(n, p, 3, 3, seed=n + 3 * p)
         rows = [(solver.init_state(inst, seed), *solver.fixed_horizon(step, step, K).sequences(K),

@@ -13,8 +13,10 @@ draws the sample indices in blocks and is bit-for-bit equal to repeated
 steps.  A quadratic instance's blocks run on the compiled kernel
 (``compiled``, ``_kernel.c``), any other instance's on ``_row_block``.
 
-A run is single-threaded and deterministic given its seed.  Runs over the
-same instance may execute concurrently; nothing here mutates the instance.
+A run is single-threaded and deterministic given its seed; the compiled
+kernel splits a block of several runs over threads, each run on one.  Runs
+over the same instance may execute concurrently; nothing here mutates the
+instance.
 """
 
 from __future__ import annotations
@@ -357,7 +359,7 @@ def _iterate(rows, inst, K, on_tick=None, cadence=None):
     the state, the generator included.  The loop owns the generators: it
     draws a row's index triples of a block with one ``rng.integers`` call
     over the tiled bounds, which draws what the scalar calls draw, and puts
-    a row that took fewer steps where their scalar draws would leave it.
+    a row that stopped where its scalar draws would leave it.
     Returns one entry per row: None, or the ``DivergenceError`` its steps
     would have raised, with its state left as they leave it; the other rows
     keep running.  ``on_tick`` is called every ``cadence`` iterations (and at
@@ -384,20 +386,18 @@ def _iterate(rows, inst, K, on_tick=None, cadence=None):
         block = [rows[r] for r in live]
         before = [state.rng.bit_generator.state for state, *_ in block]
         draws = [state.rng.integers(bounds[: 3 * (end - done)]) for state, *_ in block]
-        out = None if operands is None else _compiled_block(block, draws, operands, done, end)
-        if out is None:
-            out = _row_block(block, draws, oracles, lo, hi, done, end)
-        steps, stopped = out
-        for pos, (state, *_) in enumerate(block):
-            drawn = stopped[pos] + 1 if pos in stopped else steps
-            if drawn < end - done:
+        stopped = None if operands is None else _compiled_block(block, draws, operands, done, end)
+        if stopped is None:
+            stopped = _row_block(block, draws, oracles, lo, hi, done, end)
+        for pos, t in stopped.items():
+            state = block[pos][0]
+            if t + 1 < end - done:
                 state.rng.bit_generator.state = before[pos]
-                state.rng.integers(bounds[: 3 * drawn])
-            if pos in stopped:
-                msg = f"divergence at iteration {state.k}"
-                errors[live[pos]] = DivergenceError(msg, iteration=state.k, state=state)
+                state.rng.integers(bounds[: 3 * (t + 1)])
+            msg = f"divergence at iteration {state.k}"
+            errors[live[pos]] = DivergenceError(msg, iteration=state.k, state=state)
         live = [r for r in live if errors[r] is None]
-        done += steps
+        done = end
         if done == tick and on_tick is not None and live:
             on_tick(live)
     return errors
@@ -405,7 +405,7 @@ def _iterate(rows, inst, K, on_tick=None, cadence=None):
 
 def _row_block(rows, draws, oracles, lo, hi, done, end):
     """Iterations done+1..end of each row in turn, on the per-row oracles;
-    returns (end - done, stopped).  Row ``pos`` steps on the index triples
+    returns ``stopped``.  Row ``pos`` steps on the index triples
     ``draws[pos]``.
 
     A row that diverges stops at that iteration, left as its step calls
@@ -445,52 +445,57 @@ def _row_block(rows, draws, oracles, lo, hi, done, end):
             weight_sum += a_k
         # a stopped row made its iteration's queries
         _advance(state, x, weight_sum, steps, steps + (pos in stopped))
-    return end - done, stopped
+    return stopped
 
 
 def _compiled_block(rows, draws, operands, done, end):
-    """``_row_block``'s iterations on the compiled kernel, every row in
-    lockstep; returns (steps, stopped), or None when a row's dual or sums
-    are not C-contiguous float64 arrays of the instance's shapes or its
-    steps do not cover the block.
+    """``_row_block``'s iterations on the compiled kernel; returns
+    ``stopped`` as ``_row_block`` does, or None when a row's dual or sums
+    are not C-contiguous float64 arrays of the instance's shapes, overlap
+    another's, or its steps do not cover the block.
 
-    A row that diverges is left as its step calls leave it, and the block
-    ends after that iteration of every row, so ``steps`` may be short of
-    ``end - done``.  Each state's dual and sums change in place, and it gets
-    a new iterate.
+    The kernel runs groups of rows on threads of their own
+    (``compiled.split``), so no two rows may write the same memory.  Each
+    state's dual and sums change in place, and it gets a new iterate.
     """
     block, n, p, m, *arrays = operands
     R = len(rows)
     states = [row[0] for row in rows]
-    pointers = []
+    pointers, spans = [], []
     for name, shape in (("z", (m,)), ("sum_plain", (n,)), ("sum_weighted", (n,))):
         addresses = [compiled.address(getattr(state, name), shape) for state in states]
         if None in addresses:
             return None
         pointers.append((ctypes.c_void_p * R)(*addresses))
+        spans += [(start, start + 8 * shape[0]) for start in addresses]
+    spans.sort()
+    if any(start < stop for (_, stop), (start, _) in zip(spans, spans[1:])):
+        return None
     alphas, rhos = ([np.asarray(row[i][done:end], dtype=float) for row in rows] for i in (1, 2))
     if any(seq.shape != (end - done,) for seq in alphas + rhos):
         return None
     X = np.array([state.x for state in states], dtype=float)
     weights = np.array([state.weight_sum for state in states], dtype=float)
-    failed = np.zeros(R, np.int8)
+    stops = np.empty(R, np.int64)
+    threads, order, counts = compiled.split(draws)
     inputs = (
         np.stack(draws),
         np.stack(alphas),
         np.stack(rhos),
         np.array([_policy(row[3]) for row in rows], dtype=float),
     )
-    steps = block(n, p, *arrays, R, end - done, *(arr.ctypes.data for arr in inputs),
-                  X.ctypes.data, *pointers, weights.ctypes.data, failed.ctypes.data)
-    if steps < 0:
+    status = block(n, p, *arrays, end - done, *(arr.ctypes.data for arr in inputs),
+                   X.ctypes.data, *pointers, weights.ctypes.data, stops.ctypes.data,
+                   threads, order.ctypes.data, counts.ctypes.data)
+    if status < 0:
         raise MemoryError("the compiled kernel could not allocate its work space")
     stopped = {}
-    for pos, (state, stop, weight) in enumerate(zip(states, failed.tolist(), weights.tolist())):
-        if stop:
-            stopped[pos] = steps - 1
+    for pos, (state, steps, weight) in enumerate(zip(states, stops.tolist(), weights.tolist())):
+        if steps < end - done:
+            stopped[pos] = steps
         # a stopped row made its iteration's queries
-        _advance(state, X[pos].copy(), weight, steps - stop, steps)
-    return steps, stopped
+        _advance(state, X[pos].copy(), weight, steps, steps + (pos in stopped))
+    return stopped
 
 
 def _run_row(inst, sched: ParamSchedule, z_max, K, seed, recorder, cadence):

@@ -12,7 +12,8 @@ elementwise forms live here, and tests hold the library to them.  So do the
 earlier forms of passes that now allocate less (the constraint pass, the
 curvatures and the reference screen), which must stay bit-equal, and the
 galloping search of the discarding scenario count, which is now one
-bisection and must return the same N.
+bisection and must return the same N.  The Lagrangian gap, which only
+tests evaluate, lives here too.
 
 Tolerance contract.  A faster form that reorders floating-point arithmetic
 must agree with its reference form elementwise,
@@ -34,7 +35,7 @@ import math
 import numpy as np
 
 from pdsg import problems
-from pdsg.errors import CapacityError
+from pdsg.errors import CapacityError, DimensionError
 from pdsg.problems import QcqpData, QuadraticInstance, box_radius
 from pdsg.solver import _Z_BLOWUP, project_box
 
@@ -323,3 +324,19 @@ def scenario_count_discarding(n, tau, eps, p=0):
         else:
             lo = mid
     return hi
+
+
+def lagrangian_gap(f0_x: float, f0_ref: float, fvals, z) -> float:
+    """Gap ``f0_x - f0_ref + (1/m) sum_i z[i] * fvals[i]``.
+
+    With ``f0_ref`` the optimal value and ``z`` the optimal multipliers this
+    is nonnegative for every feasible point; it is the quantity the ergodic
+    convergence guarantees control.
+    """
+    fvals = np.asarray(fvals, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if fvals.shape != z.shape or fvals.ndim != 1 or fvals.size == 0:
+        raise DimensionError(
+            f"fvals and z must be equal-length vectors, got {fvals.shape} and {z.shape}"
+        )
+    return float(f0_x - f0_ref + (z * fvals).mean())

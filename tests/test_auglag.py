@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from pdsg.auglag import lagrangian_gap, penalty, penalty_mean, primal_subgradient
+from pdsg.auglag import penalty, penalty_mean, primal_subgradient
 from pdsg.errors import DimensionError
+from reference_forms import lagrangian_gap
 
 
 def test_penalty_all_zero():

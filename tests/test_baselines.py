@@ -15,6 +15,7 @@ from pdsg.baselines import (
 )
 from pdsg.problems import random_qcqp, random_scenario_lp
 from pdsg.solver import init_state, pdsg_step
+from reference_forms import lagrangian_gap
 
 MP_TRACE_X = [0.0, -1.0, -2.0, -2.0, -1.0, 0.0, 0.0, -1.0, -2.0]
 MP_TRACE_Z = [0.0, 0.0, 0.0, 1.0, 2.0, 2.0, 1.0, 0.0, 0.0]
@@ -159,8 +160,6 @@ def test_reference_nonconverged_flag():
 def test_optimality_gap_nonnegative_at_reference_pair():
     # the gap function with the reference primal-dual pair is nonnegative
     # over the whole box, not just the feasible set
-    from pdsg.auglag import lagrangian_gap
-
     inst = random_qcqp(4, 3, 8, 6, seed=4)
     ref = full_batch_reference(inst, tol=1e-9)
     rng = np.random.default_rng(0)

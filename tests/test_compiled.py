@@ -11,6 +11,7 @@ a divergence.
 
 import contextlib
 import dataclasses
+import multiprocessing
 import os
 import shutil
 import sys
@@ -173,6 +174,85 @@ def test_compiled_kernel_keeps_nan_and_signed_zero_rules():
                     np.array([1.0, -0.0, 1.0]))
     endings = assert_kernels_agree(QuadraticInstance(zero), specs[:1] + specs[3:4], 5, 2)
     assert endings[0][1][0][0] == np.array([-0.0, -0.0, 0.0]).tobytes()  # x
+
+
+
+@pytest.mark.parametrize("shared", [("z", "z"), ("sum_plain", "sum_weighted")])
+def test_rows_writing_the_same_memory_run_per_row(shared):
+    # two rows that write one array would race on two threads
+    inst = random_qcqp(4, 3, 5, 6, seed=2)
+    specs = [("anytime", 0.5, 0.5, None, 0), ("mirror_prox", 0.5, 0.5, 1.0, 1)]
+
+    def aliased_run():
+        rows = [(init_state(inst, spec[-1]), *_steps(spec, 60), spec[3]) for spec in specs]
+        setattr(rows[1][0], shared[1], getattr(rows[0][0], shared[0]))
+        assert _iterate(rows, inst, 60, on_tick=lambda live: None, cadence=7) == [None, None]
+        return [_ending(row[0]) for row in rows]
+
+    with mock.patch.object(solver, "_row_block", wraps=solver._row_block) as row_block:
+        got = aliased_run()
+    assert row_block.call_count == 9
+    with per_row_kernel():
+        assert aliased_run() == got
+
+
+def _one_row_runs(inst, specs, K, cadence):
+    """Each spec's ending and ticks as a run of its own on the per-row kernel."""
+    with per_row_kernel():
+        return [tuple(out[0] for out in run_loop(inst, [spec], K, cadence)) for spec in specs]
+
+
+# pdsg and mirror-prox rows of one seed share their draws, and a third row
+# is a group of its own
+_GROUPED = [("fixed_horizon", 0.05, 0.05, None, 0), ("mirror_prox", 1.0, 1.0, 5.0, 0),
+            ("anytime", 0.05, 0.05, None, 1)]
+
+
+def test_python_threads_run_the_compiled_kernel_at_once():
+    # ctypes releases the GIL in the kernel, so both calls run together
+    inst = random_qcqp(30, 20, 60, 60, seed=3)
+    K, cadence = 3000, 700
+    plans = [_GROUPED, [("mirror_prox", 0.5, 0.5, 2.0, 2), ("anytime", 0.02, 0.02, None, 3)]]
+    want = [_one_row_runs(inst, specs, K, cadence) for specs in plans]
+    got = [None] * len(plans)
+    barrier = threading.Barrier(len(plans))
+
+    def loop(k):
+        barrier.wait()
+        got[k] = run_loop(inst, plans[k], K, cadence)
+
+    threads = [threading.Thread(target=loop, args=(k,)) for k in range(len(plans))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    for (endings, ticks), alone in zip(got, want):
+        assert list(zip(endings, ticks)) == alone
+
+
+def _send_run_loop(conn, inst, specs, K, cadence):
+    conn.send(run_loop(inst, specs, K, cadence))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+# the fork is the point: BLAS worker threads are alive in the parent
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_runs_the_compiled_kernel():
+    inst = random_qcqp(6, 4, 30, 30, seed=7)
+    K, cadence = 400, 90
+    endings, ticks = run_loop(inst, _GROUPED, K, cadence)  # the kernel has run here
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_run_loop, args=(send, inst, _GROUPED, K, cadence))
+    child.start()
+    send.close()
+    got = receive.recv() if receive.poll(60) else None
+    child.join(timeout=60)
+    assert child.exitcode == 0
+    assert got == (endings, ticks)
+    assert list(zip(*got)) == _one_row_runs(inst, _GROUPED, K, cadence)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")

@@ -1,8 +1,8 @@
 """The run loop over several runs, bit for bit.
 
-``solver._iterate`` advances R runs together: in lockstep on the compiled
-kernel for a quadratic instance, one row at a time through the per-row
-oracles for any other.  One iteration of a stack of rows must equal each
+``solver._iterate`` advances R runs together: on the compiled kernel for a
+quadratic instance, its rows split in groups over threads, and one row at a
+time through the per-row oracles for any other.  One iteration of a stack of rows must equal each
 row's step function on the per-row oracles, and each row must equal its own
 one-row run (``run`` or ``mirror_prox_run``) on the per-row kernel in every
 field of the state, the generator included, at every tick, at the end and
@@ -71,8 +71,8 @@ class _Scripted:
 
 def assert_stacked_equal_per_row(inst, X, xis, I, J):
     """One iteration of every row in one block, on the kernel the run loop
-    takes for ``inst`` (the compiled one, all rows in lockstep, for a
-    quadratic instance; ``_row_block`` for any other), against each row's
+    takes for ``inst`` (the compiled one, its rows split over threads, for
+    a quadratic instance; ``_row_block`` for any other), against each row's
     step function on the per-row oracles at a fresh copy of its point.  X
     holds G copies of the U draws of the index arrays, copy-major: row
     g*U + u takes index u.  Rows alternate pdsg and mirror-prox (with a dual
@@ -98,7 +98,7 @@ def assert_stacked_equal_per_row(inst, X, xis, I, J):
         out = solver._row_block(rows, list(triples), oracles, inst.box_lo, inst.box_hi, 0, 1)
     else:
         out = solver._compiled_block(rows, list(triples), operands, 0, 1)
-    assert out == (1, {})
+    assert out == {}
 
     for r, (state, _, _, z_max) in enumerate(rows):
         want = start(r)
@@ -366,8 +366,8 @@ class _CountingGenerator(np.random.Generator):
         return super().integers(*args, **kwargs)
 
 
-@pytest.mark.parametrize("lockstep", [True, False])  # the compiled kernel, then the per-row one
-def test_run_loop_draws_once_per_live_row_and_block(lockstep):
+@pytest.mark.parametrize("on_compiled", [True, False])  # the compiled kernel, then the per-row one
+def test_run_loop_draws_once_per_live_row_and_block(on_compiled):
     # the big pdsg row diverges mid-block; the other two finish
     inst = random_qcqp(3, 2, 40, 40, seed=5)
     K, cadence = 400, 7
@@ -376,7 +376,7 @@ def test_run_loop_draws_once_per_live_row_and_block(lockstep):
     rows = _rows(inst, K, specs)
     for (state, *_), spec in zip(rows, specs):
         state.rng = _CountingGenerator(spec[-1])
-    with contextlib.nullcontext() if lockstep else per_row_kernel():
+    with contextlib.nullcontext() if on_compiled else per_row_kernel():
         errors = _iterate(rows, inst, K, on_tick=lambda live: None, cadence=cadence)
     assert [exc is not None for exc in errors] == [True, False, False]
     stop = errors[0].iteration  # the iteration at which row 0 stopped
@@ -384,9 +384,9 @@ def test_run_loop_draws_once_per_live_row_and_block(lockstep):
     blocks = -(-K // cadence)
     # row 0: one draw per block up to its divergence, and one rewind to it
     want = [stop // cadence + 2]
-    # the others draw once per block; in lockstep the divergence ends their
-    # block early, so they are rewound and draw one block more
-    want += [blocks + 2 if lockstep else blocks] * 2
+    # the others draw once per block on either kernel: a row's divergence
+    # ends no other row's block
+    want += [blocks] * 2
     assert [row[0].rng.calls for row in rows] == want
     for (state, *_), spec in zip(rows, specs):
         try:
