@@ -100,9 +100,9 @@ struct block {
     int64_t *stops;
 };
 
-/* The rows of one thread, the thread started for them, if any, and its
- * result: 0, or -1 when out of memory */
-struct group {
+/* A block's part for one thread: its rows, the thread started for them, if
+ * any, and its result: 0, or -1 when out of memory */
+struct part {
     const struct block *blk;
     const int64_t *rows;
     int64_t count;
@@ -110,12 +110,12 @@ struct group {
     int started, status;
 };
 
-/* Iterations 1..nb of a group's rows, iteration outer and rows inner, so
+/* Iterations 1..nb of a part's rows, iteration outer and rows inner, so
  * that rows with equal draws read each slice while it is in cache.  A row
  * that diverges at iteration t is left as before t and stops; the others
  * run on.  The rows' iterates, sums and weight sums live in this thread's
  * work space and are written back at the end; each dual changes in place. */
-static void run_group(struct group *g)
+static void run_part(struct part *g)
 {
     const struct block *B = g->blk;
     int64_t n = B->n, p = B->p, nb = B->nb, R = g->count;
@@ -207,7 +207,7 @@ static void run_group(struct group *g)
 
 static void *run_thread(void *g)
 {
-    run_group(g);
+    run_part(g);
     return NULL;
 }
 
@@ -229,17 +229,17 @@ int64_t pdsg_block(int64_t n, int64_t p, const double *H, const double *c,
 {
     struct block blk = {n, p, nb, H, c, Q, a, b, lo, hi, draws, alphas, rhos, rules,
                         X, Z, SP, SW, weights, stops};
-    struct group *part = malloc(sizeof(struct group) * (size_t)T);
+    struct part *part = malloc(sizeof(struct part) * (size_t)T);
     if (part == NULL)
         return -1;
     for (int64_t k = 0, at = 0; k < T; at += counts[k++])
-        part[k] = (struct group){.blk = &blk, .rows = rows + at, .count = counts[k]};
-    /* a group whose thread cannot be started runs on the caller */
+        part[k] = (struct part){.blk = &blk, .rows = rows + at, .count = counts[k]};
+    /* a part whose thread cannot be started runs on the caller */
     for (int64_t k = 1; k < T; k++)
         part[k].started = pthread_create(&part[k].id, NULL, run_thread, &part[k]) == 0;
     for (int64_t k = 0; k < T; k++)
         if (!part[k].started)
-            run_group(&part[k]);
+            run_part(&part[k]);
     int64_t status = 0;
     for (int64_t k = 0; k < T; k++) {
         if (part[k].started)

@@ -6,7 +6,8 @@ instance's, or every block where the kernel is unavailable, on
 ``_row_block``.  Each test runs rows both ways and one scalar step at a
 time (``pdsg_step`` or ``mirror_prox_step``), and compares every field of
 each row's state, the generator included, at every tick, at the end and at
-a divergence.
+a divergence.  The kernel splits a block's rows over threads; two tests also
+run it from two Python threads at once and in a forked child.
 """
 
 import contextlib
@@ -176,7 +177,6 @@ def test_compiled_kernel_keeps_nan_and_signed_zero_rules():
     assert endings[0][1][0][0] == np.array([-0.0, -0.0, 0.0]).tobytes()  # x
 
 
-
 @pytest.mark.parametrize("shared", [("z", "z"), ("sum_plain", "sum_weighted")])
 def test_rows_writing_the_same_memory_run_per_row(shared):
     # two rows that write one array would race on two threads
@@ -194,6 +194,17 @@ def test_rows_writing_the_same_memory_run_per_row(shared):
     assert row_block.call_count == 9
     with per_row_kernel():
         assert aliased_run() == got
+
+
+def test_split_keeps_equal_draws_together_and_balances_rows(monkeypatch):
+    draws = [np.full(6, seed, np.int64) for seed in (0, 0, 1, 2, 2, 2)]
+    monkeypatch.setattr(compiled._process, "cpus", 2)
+    threads, rows, counts = compiled.split(draws)
+    assert (threads, rows.tolist(), counts.tolist()) == (2, [3, 4, 5, 0, 1, 2], [3, 3])
+    monkeypatch.setattr(compiled._process, "cpus", 1)
+    assert compiled.split(draws)[0] == 1
+    monkeypatch.setattr(compiled._process, "cpus", 8)
+    assert compiled.split(draws)[0] == 3  # one thread per group
 
 
 def _one_row_runs(inst, specs, K, cadence):

@@ -2,11 +2,11 @@
 
 ``solver._iterate`` advances R runs together: on the compiled kernel for a
 quadratic instance, its rows split in groups over threads, and one row at a
-time through the per-row oracles for any other.  One iteration of a stack of rows must equal each
-row's step function on the per-row oracles, and each row must equal its own
-one-row run (``run`` or ``mirror_prox_run``) on the per-row kernel in every
-field of the state, the generator included, at every tick, at the end and
-at a divergence.
+time through the per-row oracles for any other.  One iteration of a stack
+of rows must equal each row's step function on the per-row oracles, and
+each row must equal its own one-row run (``run`` or ``mirror_prox_run``)
+on the per-row kernel in every field of the state, the generator included,
+at every tick, at the end and at a divergence.
 ``bench.run_experiment`` runs an experiment's loop runs through one call
 and measures each tick of all of them with one ``measure`` call; its rows
 match the one-run records within the tolerance contract.
