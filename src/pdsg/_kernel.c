@@ -13,7 +13,6 @@
 #include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 
 enum { ROW_MAJOR = 101, COL_MAJOR = 102, TRANS = 112 };
 
@@ -87,25 +86,26 @@ static double value(int64_t n, const double *Qj, const double *aj, double bj,
     return 0.5 * dot(n, y, Qy) + dot(n, aj, y) - bj;
 }
 
-/* A block's operands, shared read-only by its threads: row r reads its
- * index triples from draws[r] (nb triples i, xi, j), its steps from
- * alphas[r] and rhos[r] and its dual rule from rules[r] = (mirror, cap,
- * limit) (solver._policy). */
+/* A block: its operands, shared read-only by its threads, and its rows'
+ * state, stacked.  Row r reads its index triples from draws[r] (nb triples
+ * i, xi, j), its steps from alphas[r] and rhos[r] and its dual rule from
+ * rules[r] = (mirror, cap, limit) (solver._policy), and advances its iterate
+ * X[r], dual Z[r], sums SP[r] and SW[r] and weight sum W[r] in place. */
 struct block {
-    int64_t n, p, nb;
+    int64_t n, p, m, nb;
     const double *H, *c, *Q, *a, *b, *lo, *hi;
     const int64_t *draws;
     const double *alphas, *rhos, *rules;
-    double *X, **Z, **SP, **SW, *weights;
+    double *X, *Z, *SP, *SW, *W;
     int64_t *stops;
 };
 
-/* A block's part for one thread: its rows, the thread started for them, if
- * any, and its result: 0, or -1 when out of memory */
+/* A block's part for one thread: its rows first .. first + count - 1, the
+ * thread started for them, if any, and its result: 0, or -1 when out of
+ * memory */
 struct part {
     const struct block *blk;
-    const int64_t *rows;
-    int64_t count;
+    int64_t first, count;
     pthread_t id;
     int started, status;
 };
@@ -113,31 +113,22 @@ struct part {
 /* Iterations 1..nb of a part's rows, iteration outer and rows inner, so
  * that rows with equal draws read each slice while it is in cache.  A row
  * that diverges at iteration t is left as before t and stops; the others
- * run on.  The rows' iterates, sums and weight sums live in this thread's
- * work space and are written back at the end; each dual changes in place. */
+ * run on. */
 static void run_part(struct part *g)
 {
     const struct block *B = g->blk;
-    int64_t n = B->n, p = B->p, nb = B->nb, R = g->count;
-    double *work = malloc(sizeof(double) * (size_t)(4 * n + p + R * (3 * n + 1)));
+    int64_t n = B->n, p = B->p, nb = B->nb, end = g->first + g->count;
+    double *work = malloc(sizeof(double) * (size_t)(4 * n + p));
     if (work == NULL) {
         g->status = -1;
         return;
     }
     double *g0 = work, *Qx = g0 + n, *xn = Qx + n, *Qy = xn + n, *res = Qy + n;
-    double *X = res + p, *SP = X + R * n, *SW = SP + R * n, *W = SW + R * n;
-    for (int64_t s = 0; s < R; s++) {
-        int64_t r = g->rows[s];
-        memcpy(X + s * n, B->X + r * n, sizeof(double) * (size_t)n);
-        memcpy(SP + s * n, B->SP[r], sizeof(double) * (size_t)n);
-        memcpy(SW + s * n, B->SW[r], sizeof(double) * (size_t)n);
-        W[s] = B->weights[r];
+    for (int64_t r = g->first; r < end; r++)
         B->stops[r] = nb;
-    }
-    int64_t live = R;
+    int64_t live = g->count;
     for (int64_t t = 0; t < nb && live; t++) {
-        for (int64_t s = 0; s < R; s++) {
-            int64_t r = g->rows[s];
+        for (int64_t r = g->first; r < end; r++) {
             if (B->stops[r] < nb)
                 continue;
             const int64_t *draw = B->draws + 3 * (r * nb + t);
@@ -145,7 +136,7 @@ static void run_part(struct part *g)
             double a_k = B->alphas[r * nb + t], r_k = B->rhos[r * nb + t];
             int mirror = B->rules[3 * r] != 0.0;
             double cap = B->rules[3 * r + 1], limit = B->rules[3 * r + 2];
-            double *x = X + s * n, *z = B->Z[r];
+            double *x = B->X + r * n, *z = B->Z + r * B->m;
             const double *Hi = B->H + xi * p * n, *ci = B->c + xi * p, *ai = B->a + i * n;
             const double *lo = B->lo, *hi = B->hi;
 
@@ -185,21 +176,14 @@ static void run_part(struct part *g)
             }
 
             z[j] = zn;
-            double *sp = SP + s * n, *sw = SW + s * n;
+            double *sp = B->SP + r * n, *sw = B->SW + r * n;
             for (int64_t k = 0; k < n; k++) {
                 x[k] = xn[k];
                 sp[k] = sp[k] + xn[k];
                 sw[k] = sw[k] + a_k * xn[k];
             }
-            W[s] = W[s] + a_k;
+            B->W[r] = B->W[r] + a_k;
         }
-    }
-    for (int64_t s = 0; s < R; s++) {
-        int64_t r = g->rows[s];
-        memcpy(B->X + r * n, X + s * n, sizeof(double) * (size_t)n);
-        memcpy(B->SP[r], SP + s * n, sizeof(double) * (size_t)n);
-        memcpy(B->SW[r], SW + s * n, sizeof(double) * (size_t)n);
-        B->weights[r] = W[s];
     }
     free(work);
     g->status = 0;
@@ -213,27 +197,24 @@ static void *run_thread(void *g)
 
 /* Iterations 1..nb of a block (struct block) on T threads: the caller and
  * T - 1 started here and joined before the return.  Thread k runs the
- * counts[k] rows that follow the earlier threads' in `rows`.  Each row
- * advances its iterate X[r], dual Z[r], sums SP[r] and SW[r] and weight sum
- * weights[r] in place, and stops[r] is the iteration (from 0) at which it
- * diverged, or nb.  The duals and sums of different rows must not overlap.
- * Returns 0, or -1 when out of memory. */
-int64_t pdsg_block(int64_t n, int64_t p, const double *H, const double *c,
+ * counts[k] rows that follow the earlier threads'.  stops[r] is the
+ * iteration (from 0) at which row r diverged, or nb.  Returns 0, or -1 when
+ * out of memory. */
+int64_t pdsg_block(int64_t n, int64_t p, int64_t m, const double *H, const double *c,
                    const double *Q, const double *a, const double *b,
                    const double *lo, const double *hi,
                    int64_t nb, const int64_t *draws,
                    const double *alphas, const double *rhos, const double *rules,
-                   double *X, double **Z, double **SP, double **SW,
-                   double *weights, int64_t *stops,
-                   int64_t T, const int64_t *rows, const int64_t *counts)
+                   double *X, double *Z, double *SP, double *SW, double *W,
+                   int64_t *stops, int64_t T, const int64_t *counts)
 {
-    struct block blk = {n, p, nb, H, c, Q, a, b, lo, hi, draws, alphas, rhos, rules,
-                        X, Z, SP, SW, weights, stops};
+    struct block blk = {n, p, m, nb, H, c, Q, a, b, lo, hi, draws, alphas, rhos, rules,
+                        X, Z, SP, SW, W, stops};
     struct part *part = malloc(sizeof(struct part) * (size_t)T);
     if (part == NULL)
         return -1;
     for (int64_t k = 0, at = 0; k < T; at += counts[k++])
-        part[k] = (struct part){.blk = &blk, .rows = rows + at, .count = counts[k]};
+        part[k] = (struct part){.blk = &blk, .first = at, .count = counts[k]};
     /* a part whose thread cannot be started runs on the caller */
     for (int64_t k = 1; k < T; k++)
         part[k].started = pthread_create(&part[k].id, NULL, run_thread, &part[k]) == 0;

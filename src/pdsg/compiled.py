@@ -1,9 +1,10 @@
 """The compiled run kernel: ``_kernel.c``, built on first use and loaded with ctypes.
 
-``solver._iterate`` runs the blocks of a ``QuadraticInstance`` on it.  The
-C loop makes every product with the cblas function that numpy's matmul
-calls for the same operands, taken from the BLAS library numpy has loaded,
-so each row is bit-equal to ``solver._row_block`` and the step functions.
+``solver._iterate`` runs the blocks of a ``QuadraticInstance`` through
+``block``, the one home of the kernel's calling convention.  The C loop
+makes every product with the cblas function that numpy's matmul calls for
+the same operands, taken from the BLAS library numpy has loaded, so each
+row is bit-equal to ``solver._row_block`` and the step functions.
 A block's rows are split over at most as many threads as the process has
 CPUs (``split``); the kernel starts them and joins them before it returns.
 
@@ -75,8 +76,8 @@ def _bound_and_checked():
     if not _bind(lib):
         return None
     kernel = lib.pdsg_block
-    kernel.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 7 + [ctypes.c_int64] \
-        + [ctypes.c_void_p] * 10 + [ctypes.c_int64] + [ctypes.c_void_p] * 2
+    kernel.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_int64] \
+        + [ctypes.c_void_p] * 10 + [ctypes.c_int64, ctypes.c_void_p]
     kernel.restype = ctypes.c_int64
     _process.kernel = kernel  # the self-check's runs take it
     return kernel if _self_check() else None
@@ -133,8 +134,9 @@ def _bind(lib) -> bool:
 
 
 def split(draws):
-    """A block's rows by thread: ``(threads, rows, counts)``, thread k
-    running the ``counts[k]`` rows of ``rows`` after the earlier threads'.
+    """A block's rows in thread order and the rows per thread: ``(rows,
+    counts)``, thread k running the ``counts[k]`` rows of ``rows`` after the
+    earlier threads'.
 
     Rows with byte-equal draws form a group, which stays on one thread and
     reads each sampled slice once into its cache; the groups go to the
@@ -147,8 +149,40 @@ def split(draws):
     threads = [[] for _ in range(min(len(groups), _process.cpus))]
     for group in sorted(groups.values(), key=len, reverse=True):
         min(threads, key=len).extend(group)
-    counts = [len(rows) for rows in threads]
-    return len(threads), np.array(sum(threads, []), np.int64), np.array(counts, np.int64)
+    return sum(threads, []), np.array([len(rows) for rows in threads], np.int64)
+
+
+def block(rows, draws, operands, done, end):
+    """``solver._row_block``'s iterations on the compiled kernel, with its
+    ``stopped`` return.  The rows' state is stacked into (R, .) float64
+    arrays in thread order (``split``), each thread advances its contiguous
+    rows in place, and then each state's dual and sums are copied back into
+    its own arrays and it gets a new iterate.  ``solver._iterate`` has
+    checked the rows' shapes and steps, and that they share no memory."""
+    from .solver import _advance, _policy
+
+    kernel, n, p, m, *arrays = operands
+    order, counts = split(draws)
+    rows = [rows[pos] for pos in order]
+    states = [row[0] for row in rows]
+    X, Z, SP, SW, W = (np.array([getattr(state, name) for state in states], dtype=float)
+                       for name in ("x", "z", "sum_plain", "sum_weighted", "weight_sum"))
+    stops = np.empty(len(rows), np.int64)
+    steps = (np.array([row[i][done:end] for row in rows], dtype=float) for i in (1, 2))
+    inputs = (np.stack([draws[pos] for pos in order]), *steps,
+              np.array([_policy(row[3]) for row in rows], dtype=float), X, Z, SP, SW, W, stops)
+    status = kernel(n, p, m, *arrays, end - done, *(arr.ctypes.data for arr in inputs),
+                    len(counts), counts.ctypes.data)
+    if status < 0:
+        raise MemoryError("the compiled kernel could not allocate its work space")
+    stopped = {}
+    for k, (pos, state, t) in enumerate(zip(order, states, stops.tolist())):
+        if t < end - done:
+            stopped[pos] = t
+        state.z[...], state.sum_plain[...], state.sum_weighted[...] = Z[k], SP[k], SW[k]
+        # a stopped row made its iteration's queries
+        _advance(state, X[k].copy(), W.item(k), t, t + (pos in stopped))
+    return stopped
 
 
 def _self_check() -> bool:

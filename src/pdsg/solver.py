@@ -11,7 +11,7 @@ keeps the dual iterate nonnegative.
 mirror-prox, goes through ``_iterate``, which advances one or several runs,
 draws the sample indices in blocks and is bit-for-bit equal to repeated
 steps.  A quadratic instance's blocks run on the compiled kernel
-(``compiled``, ``_kernel.c``), any other instance's on ``_row_block``.
+(``compiled.block``, ``_kernel.c``), any other instance's on ``_row_block``.
 
 A run is single-threaded and deterministic given its seed; the compiled
 kernel splits a block of several runs over threads, each run on one.  Runs
@@ -21,7 +21,6 @@ instance.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 
@@ -364,15 +363,22 @@ def _iterate(rows, inst, K, on_tick=None, cadence=None):
     would have raised, with its state left as they leave it; the other rows
     keep running.  ``on_tick`` is called every ``cadence`` iterations (and at
     the end) with the indices of the live rows, after their states are
-    written back.  A ``QuadraticInstance`` runs its blocks on the compiled
-    kernel (``compiled.operands``), any other instance on ``_row_block``.
+    written back.  A ``QuadraticInstance`` runs on ``compiled.block``, any
+    other instance on ``_row_block`` (``compiled.operands``).  Before any
+    draw it raises unless each row's arrays fit the instance and its steps
+    cover K, and no two of the rows' duals and sums may share memory.
     """
     lo, hi = inst.box_lo, inst.box_hi
-    for state, *_ in rows:
-        if state.x.shape != lo.shape or state.x.shape != hi.shape:
-            raise DimensionError(
-                f"point and bounds differ in shape: {state.x.shape}, {lo.shape}, {hi.shape}"
-            )
+    written = []
+    for state, alphas, rhos, _ in rows:
+        shapes = (state.x.shape, state.sum_plain.shape, state.sum_weighted.shape, state.z.shape)
+        if shapes != ((inst.n,),) * 3 + ((inst.m,),):
+            raise DimensionError(f"x, sums and z {shapes} do not fit n={inst.n}, m={inst.m}")
+        if min(len(alphas), len(rhos)) < K:
+            raise ConfigError(f"a run's steps cover {min(len(alphas), len(rhos))} of K = {K}")
+        written += [state.z, state.sum_plain, state.sum_weighted]
+    if any(np.may_share_memory(u, v) for i, u in enumerate(written) for v in written[:i]):
+        raise ConfigError("two of the runs' duals and sums share memory")
     bounds = np.tile([inst.m, inst.N, inst.m], min(K, _DRAW_BLOCK))
     every = cadence if cadence and on_tick is not None else K
     operands = compiled.operands(inst)
@@ -386,9 +392,8 @@ def _iterate(rows, inst, K, on_tick=None, cadence=None):
         block = [rows[r] for r in live]
         before = [state.rng.bit_generator.state for state, *_ in block]
         draws = [state.rng.integers(bounds[: 3 * (end - done)]) for state, *_ in block]
-        stopped = None if operands is None else _compiled_block(block, draws, operands, done, end)
-        if stopped is None:
-            stopped = _row_block(block, draws, oracles, lo, hi, done, end)
+        stopped = (_row_block(block, draws, oracles, lo, hi, done, end) if operands is None
+                   else compiled.block(block, draws, operands, done, end))
         for pos, t in stopped.items():
             state = block[pos][0]
             if t + 1 < end - done:
@@ -445,56 +450,6 @@ def _row_block(rows, draws, oracles, lo, hi, done, end):
             weight_sum += a_k
         # a stopped row made its iteration's queries
         _advance(state, x, weight_sum, steps, steps + (pos in stopped))
-    return stopped
-
-
-def _compiled_block(rows, draws, operands, done, end):
-    """``_row_block``'s iterations on the compiled kernel; returns
-    ``stopped`` as ``_row_block`` does, or None when a row's dual or sums
-    are not C-contiguous float64 arrays of the instance's shapes, overlap
-    another's, or its steps do not cover the block.
-
-    The kernel runs groups of rows on threads of their own
-    (``compiled.split``), so no two rows may write the same memory.  Each
-    state's dual and sums change in place, and it gets a new iterate.
-    """
-    block, n, p, m, *arrays = operands
-    R = len(rows)
-    states = [row[0] for row in rows]
-    pointers, spans = [], []
-    for name, shape in (("z", (m,)), ("sum_plain", (n,)), ("sum_weighted", (n,))):
-        addresses = [compiled.address(getattr(state, name), shape) for state in states]
-        if None in addresses:
-            return None
-        pointers.append((ctypes.c_void_p * R)(*addresses))
-        spans += [(start, start + 8 * shape[0]) for start in addresses]
-    spans.sort()
-    if any(start < stop for (_, stop), (start, _) in zip(spans, spans[1:])):
-        return None
-    alphas, rhos = ([np.asarray(row[i][done:end], dtype=float) for row in rows] for i in (1, 2))
-    if any(seq.shape != (end - done,) for seq in alphas + rhos):
-        return None
-    X = np.array([state.x for state in states], dtype=float)
-    weights = np.array([state.weight_sum for state in states], dtype=float)
-    stops = np.empty(R, np.int64)
-    threads, order, counts = compiled.split(draws)
-    inputs = (
-        np.stack(draws),
-        np.stack(alphas),
-        np.stack(rhos),
-        np.array([_policy(row[3]) for row in rows], dtype=float),
-    )
-    status = block(n, p, *arrays, end - done, *(arr.ctypes.data for arr in inputs),
-                   X.ctypes.data, *pointers, weights.ctypes.data, stops.ctypes.data,
-                   threads, order.ctypes.data, counts.ctypes.data)
-    if status < 0:
-        raise MemoryError("the compiled kernel could not allocate its work space")
-    stopped = {}
-    for pos, (state, steps, weight) in enumerate(zip(states, stops.tolist(), weights.tolist())):
-        if steps < end - done:
-            stopped[pos] = steps
-        # a stopped row made its iteration's queries
-        _advance(state, X[pos].copy(), weight, steps, steps + (pos in stopped))
     return stopped
 
 

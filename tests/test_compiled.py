@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from pdsg import bench, compiled, solver
 from pdsg.baselines import MirrorProxConfig, mirror_prox_run, mirror_prox_step
-from pdsg.errors import DivergenceError
+from pdsg.errors import ConfigError, DivergenceError
 from pdsg.problems import (
     QcqpData,
     QuadraticInstance,
@@ -177,34 +177,47 @@ def test_compiled_kernel_keeps_nan_and_signed_zero_rules():
     assert endings[0][1][0][0] == np.array([-0.0, -0.0, 0.0]).tobytes()  # x
 
 
+def _unmoved(rows):
+    return [snapshot(row[0]) for row in rows]
+
+
 @pytest.mark.parametrize("shared", [("z", "z"), ("sum_plain", "sum_weighted")])
-def test_rows_writing_the_same_memory_run_per_row(shared):
-    # two rows that write one array would race on two threads
+def test_rows_writing_the_same_memory_are_refused(shared):
+    # two rows that write one array would race on two threads, and each
+    # row's arrays are copied back from the kernel's stacked state
     inst = random_qcqp(4, 3, 5, 6, seed=2)
     specs = [("anytime", 0.5, 0.5, None, 0), ("mirror_prox", 0.5, 0.5, 1.0, 1)]
-
-    def aliased_run():
+    for kernel in (contextlib.nullcontext(), per_row_kernel()):
         rows = [(init_state(inst, spec[-1]), *_steps(spec, 60), spec[3]) for spec in specs]
         setattr(rows[1][0], shared[1], getattr(rows[0][0], shared[0]))
-        assert _iterate(rows, inst, 60, on_tick=lambda live: None, cadence=7) == [None, None]
-        return [_ending(row[0]) for row in rows]
+        before = _unmoved(rows)
+        with kernel, pytest.raises(ConfigError, match="share memory"):
+            _iterate(rows, inst, 60, on_tick=lambda live: None, cadence=7)
+        assert _unmoved(rows) == before
 
-    with mock.patch.object(solver, "_row_block", wraps=solver._row_block) as row_block:
-        got = aliased_run()
-    assert row_block.call_count == 9
-    with per_row_kernel():
-        assert aliased_run() == got
+
+def test_steps_shorter_than_the_run_are_refused():
+    inst = random_qcqp(4, 3, 5, 6, seed=2)
+    specs = [("anytime", 0.5, 0.5, None, 0), ("mirror_prox", 0.5, 0.5, 1.0, 1)]
+    for kernel in (contextlib.nullcontext(), per_row_kernel()):
+        rows = [(init_state(inst, spec[-1]), *_steps(spec, 10), spec[3]) for spec in specs]
+        state, alphas, rhos, z_max = rows[1]
+        rows[1] = (state, alphas[:4], rhos, z_max)
+        before = _unmoved(rows)
+        with kernel, pytest.raises(ConfigError, match="cover 4 of K = 10"):
+            _iterate(rows, inst, 10)
+        assert _unmoved(rows) == before
 
 
 def test_split_keeps_equal_draws_together_and_balances_rows(monkeypatch):
     draws = [np.full(6, seed, np.int64) for seed in (0, 0, 1, 2, 2, 2)]
     monkeypatch.setattr(compiled._process, "cpus", 2)
-    threads, rows, counts = compiled.split(draws)
-    assert (threads, rows.tolist(), counts.tolist()) == (2, [3, 4, 5, 0, 1, 2], [3, 3])
+    rows, counts = compiled.split(draws)
+    assert (rows, counts.tolist()) == ([3, 4, 5, 0, 1, 2], [3, 3])
     monkeypatch.setattr(compiled._process, "cpus", 1)
-    assert compiled.split(draws)[0] == 1
+    assert len(compiled.split(draws)[1]) == 1
     monkeypatch.setattr(compiled._process, "cpus", 8)
-    assert compiled.split(draws)[0] == 3  # one thread per group
+    assert len(compiled.split(draws)[1]) == 3  # one thread per group
 
 
 def _one_row_runs(inst, specs, K, cadence):
@@ -271,7 +284,7 @@ def test_quadratic_runs_take_the_compiled_kernel(loaded):
     assert compiled.load() is not None
     for inst in (random_qcqp(5, 3, 7, 11, seed=8), random_scenario_lp(4, 6, 3, seed=1), loaded):
         with mock.patch.object(solver, "_row_block", side_effect=AssertionError("per-row")), \
-                mock.patch.object(solver, "_compiled_block", wraps=solver._compiled_block) as block:
+                mock.patch.object(compiled, "block", wraps=compiled.block) as block:
             run(inst, make_schedule("anytime", 0.05, 0.05, 300), 300, 4, Snapshots(), 7)
             mirror_prox_run(inst, MirrorProxConfig(), 300, 4)
             run_loop(inst, [("fixed_horizon", 0.05, 0.05, None, 0), ("mirror_prox", 1, 1, 5, 1)],
@@ -299,17 +312,23 @@ def test_other_oracles_and_arrays_run_per_row():
     assert compiled.operands(QuadraticInstance(dataclasses.replace(
         inst.data, b=inst.data.b.astype(np.float32)))) is None
 
-    # a state whose dual is a strided view runs its blocks per row
+    # a state whose dual is a strided view runs on the compiled kernel, which
+    # writes each state's dual and sums back in place
     sched = make_schedule("anytime", 0.5, 0.5, 60)
-    state = init_state(inst, 3)
-    state.z = np.zeros(2 * inst.m)[::2]
-    with mock.patch.object(solver, "_row_block", wraps=solver._row_block) as row_block:
-        _iterate([(state, *sched.sequences(60), None)], inst, 60)
-    assert row_block.call_count == 1
-    want = init_state(inst, 3)
-    for k in range(1, 61):
-        pdsg_step(want, inst, *sched.steps(k))
-    assert snapshot(state) == snapshot(want)
+    states = [init_state(inst, seed) for seed in (3, 4)]
+    states[0].z = np.zeros(2 * inst.m)[::2]
+    arrays = [(state.z, state.sum_plain, state.sum_weighted) for state in states]
+    with mock.patch.object(solver, "_row_block", side_effect=AssertionError("per-row")), \
+            mock.patch.object(compiled, "block", wraps=compiled.block) as block:
+        _iterate([(state, *sched.sequences(60), None) for state in states], inst, 60)
+    assert block.call_count == 1
+    for state, (z, sum_plain, sum_weighted) in zip(states, arrays):
+        assert state.z is z and state.sum_plain is sum_plain and state.sum_weighted is sum_weighted
+    for state, seed in zip(states, (3, 4)):
+        want = init_state(inst, seed)
+        for k in range(1, 61):
+            pdsg_step(want, inst, *sched.steps(k))
+        assert snapshot(state) == snapshot(want)
 
 
 @pytest.mark.parametrize("failure", ["compiler", "symbols", "self_check"])

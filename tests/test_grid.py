@@ -97,7 +97,7 @@ def assert_stacked_equal_per_row(inst, X, xis, I, J):
         oracles = (inst.stoch_objective_grad, inst.constraint, inst.constraint_value)
         out = solver._row_block(rows, list(triples), oracles, inst.box_lo, inst.box_hi, 0, 1)
     else:
-        out = solver._compiled_block(rows, list(triples), operands, 0, 1)
+        out = compiled.block(rows, list(triples), operands, 0, 1)
     assert out == {}
 
     for r, (state, _, _, z_max) in enumerate(rows):
