@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from pdsg import bench, compiled, solver
 from pdsg.baselines import MirrorProxConfig, mirror_prox_run, mirror_prox_step
-from pdsg.errors import ConfigError, DivergenceError
+from pdsg.errors import ConfigError, DimensionError, DivergenceError
 from pdsg.problems import (
     QcqpData,
     QuadraticInstance,
@@ -183,8 +183,8 @@ def _unmoved(rows):
 
 @pytest.mark.parametrize("shared", [("z", "z"), ("sum_plain", "sum_weighted")])
 def test_rows_writing_the_same_memory_are_refused(shared):
-    # two rows that write one array would race on two threads, and each
-    # row's arrays are copied back from the kernel's stacked state
+    # on the per-row kernel each row would see the other's writes; the
+    # compiled one copies each row's arrays back from its stacked state
     inst = random_qcqp(4, 3, 5, 6, seed=2)
     specs = [("anytime", 0.5, 0.5, None, 0), ("mirror_prox", 0.5, 0.5, 1.0, 1)]
     for kernel in (contextlib.nullcontext(), per_row_kernel()):
@@ -196,15 +196,23 @@ def test_rows_writing_the_same_memory_are_refused(shared):
         assert _unmoved(rows) == before
 
 
-def test_steps_shorter_than_the_run_are_refused():
+@pytest.mark.parametrize("misfit", ["steps", "dual"])
+def test_rows_that_do_not_fit_the_run_are_refused(misfit):
+    # steps shorter than K, or a dual shorter than m, which the compiled
+    # kernel would index past the end of its stacked duals
     inst = random_qcqp(4, 3, 5, 6, seed=2)
     specs = [("anytime", 0.5, 0.5, None, 0), ("mirror_prox", 0.5, 0.5, 1.0, 1)]
+    error, match = (ConfigError, "cover 4 of K = 10") if misfit == "steps" else (
+        DimensionError, "do not fit n=4, m=6")
     for kernel in (contextlib.nullcontext(), per_row_kernel()):
         rows = [(init_state(inst, spec[-1]), *_steps(spec, 10), spec[3]) for spec in specs]
         state, alphas, rhos, z_max = rows[1]
-        rows[1] = (state, alphas[:4], rhos, z_max)
+        if misfit == "steps":
+            rows[1] = (state, alphas[:4], rhos, z_max)
+        else:
+            state.z = state.z[:-1]
         before = _unmoved(rows)
-        with kernel, pytest.raises(ConfigError, match="cover 4 of K = 10"):
+        with kernel, pytest.raises(error, match=match):
             _iterate(rows, inst, 10)
         assert _unmoved(rows) == before
 
